@@ -9,8 +9,9 @@
 // checks them against the pins in baseline.json; README.md describes the
 // method.
 //
-//   --trace 0  timed pass: set-up samples, then untraced runs of every
-//              network, pass after pass, until --seconds have elapsed.
+//   --trace 0  timed pass: set-up samples, then a number of untraced
+//              passes over every network that --seconds fixes
+//              (kPassSeconds).
 //   --trace 1  traced pass, once per network: a live run whose transmit
 //              sets an Exec observer records, and a paired replay of the
 //              recording — sim::Exec::RunRound on one Exec, then
@@ -68,9 +69,10 @@ double Since(Clock::time_point t0) {
 }
 
 // One workload: a topology and an algorithm from the scenario registries,
-// how many networks (seeds) one invocation runs, and how many Exec calls
-// make one timed chunk (15-20 ms). The reasons for each choice are in
-// README.md.
+// how many networks (seeds) one invocation runs, sized so that one pass
+// over them takes about kPassSeconds on the reference host, and how many
+// Exec calls make one timed chunk (5-12 ms). The reasons for each choice
+// are in README.md.
 struct Workload {
   const char* name;
   const char* topology;        // --topology value
@@ -85,12 +87,18 @@ constexpr Workload kWorkloads[] = {
     {"clustering_dense", "uniform:n=128,side=2.5", "uniform:n=48,side=1.53",
      "clustering", "auto", 5, 16384},
     {"clustering_grid", "uniform:n=96,side=4.33", "uniform:n=48,side=3.06",
-     "clustering", "grid", 2, 8192},
+     "clustering", "grid", 3, 8192},
     {"global_bcast", "connected_uniform:n=256,side=7.071",
      "connected_uniform:n=64,side=3.54", "global_broadcast", "auto", 4, 16384},
-    {"decay_wide", "connected_uniform:n=2304,side=21.21",
-     "connected_uniform:n=128,side=5", "decay_global", "auto", 24, 16},
+    {"decay_wide", "grid:rows=78,cols=78,pitch=0.442",
+     "grid:rows=11,cols=11,pitch=0.442", "decay_global", "auto", 5, 8},
 };
+
+// The timed pass makes max(2, floor(--seconds / kPassSeconds)) passes over
+// the networks. The count depends on --seconds alone, never on how fast
+// the runs go, so the fastest-of-N statistic below means the same on every
+// commit measured with the same --seconds.
+constexpr double kPassSeconds = 3.0;
 
 // Every sampled engine step is re-resolved by the kExact oracle on grid
 // workloads: 2% of the steps, which keeps the oracle under a tenth of the
@@ -107,13 +115,14 @@ bool SinrAgrees(double grid, double exact, std::size_t n_tx) {
   return std::abs(grid - exact) <= tol;
 }
 
-// Set-up samples per network in the timed pass.
-constexpr int kSetupReps = 5;
+// Set-up samples in the timed pass; each builds every network once.
+constexpr int kSetupReps = 15;
 
 // The probe wraps the workload's registered algorithm: it installs the
 // run's Exec observer (the chunk timer, or the traced live run's recorder)
-// and copies the engine's counters when the run ends. It is registered under kProbeAlgo, so a run
-// still goes through scenario::RunScenarioOnNetwork unchanged.
+// and copies the engine's counters when the run ends. It is registered
+// under kProbeAlgo, so a run still goes through
+// scenario::RunScenarioOnNetwork unchanged.
 constexpr const char* kProbeAlgo = "bench_e2e.probe";
 
 struct Probe {
@@ -497,7 +506,9 @@ Args ParseArgs(int argc, char** argv) {
     }
   }
   if (args.workload.empty()) Usage("--workload is required");
-  if (!(args.seconds > 0.0)) Usage("--seconds must be positive");
+  if (!(args.seconds > 0.0 && args.seconds <= 3600.0)) {
+    Usage("--seconds must be in (0, 3600]");
+  }
   return args;
 }
 
@@ -524,40 +535,39 @@ int main(int argc, char** argv) {
   spec.algo = kProbeAlgo;
 
   // Networks: seeds K*seed .. K*seed+K-1, so distinct --seed values never
-  // share one. Set-up builds each network kSetupReps times, plus its
+  // share one. One set-up sample builds every network, each with its
   // communication graph, which Network builds lazily on first use and
   // would otherwise be charged to whichever run touched it first.
   // --quick keeps two networks, so the multi-network path stays covered.
   const int k_networks = args.quick ? 2 : workload->networks;
   std::vector<std::uint64_t> seeds;
-  std::vector<Network> nets;
-  std::vector<std::vector<double>> setup_s(k_networks);
   for (int k = 0; k < k_networks; ++k) {
-    const std::uint64_t seed = args.seed * k_networks + k;
-    std::optional<Network> net;
-    for (int rep = 0; rep < (args.trace ? 1 : kSetupReps); ++rep) {
-      const auto t0 = Clock::now();
-      net.emplace(dcc::scenario::BuildScenarioNetwork(spec, seed));
-      net->CommGraph();
-      setup_s[k].push_back(Since(t0));
+    seeds.push_back(args.seed * k_networks + k);
+  }
+  std::vector<Network> nets;
+  std::vector<double> setup_s;
+  for (int rep = 0; rep < (args.trace ? 1 : kSetupReps); ++rep) {
+    nets.clear();
+    const auto t0 = Clock::now();
+    for (const std::uint64_t seed : seeds) {
+      nets.push_back(dcc::scenario::BuildScenarioNetwork(spec, seed));
+      nets.back().CommGraph();
     }
-    seeds.push_back(seed);
-    nets.push_back(std::move(*net));
+    setup_s.push_back(Since(t0));
   }
 
-  std::vector<RunSample> runs;
   std::vector<RunSample> first(nets.size());
   std::vector<double> gamma(nets.size(), 0.0);
-  // Per network, each chunk's fastest time over the untraced runs.
-  std::vector<std::vector<double>> best_chunk_s(nets.size());
   std::vector<std::string> errors;
-  std::int64_t traced_passes = 0;
+  std::int64_t attempted = 0;
   const auto fail = [&](std::size_t k, const std::string& why) {
     errors.push_back("network " + std::to_string(seeds[k]) + ": " + why);
   };
   const auto report_failure = [](const RunSample& s) {
     return "report not ok" + (s.error.empty() ? "" : ": " + s.error);
   };
+  // Per network, each chunk's fastest time over the untraced runs.
+  std::vector<std::vector<double>> best_chunk_s(nets.size());
   // Runs network k once. With a recording, the observer records the run;
   // without one, it only reads the clock every chunk_calls Exec calls.
   const auto run_once = [&](std::size_t k, Recording* rec) {
@@ -578,14 +588,13 @@ int main(int argc, char** argv) {
         }
       };
     }
-    const auto t0 = Clock::now();
+    marks.push_back(Clock::now());
     const RunReport rep =
         dcc::scenario::RunScenarioOnNetwork(spec, seeds[k], nets[k]);
-    const auto t1 = Clock::now();
+    marks.push_back(Clock::now());
     probe.observer = nullptr;
-    s.wall_s = std::chrono::duration<double>(t1 - t0).count();
-    marks.insert(marks.begin(), t0);
-    marks.push_back(t1);
+    s.wall_s =
+        std::chrono::duration<double>(marks.back() - marks.front()).count();
     for (std::size_t i = 1; rec == nullptr && i < marks.size(); ++i) {
       s.chunk_s.push_back(
           std::chrono::duration<double>(marks[i] - marks[i - 1]).count());
@@ -597,25 +606,26 @@ int main(int argc, char** argv) {
     gamma[k] = rep.metrics.Get("gamma");
     return s;
   };
-  const auto keep = [&](RunSample s) {
-    const bool is_first = std::none_of(
-        runs.begin(), runs.end(),
-        [&](const RunSample& r) { return r.network == s.network; });
+  // Checks an untraced run against the network's first one and folds its
+  // chunk times into best_chunk_s.
+  const auto keep = [&](const RunSample& s) {
     std::vector<double>& best = best_chunk_s[s.network];
+    ++attempted;
     if (!s.ok) {
       fail(s.network, report_failure(s));
-    } else if (is_first) {
-      first[s.network] = s;
-      best = s.chunk_s;
-    } else if (!SameOutputs(s, first[s.network]) ||
-               s.chunk_s.size() != best.size()) {
+      return;
+    }
+    if (!first[s.network].ok) first[s.network] = s;
+    if (!SameOutputs(s, first[s.network]) ||
+        (!best.empty() && best.size() != s.chunk_s.size())) {
       fail(s.network, "outputs differ from the network's first run");
+    } else if (best.empty()) {
+      best = s.chunk_s;
     } else {
       for (std::size_t i = 0; i < best.size(); ++i) {
         best[i] = std::min(best[i], s.chunk_s[i]);
       }
     }
-    runs.push_back(std::move(s));
   };
 
   JsonObject out;
@@ -628,16 +638,12 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> digests(nets.size());
   if (!args.trace) {
-    // Whole passes over the networks while the next one is expected to
-    // finish inside --seconds (at least one pass).
-    const auto t0 = Clock::now();
-    for (;;) {
-      const auto pass0 = Clock::now();
-      for (std::size_t k = 0; k < nets.size(); ++k) {
-        keep(run_once(k, nullptr));
-      }
-      if (Since(t0) + Since(pass0) > args.seconds) break;
+    const int passes = std::max(
+        2, static_cast<int>(std::floor(args.seconds / kPassSeconds)));
+    for (int pass = 0; pass < passes; ++pass) {
+      for (std::size_t k = 0; k < nets.size(); ++k) keep(run_once(k, nullptr));
     }
+    out.Num("passes", passes);
   } else {
     LayerSums sums;
     bool replay_match = true;
@@ -656,7 +662,7 @@ int main(int argc, char** argv) {
                          engine_digest == rec.digest &&
                          live.stats.receptions == rec.receptions;
       replay_match = replay_match && match;
-      ++traced_passes;
+      ++attempted;
       if (!live.ok) {
         fail(k, report_failure(live));
       } else if (!match) {
@@ -763,28 +769,22 @@ int main(int argc, char** argv) {
   }
   networks += "]";
 
-  std::string error_list = "[";
-  for (std::size_t i = 0; i < errors.size(); ++i) {
-    error_list += (i ? ", " : "") + JsonQuote(errors[i]);
-  }
-  error_list += "]";
-
-  std::string setup = "[";
-  for (std::size_t k = 0; k < setup_s.size(); ++k) {
-    setup += k ? ", [" : "[";
-    for (std::size_t i = 0; i < setup_s[k].size(); ++i) {
-      setup += (i ? ", " : "") + JsonNumber(setup_s[k][i]);
+  const auto array = [](const auto& items, const auto& to_json) {
+    std::string json = "[";
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      json += (i ? ", " : "") + to_json(items[i]);
     }
-    setup += "]";
-  }
-  setup += "]";
+    return json + "]";
+  };
 
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   out.Raw("networks", networks)
-      .Raw("setup_s", setup)
-      .Raw("errors", error_list)
-      .Num("attempted", static_cast<double>(runs.size() + traced_passes))
+      .Raw("setup_s", array(setup_s, [](double v) { return JsonNumber(v); }))
+      .Raw("errors", array(errors, [](const std::string& e) {
+             return JsonQuote(e);
+           }))
+      .Num("attempted", static_cast<double>(attempted))
       .Num("failed", static_cast<double>(errors.size()))
       .Num("peak_rss_mb", static_cast<double>(usage.ru_maxrss) / 1024.0);
   std::cout << out.Done() << std::endl;

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end benchmark of the paper's workloads (README.md in this directory).
 
-    python3 bench_e2e/run_benchmark.py             every workload, 5 reps each
+    python3 bench_e2e/run_benchmark.py             every workload, 5 processes
+                                                   of run_seconds each
     python3 bench_e2e/run_benchmark.py --traced    the per-layer split
     python3 bench_e2e/run_benchmark.py --quick     harness smoke test (< 15 s)
     python3 bench_e2e/run_benchmark.py --json out.json   keep the samples
@@ -31,6 +32,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 # Each binary run ends well inside this; a hung run must not hang the bench.
 RUN_TIMEOUT_S = 170
+# Processes per workload in the default mode.
+REPS = 5
+# Absolute changes no larger than these are never a regression: set-up
+# takes a few milliseconds or less, where scheduling noise alone moves the
+# median by more than its relative bound (README.md).
+ABS_FLOOR = {"setup_s": 0.005}
 
 
 def fail(message):
@@ -90,11 +97,11 @@ UNGATED = [{"name": "rounds_per_s", "unit": "1/s"}]
 def end_to_end(result):
     nets = result["networks"]
     wall = statistics.fmean(net["best_s"] for net in nets)
+    rounds = statistics.fmean(net["rounds_total"] for net in nets)
     return {
         "wall_s": wall,
-        "rounds_per_s": statistics.fmean(n["rounds_total"] for n in nets) / wall,
-        "setup_s": statistics.fmean(statistics.median(s)
-                                    for s in result["setup_s"]),
+        "rounds_per_s": rounds / wall,
+        "setup_s": statistics.median(result["setup_s"]),
         "peak_rss_mb": result["peak_rss_mb"],
     }
 
@@ -105,6 +112,9 @@ def pin_mismatches(result, pins):
     pinned = pins.get(key, {}).get(result["workload"])
     if result["seed"] != 1 or pinned is None:
         return []
+    if len(result["networks"]) != len(pinned):
+        return [f"{result['workload']}: {len(result['networks'])} networks, "
+                f"{len(pinned)} pinned"]
     bad = []
     for got, want in zip(result["networks"], pinned):
         fields = [f"{field} {got[field]} != pinned {value}"
@@ -161,17 +171,17 @@ def fmt(value):
 
 def human_main(args, bench):
     e2e_specs, layer_specs = bench["end_to_end"], bench["per_layer"]
+    workloads = [w["name"] for w in bench["workloads"]]
     pins = load_pins()
     binary = build()
-    seconds = args.seconds
-    reps = args.reps
+    seconds, reps = bench["run_seconds"], REPS
     if args.quick:
         seconds, reps = 0.5, 1
     fingerprint = None
     reported = e2e_specs + UNGATED
-    samples = {w: {m["name"]: [] for m in reported} for w in args.workloads}
+    samples = {w: {m["name"]: [] for m in reported} for w in workloads}
     per_layer = {}
-    totals = {w: [0, 0] for w in args.workloads}  # attempted, failed
+    totals = {w: [0, 0] for w in workloads}  # attempted, failed
     all_ok = True
 
     def note(workload, result):
@@ -188,14 +198,14 @@ def human_main(args, bench):
     # phases of a shared host spread over every workload alike.
     if not args.traced or args.quick:
         for _ in range(reps):
-            for w in args.workloads:
+            for w in workloads:
                 result = run_binary(binary, w, args.seed, seconds, False,
                                     args.quick)
                 note(w, result)
                 for name, value in end_to_end(result).items():
                     samples[w][name].append(value)
     if args.traced or args.quick:
-        for w in args.workloads:
+        for w in workloads:
             result = run_binary(binary, w, args.seed, seconds, True,
                                 args.quick)
             note(w, result)
@@ -203,11 +213,11 @@ def human_main(args, bench):
             per_layer[w]["replay_match"] = result["replay_match"]
 
     print("fingerprint " + json.dumps(fingerprint, sort_keys=True))
-    if any(samples[w][e2e_specs[0]["name"]] for w in args.workloads):
+    if any(samples[w][e2e_specs[0]["name"]] for w in workloads):
         print(f"\nend-to-end (seed {args.seed}, {seconds} s per process)")
         print(f"{'workload':18} {'metric':14} {'unit':6} {'median':>12} "
               f"{'IQR':>12} {'IQR%':>7} {'n':>3}")
-        for w in args.workloads:
+        for w in workloads:
             for m in reported:
                 values = samples[w][m["name"]]
                 q1, q3 = quartiles(values)
@@ -247,6 +257,10 @@ def compare_main(path_a, path_b, bench):
               f"  {path_b}: {json.dumps(b['fingerprint'], sort_keys=True)}",
               file=sys.stderr)
         return 2
+    if (a["seconds"], a["quick"]) != (b["seconds"], b["quick"]):
+        print("refusing to compare: the outputs were measured with different "
+              "settings", file=sys.stderr)
+        return 2
     regressed = False
     print(f"{'workload':18} {'metric':14} {'A median':>12} {'B median':>12} "
           f"{'worse by':>9} {'bound':>6}  verdict")
@@ -257,12 +271,14 @@ def compare_main(path_a, path_b, bench):
                 continue
             ma, mb = statistics.median(va), statistics.median(vb)
             worse = (mb - ma) / ma if m["better"] == "lower" else (ma - mb) / ma
-            spread = max((quartiles(v)[1] - quartiles(v)[0]) / statistics.median(v)
-                         for v in (va, vb))
-            if worse > m["bound"]:
+            floor = ABS_FLOOR.get(m["name"], 0.0)
+            iqrs = [quartiles(v)[1] - quartiles(v)[0] for v in (va, vb)]
+            spread = max(iqr / statistics.median(v)
+                         for iqr, v in zip(iqrs, (va, vb)))
+            if worse > m["bound"] and worse * ma > floor:
                 verdict = "REGRESSED"
                 regressed = True
-            elif spread > m["bound"]:
+            elif spread > m["bound"] and max(iqrs) > floor:
                 verdict = "unresolved (spread above bound)"
             else:
                 verdict = "ok"
@@ -282,24 +298,24 @@ def main():
     parser.add_argument("--workload", choices=workloads,
                         help="run one workload once and print its result line")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="measurement time per process")
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--seconds", type=float,
+                        help="with --workload: measurement time "
+                             "(default: run_seconds of BENCHMARK.json)")
+    parser.add_argument("--trace", type=int, choices=(0, 1),
+                        help="with --workload: 1 for the per-layer metrics")
     parser.add_argument("--quick", action="store_true",
                         help="n <= 128 versions of the workloads")
     parser.add_argument("--traced", action="store_true",
                         help="print the per-layer split")
-    parser.add_argument("--reps", type=int, default=5)
-    parser.add_argument("--workloads", nargs="+", choices=workloads,
-                        default=workloads)
     parser.add_argument("--json", help="write the samples to this file")
     args = parser.parse_args()
     if args.workload:
         if args.seconds is None:
             args.seconds = bench["run_seconds"]
+        args.trace = args.trace == 1
         return single_main(args, bench)
-    if args.seconds is None:
-        args.seconds = 10
+    if args.seconds is not None or args.trace is not None:
+        parser.error("--seconds and --trace apply to --workload only")
     return human_main(args, bench)
 
 
