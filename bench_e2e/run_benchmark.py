@@ -90,18 +90,31 @@ def run_binary(binary, workload, seed, seconds, trace, quick):
 
 # Printed beside the end-to-end metrics of BENCHMARK.json but not gated: on
 # a fixed set of networks rounds_total is fixed, so rounds_per_s moves
-# exactly inversely to wall_s (README.md).
-UNGATED = [{"name": "rounds_per_s", "unit": "1/s"}]
+# exactly inversely to wall_s, and raw_wall_s carries the host's slowdowns
+# (README.md).
+UNGATED = [{"name": "rounds_per_s", "unit": "1/s"},
+           {"name": "raw_wall_s", "unit": "s"}]
+
+# The reference kernel's time (bench_e2e.cc, ReferenceKernel) on a quiet
+# stretch of the host in baseline.json. Times are divided by the kernel's
+# time in the same process and multiplied by this constant, so they read as
+# seconds on that host while its slowdowns cancel out (README.md).
+REF_SECONDS = 100e-6
 
 
 def end_to_end(result):
+    if not result["ref_s"] > 0:
+        fail(f"{result['workload']}: no reference kernel samples")
+    scale = REF_SECONDS / result["ref_s"]
     nets = result["networks"]
-    wall = statistics.fmean(net["best_s"] for net in nets)
+    raw_wall = statistics.fmean(net["best_s"] for net in nets)
+    wall = raw_wall * scale
     rounds = statistics.fmean(net["rounds_total"] for net in nets)
     return {
         "wall_s": wall,
         "rounds_per_s": rounds / wall,
-        "setup_s": statistics.median(result["setup_s"]),
+        "raw_wall_s": raw_wall,
+        "setup_s": min(result["setup_s"]) * scale,
         "peak_rss_mb": result["peak_rss_mb"],
     }
 
