@@ -8,21 +8,15 @@
 // dynamic (a mobility + churn epoch loop exercising the incremental index
 // path) — the bench walks a thread ladder {1, 2, 4, ..., hw}: it first
 // pins the parallel round's receptions bit-identical to threads=1, then
-// times ms/round and reports the speedup over the serial engine. For
-// threads > 1 each config is timed twice: --pipeline off and on (the on
-// pass discloses every next round via SetNextRound, the schedule-driven
-// pattern), so the pipelining win is a first-class column. Per-shard
-// cumulative loads come straight from Engine::Stats.
+// times ms/round and reports the speedup over the serial engine.
 //
-// Two far-field-specific regimes ride along at fixed sizes:
+// A far-field-specific regime rides along at a fixed size:
 //   sparse_wide  n=65536 single-thread, every 16th node transmits across
 //                thousands of 2.0-side tiles — the far-field-dominated
-//                workload. Timed with --farfield=pyramid and flat; the
-//                pyramid's speedup column is the acceptance target (>= 2x).
-//   tdma         n=4096, an 8-slot periodic schedule for 96 rounds, with
-//                --prologue-cache=8 vs off. Emits the cache hit_rate
-//                (expected (96-8)/96 after the first period) and the
-//                ms/round win from skipping the serial prologue.
+//                workload. Timed with the pyramid descent (the default
+//                pyramid_min_occupied) and with the flat walk forced
+//                (pyramid_min_occupied = SIZE_MAX); the pyramid's speedup
+//                column is the acceptance target (>= 2x).
 //
 // Flags:
 //   --compare_json   one JSON object per line (dcc.bench.parallel_rounds.v1)
@@ -39,6 +33,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -84,12 +79,9 @@ bool SameReceptions(const std::vector<Reception>& a,
   return true;
 }
 
-// ms per round, over enough rounds to fill ~300 ms of wall clock. With
-// `pipeline` set, every round's sets are disclosed up front — the
-// steady-schedule pattern the TDMA lookaheads produce.
+// ms per round, over enough rounds to fill ~300 ms of wall clock.
 double TimeRounds(const Engine& eng, const std::vector<std::size_t>& tx,
-                  const std::vector<std::size_t>& listeners,
-                  bool pipeline = false) {
+                  const std::vector<std::size_t>& listeners) {
   std::vector<Reception> out;
   const auto w0 = Clock::now();
   eng.StepInto(tx, listeners, out);  // warmup sizes the scratch
@@ -97,13 +89,9 @@ double TimeRounds(const Engine& eng, const std::vector<std::size_t>& tx,
       std::chrono::duration<double, std::milli>(Clock::now() - w0).count();
   const int rounds = std::max(3, static_cast<int>(300.0 / (warm_ms + 0.01)));
   const auto t0 = Clock::now();
-  for (int r = 0; r < rounds; ++r) {
-    if (pipeline) eng.SetNextRound(tx, listeners);
-    eng.StepInto(tx, listeners, out);
-  }
+  for (int r = 0; r < rounds; ++r) eng.StepInto(tx, listeners, out);
   const double ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  eng.ClearNextRound();
   return ms / rounds;
 }
 
@@ -152,7 +140,7 @@ void JitterPositions(const std::vector<Vec2>& base, int epoch,
 // then run the round schedule. Appends every reception to `digest` (the
 // cross-config identity witness) and returns ms/round over the whole pass.
 double DynamicPass(const Network& base_net, Engine::Options opts,
-                   bool pipeline, std::vector<Reception>& digest) {
+                   std::vector<Reception>& digest) {
   Network net = base_net;  // mutable copy: mobility rewrites positions
   const std::vector<Vec2> base = net.positions();
   Box box = dcc::BoundingBox(base);
@@ -161,7 +149,6 @@ double DynamicPass(const Network& base_net, Engine::Options opts,
   box.hi.x += 1.0;
   box.hi.y += 1.0;
   opts.coverage = box;
-  opts.pipeline = pipeline;
   Engine eng(net, opts);
 
   std::vector<char> active(net.size(), 1);
@@ -193,7 +180,6 @@ double DynamicPass(const Network& base_net, Engine::Options opts,
       (i % 8 == 0 ? tx : listeners).push_back(i);
     }
     for (int r = 0; r < kRoundsPerEpoch; ++r) {
-      if (pipeline) eng.SetNextRound(tx, listeners);
       eng.StepInto(tx, listeners, out);
       digest.insert(digest.end(), out.begin(), out.end());
     }
@@ -205,26 +191,22 @@ double DynamicPass(const Network& base_net, Engine::Options opts,
 
 void EmitLine(bool json, int n, const char* regime, std::size_t n_tx,
               std::size_t n_listen, int threads, std::size_t min_shard,
-              bool pipeline, double ms, double speedup, bool identical,
-              int* bad, const char* farfield = "pyramid",
-              std::size_t cache = 0, double hit_rate = -1.0) {
+              double ms, double speedup, bool identical, int* bad,
+              const char* farfield = "pyramid") {
   *bad += identical ? 0 : 1;
   if (json) {
     std::cout << "{\"schema\": \"dcc.bench.parallel_rounds.v1\", "
               << "\"n\": " << n << ", \"regime\": \"" << regime
               << "\", \"tx\": " << n_tx << ", \"listeners\": " << n_listen
               << ", \"threads\": " << threads << ", \"min_shard\": "
-              << min_shard << ", \"pipeline\": "
-              << (pipeline ? "true" : "false") << ", \"farfield\": \""
-              << farfield << "\", \"cache\": " << cache
-              << ", \"ms_per_round\": " << ms << ", \"speedup\": " << speedup;
-    if (hit_rate >= 0.0) std::cout << ", \"hit_rate\": " << hit_rate;
-    std::cout << ", \"identical\": " << (identical ? "true" : "false")
+              << min_shard << ", \"farfield\": \"" << farfield
+              << "\", \"ms_per_round\": " << ms << ", \"speedup\": " << speedup
+              << ", \"identical\": " << (identical ? "true" : "false")
               << "}\n";
   } else {
-    std::printf("%7d  %-11s  %7d  %8zu  %-4s  %-7s  %5zu  %8.3f  %7.2fx  %s\n",
-                n, regime, threads, min_shard, pipeline ? "on" : "off",
-                farfield, cache, ms, speedup, identical ? "yes" : "NO");
+    std::printf("%7d  %-11s  %7d  %8zu  %-7s  %8.3f  %7.2fx  %s\n", n,
+                regime, threads, min_shard, farfield, ms, speedup,
+                identical ? "yes" : "NO");
   }
 }
 
@@ -269,8 +251,8 @@ int main(int argc, char** argv) {
     std::cout << "parallel sharded rounds (grid engine, shared pool; hw "
                  "parallelism "
               << dcc::parallel::WorkerPool::Shared().parallelism() << ")\n"
-              << "      n  regime       threads     grain  pipe  farfield  "
-                 "cache  ms/round   speedup  identical\n";
+              << "      n  regime       threads     grain  farfield  "
+                 "ms/round   speedup  identical\n";
   }
 
   int bad = 0;
@@ -296,15 +278,7 @@ int main(int argc, char** argv) {
           const double ms =
               threads == 1 ? serial_ms : TimeRounds(par, tx, listeners);
           EmitLine(json, n, regime, tx.size(), listeners.size(), threads,
-                   grain, false, ms, serial_ms / ms, identical, &bad);
-          if (threads == 1) continue;  // pipeline needs a pool
-          opts.pipeline = true;
-          const Engine piped(net, opts);
-          piped.SetNextRound(tx, listeners);
-          const bool id_on = SameReceptions(want, piped.Step(tx, listeners));
-          const double ms_on = TimeRounds(piped, tx, listeners, true);
-          EmitLine(json, n, regime, tx.size(), listeners.size(), threads,
-                   grain, true, ms_on, serial_ms / ms_on, id_on, &bad);
+                   grain, ms, serial_ms / ms, identical, &bad);
         }
       }
     }
@@ -316,24 +290,19 @@ int main(int argc, char** argv) {
       std::vector<Reception> want;
       Engine::Options base_opts{.mode = Engine::Mode::kGrid};
       base_opts.min_listeners_per_shard = grains.front();
-      const double serial_ms = DynamicPass(net, base_opts, false, want);
+      const double serial_ms = DynamicPass(net, base_opts, want);
       const std::size_t n_tx = (net.size() + 7) / 8;
       EmitLine(json, n, "dynamic", n_tx, net.size() - n_tx, 1,
-               grains.front(), false, serial_ms, 1.0, true, &bad);
+               grains.front(), serial_ms, 1.0, true, &bad);
       for (const int threads : ladder) {
         if (threads == 1) continue;
         Engine::Options opts = base_opts;
         opts.threads = threads;
         std::vector<Reception> got;
-        const double ms = DynamicPass(net, opts, false, got);
+        const double ms = DynamicPass(net, opts, got);
         EmitLine(json, n, "dynamic", n_tx, net.size() - n_tx, threads,
-                 grains.front(), false, ms, serial_ms / ms,
-                 SameReceptions(want, got), &bad);
-        got.clear();
-        const double ms_on = DynamicPass(net, opts, true, got);
-        EmitLine(json, n, "dynamic", n_tx, net.size() - n_tx, threads,
-                 grains.front(), true, ms_on, serial_ms / ms_on,
-                 SameReceptions(want, got), &bad);
+                 grains.front(), ms, serial_ms / ms, SameReceptions(want, got),
+                 &bad);
       }
     }
   }
@@ -349,9 +318,8 @@ int main(int argc, char** argv) {
     Split(net.size(), 16, tx, listeners);
     Engine::Options flat_opts{.mode = Engine::Mode::kGrid};
     flat_opts.cell = 2.0;
-    flat_opts.farfield = Engine::FarField::kFlat;
     Engine::Options pyr_opts = flat_opts;
-    pyr_opts.farfield = Engine::FarField::kPyramid;
+    flat_opts.pyramid_min_occupied = std::numeric_limits<std::size_t>::max();
     const Engine flat(net, flat_opts);
     const Engine pyr(net, pyr_opts);
     const std::vector<Reception> want = flat.Step(tx, listeners);
@@ -359,56 +327,9 @@ int main(int argc, char** argv) {
     const double flat_ms = TimeRounds(flat, tx, listeners);
     const double pyr_ms = TimeRounds(pyr, tx, listeners);
     EmitLine(json, n, "sparse_wide", tx.size(), listeners.size(), 1,
-             min_shard, false, flat_ms, 1.0, true, &bad, "flat");
+             min_shard, flat_ms, 1.0, true, &bad, "flat");
     EmitLine(json, n, "sparse_wide", tx.size(), listeners.size(), 1,
-             min_shard, false, pyr_ms, flat_ms / pyr_ms, identical, &bad,
-             "pyramid");
-  }
-
-  // --- tdma: an 8-slot periodic schedule (each slot a fixed disjoint
-  // transmit set) stepped for 96 rounds. With --prologue-cache=8 every slot
-  // after the first period replays its memoized prologue: hit_rate is
-  // expected to reach (96 - 8) / 96 ~ 0.917. ---
-  {
-    const int n = 4096;
-    constexpr int kSlots = 8;
-    constexpr int kRounds = 96;
-    const Network net = MakeNet(n);
-    std::vector<std::vector<std::size_t>> slot_tx(kSlots), slot_ls(kSlots);
-    for (int s = 0; s < kSlots; ++s) {
-      for (std::size_t i = 0; i < net.size(); ++i) {
-        (i % 64 == static_cast<std::size_t>(s) * 8 ? slot_tx[s] : slot_ls[s])
-            .push_back(i);
-      }
-    }
-    const auto run = [&](std::size_t cache, std::vector<Reception>& digest) {
-      Engine::Options opts{.mode = Engine::Mode::kGrid};
-      opts.prologue_cache = cache;
-      Engine eng(net, opts);
-      std::vector<Reception> out;
-      const auto t0 = Clock::now();
-      for (int r = 0; r < kRounds; ++r) {
-        const int s = r % kSlots;
-        eng.StepInto(slot_tx[static_cast<std::size_t>(s)],
-                     slot_ls[static_cast<std::size_t>(s)], out);
-        digest.insert(digest.end(), out.begin(), out.end());
-      }
-      const double ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - t0)
-              .count();
-      const double hits = static_cast<double>(eng.stats().prologue_cache_hits);
-      return std::pair<double, double>{ms / kRounds, hits / kRounds};
-    };
-    std::vector<Reception> want, got;
-    const auto [cold_ms, cold_hr] = run(0, want);
-    (void)cold_hr;
-    const auto [warm_ms, warm_hr] = run(8, got);
-    const std::size_t n_tx = slot_tx[0].size();
-    EmitLine(json, n, "tdma", n_tx, net.size() - n_tx, 1, min_shard, false,
-             cold_ms, 1.0, true, &bad, "pyramid", 0, -1.0);
-    EmitLine(json, n, "tdma", n_tx, net.size() - n_tx, 1, min_shard, false,
-             warm_ms, cold_ms / warm_ms, SameReceptions(want, got), &bad,
-             "pyramid", 8, warm_hr);
+             min_shard, pyr_ms, flat_ms / pyr_ms, identical, &bad, "pyramid");
   }
 
   if (bad > 0) {

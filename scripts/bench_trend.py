@@ -6,7 +6,7 @@ recorded run: a timestamp, the host parallelism, and the key config
 points of every tracked bench schema. This script maintains it:
 
   append   read bench JSON lines on stdin (bench_parallel_rounds,
-           bench_service_load and/or bench_distrib_rounds, each with
+           bench_service_load and/or bench_obs_overhead, each with
            --compare_json; concatenating the streams records one
            combined entry) and append one trend entry
   check    read bench JSON lines on stdin and compare against the last
@@ -18,12 +18,10 @@ points of every tracked bench schema. This script maintains it:
 
 Tracked schemas and their identity/value fields:
 
-  dcc.bench.parallel_rounds.v1   keyed on (n, regime, threads, pipeline,
-                                 min_shard, farfield, cache), value
-                                 ms_per_round
+  dcc.bench.parallel_rounds.v1   keyed on (n, regime, threads, min_shard,
+                                 farfield), value ms_per_round
   dcc.bench.service_load.v1      keyed on (workload, phase, connections),
                                  value ms_per_request
-  dcc.bench.distrib_rounds.v1    keyed on (n, ranks), value ms_per_round
   dcc.bench.obs_overhead.v1      keyed on (n, trace), value ms_per_round;
                                  only trace=off points are tracked (the
                                  "tracing compiled in but disabled is
@@ -48,25 +46,22 @@ from pathlib import Path
 
 SCHEMAS = {
     "dcc.bench.parallel_rounds.v1": {
-        "key_fields": ("n", "regime", "threads", "pipeline", "min_shard",
-                       "farfield", "cache"),
+        "key_fields": ("n", "regime", "threads", "min_shard", "farfield"),
         "value_field": "ms_per_round",
         # The acceptance-relevant configs a trend entry records; everything
         # else in the bench output is transient diagnostics. sparse_wide
-        # tracks the pyramid-vs-flat far-field win; tdma tracks the
-        # prologue-cache win on a periodic schedule.
-        "keep": lambda obj: obj.get("regime") in {"dense", "sparse",
-                                                  "dynamic", "sparse_wide",
-                                                  "tdma"},
+        # tracks the pyramid-vs-flat far-field win. Committed points of the
+        # deleted round pipeline (pipeline: true) and prologue cache
+        # (cache > 0) are skipped, so the surviving configs match the
+        # history without rewriting it.
+        "keep": lambda obj: (obj.get("regime") in {"dense", "sparse",
+                                                   "dynamic", "sparse_wide"}
+                             and not obj.get("pipeline", False)
+                             and obj.get("cache", 0) == 0),
     },
     "dcc.bench.service_load.v1": {
         "key_fields": ("workload", "phase", "connections"),
         "value_field": "ms_per_request",
-        "keep": lambda obj: True,
-    },
-    "dcc.bench.distrib_rounds.v1": {
-        "key_fields": ("n", "ranks"),
-        "value_field": "ms_per_round",
         "keep": lambda obj: True,
     },
     "dcc.bench.obs_overhead.v1": {
@@ -121,16 +116,11 @@ def load_trend(path):
 def fmt_key(key):
     schema = key[0]
     if schema == "dcc.bench.parallel_rounds.v1":
-        n, regime, threads, pipeline, min_shard, farfield, cache = key[1:]
-        pipe = "on" if pipeline else "off"
-        return (f"n={n} {regime} t={threads} pipe={pipe} grain={min_shard} "
-                f"ff={farfield} cache={cache}")
+        n, regime, threads, min_shard, farfield = key[1:]
+        return f"n={n} {regime} t={threads} grain={min_shard} ff={farfield}"
     if schema == "dcc.bench.service_load.v1":
         workload, phase, connections = key[1:]
         return f"service {workload} {phase} c={connections}"
-    if schema == "dcc.bench.distrib_rounds.v1":
-        n, ranks = key[1:]
-        return f"n={n} distrib ranks={ranks}"
     if schema == "dcc.bench.obs_overhead.v1":
         n, trace = key[1:]
         return f"n={n} obs trace={trace}"

@@ -57,23 +57,6 @@ GridTdmaResult GridTdmaLocalBroadcast(sim::Exec& ex,
   });
 
   const Round start = ex.rounds();
-  // The (color, rank) schedule is a pure function of the round offset:
-  // disclose each next round so a pipelined engine can prefetch.
-  ex.SetLookahead([&](Round g, std::vector<std::size_t>& tx) {
-    if (res.max_occupancy == 0) return false;
-    const std::int64_t p = g - start;  // schedule position of round g
-    if (p >= static_cast<std::int64_t>(s) * s * res.max_occupancy) {
-      return false;
-    }
-    const int color = static_cast<int>(p / res.max_occupancy);
-    const int rank = static_cast<int>(p % res.max_occupancy);
-    for (const std::size_t idx : members) {
-      if (slot[idx].color == color && slot[idx].rank == rank) {
-        tx.push_back(idx);
-      }
-    }
-    return true;
-  });
   for (int color = 0; color < s * s; ++color) {
     for (int rank = 0; rank < res.max_occupancy; ++rank) {
       ex.RunRound(
@@ -90,7 +73,6 @@ GridTdmaResult GridTdmaLocalBroadcast(sim::Exec& ex,
           [](std::size_t, const sim::Message&) {});
     }
   }
-  ex.SetLookahead(nullptr);
   ex.SetObserver(nullptr);
 
   for (const std::size_t v : members) {

@@ -21,16 +21,6 @@ TdmaResult TdmaLocalBroadcast(sim::Exec& ex,
     for (const auto& r : recs) covered[r.sender].insert(r.listener);
   });
   const std::int64_t N = net.params().id_space;
-  // The schedule is a pure function of the round: disclose each next slot
-  // so a pipelined engine can prefetch its prologue.
-  ex.SetLookahead([&](Round g, std::vector<std::size_t>& tx) {
-    const std::int64_t slot = g - start + 1;
-    if (slot < 1 || slot > N) return false;
-    for (const std::size_t idx : members) {
-      if (net.id(idx) == slot) tx.push_back(idx);
-    }
-    return true;
-  });
   for (std::int64_t slot = 1; slot <= N; ++slot) {
     ex.RunRound(
         members,
@@ -42,7 +32,6 @@ TdmaResult TdmaLocalBroadcast(sim::Exec& ex,
         },
         [](std::size_t, const sim::Message&) {});
   }
-  ex.SetLookahead(nullptr);
   ex.SetObserver(nullptr);
   for (const std::size_t v : members) {
     bool all = true;
@@ -68,21 +57,9 @@ TdmaResult TdmaGlobalBroadcast(sim::Exec& ex, std::size_t source,
   std::vector<std::size_t> holders{source};
   const std::int64_t N = net.params().id_space;
   const Round start = ex.rounds();
-  // Predict the next slot's transmitters from the *current* holder set.
-  // A reception in the current round can add the very holder that owns the
-  // next slot — that misprediction is tolerated (the engine discards the
-  // speculation); the common no-new-holder round predicts exactly.
-  std::int64_t slot = 0;
-  ex.SetLookahead([&](Round, std::vector<std::size_t>& tx) {
-    const std::int64_t next = slot >= N ? 1 : slot + 1;
-    for (const std::size_t idx : holders) {
-      if (net.id(idx) == next) tx.push_back(idx);
-    }
-    return true;
-  });
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     const std::size_t before = holders.size();
-    for (slot = 1; slot <= N; ++slot) {
+    for (std::int64_t slot = 1; slot <= N; ++slot) {
       ex.RunRound(
           holders,
           [&](std::size_t idx) -> std::optional<sim::Message> {
@@ -100,7 +77,6 @@ TdmaResult TdmaGlobalBroadcast(sim::Exec& ex, std::size_t source,
     }
     if (holders.size() == net.size() || holders.size() == before) break;
   }
-  ex.SetLookahead(nullptr);
   res.reached = holders.size();
   res.complete = res.reached == net.size();
   res.rounds = ex.rounds() - start;

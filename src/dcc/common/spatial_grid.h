@@ -87,20 +87,11 @@ class SpatialGrid {
 
   // --- Incremental maintenance (dynamic networks). ---
 
-  // Bumped on every Move/Insert/Erase (even tile-preserving moves: the
-  // *position* changed, which is what speculative consumers care about).
-  // Anything built against a snapshot of the index — the engine's
-  // pipelined round prologues — records this value and discards the
-  // snapshot when it moved.
-  std::uint64_t generation() const { return generation_; }
-
   // Relocates live point i to position p (which must be inside the coverage
-  // area); O(1), a bucket no-op when the tile is unchanged (but still a
-  // generation bump — see generation()).
+  // area); O(1), a bucket no-op when the tile is unchanged.
   void Move(std::size_t i, Vec2 p) {
     DCC_REQUIRE(Contains(i), "SpatialGrid::Move: point not in the grid");
     CheckCovered(p);
-    ++generation_;
     const int t = TileAt(p);
     if (t == tile_of_point_[i]) return;
     PopFromTile(i);
@@ -115,7 +106,6 @@ class SpatialGrid {
   // Removes live point i, leaving an erased slot that Insert can revive.
   void Erase(std::size_t i) {
     DCC_REQUIRE(Contains(i), "SpatialGrid::Erase: point not in the grid");
-    ++generation_;
     PopFromTile(i);
     tile_of_point_[i] = kErased;
     --live_count_;
@@ -182,7 +172,6 @@ class SpatialGrid {
     if (bucket.empty()) occupied_dirty_ = true;
   }
 
-  std::uint64_t generation_ = 0;
   double lo_x_ = 0.0, lo_y_ = 0.0;  // grid origin (coverage-box corner)
   double cell_ = 1.0;
   double inv_cell_ = 1.0;

@@ -80,55 +80,4 @@ void WriteFrame(int fd, const std::string& payload) {
   WriteAll(fd, payload.data(), payload.size());
 }
 
-void PayloadWriter::Str(std::string_view s) {
-  if (s.size() > kMaxFrameBytes) {
-    throw WireError("wire: payload string of " + std::to_string(s.size()) +
-                    " bytes exceeds the frame cap");
-  }
-  U32(static_cast<std::uint32_t>(s.size()));
-  buf_.append(s.data(), s.size());
-}
-
-void PayloadWriter::Bytes(const void* data, std::size_t len) {
-  buf_.append(static_cast<const char*>(data), len);
-}
-
-void PayloadReader::Need(std::size_t n) const {
-  if (buf_.size() - pos_ < n) {
-    throw WireError("wire: payload truncated: need " + std::to_string(n) +
-                    " bytes at offset " + std::to_string(pos_) + " of " +
-                    std::to_string(buf_.size()));
-  }
-}
-
-std::uint32_t PayloadReader::U32() {
-  Need(4);
-  const auto* p = reinterpret_cast<const unsigned char*>(buf_.data() + pos_);
-  pos_ += 4;
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) |
-         static_cast<std::uint32_t>(p[3]);
-}
-
-std::uint64_t PayloadReader::U64() {
-  const std::uint64_t hi = U32();
-  return (hi << 32) | U32();
-}
-
-std::string PayloadReader::Str() {
-  const std::uint32_t len = U32();
-  Need(len);
-  std::string out(buf_.substr(pos_, len));
-  pos_ += len;
-  return out;
-}
-
-void PayloadReader::ExpectEnd() const {
-  if (!AtEnd()) {
-    throw WireError("wire: " + std::to_string(remaining()) +
-                    " trailing payload bytes");
-  }
-}
-
 }  // namespace dcc::wire

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "dcc/common/json.h"
-#include "dcc/common/wire.h"
 
 namespace dcc::obs {
 
@@ -38,10 +37,6 @@ std::int64_t MeasureDisabledChecksNs() {
   return t1 - t0;
 }
 
-// Bytes one encoded event occupies in a shipped payload (ts + value +
-// name + kind) — used to reject hostile counts before allocating.
-constexpr std::size_t kShipEventBytes = 8 + 8 + 4 + 1;
-
 }  // namespace
 
 Tracer& Tracer::Global() {
@@ -52,10 +47,8 @@ Tracer& Tracer::Global() {
 void Tracer::Enable(std::size_t ring_capacity) {
   std::lock_guard<std::mutex> lock(mu_);
   bufs_.clear();
-  foreign_.clear();
   capacity_.store(ring_capacity == 0 ? 1 : ring_capacity,
                   std::memory_order_relaxed);
-  clock_offset_ns_.store(0, std::memory_order_relaxed);
   epoch_.fetch_add(1, std::memory_order_release);
   g_enabled_.store(true, std::memory_order_release);
 }
@@ -93,77 +86,9 @@ void Tracer::Emit(std::uint32_t name, EventKind kind, std::int64_t value) {
   }
   if (buf->events.size() <
       capacity_.load(std::memory_order_relaxed)) {  // drop-new when full
-    buf->events.push_back(
-        {NowRawNs() + clock_offset_ns_.load(std::memory_order_relaxed), value,
-         name, kind});
+    buf->events.push_back({NowRawNs(), value, name, kind});
   } else {
     ++buf->dropped;
-  }
-}
-
-void Tracer::SetClockOffset(std::int64_t offset_ns) {
-  clock_offset_ns_.store(offset_ns, std::memory_order_relaxed);
-}
-
-std::string Tracer::EncodeShip() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  wire::PayloadWriter w;
-  w.U32(static_cast<std::uint32_t>(names_.size()));
-  for (const std::string& name : names_) w.Str(name);
-  w.U32(static_cast<std::uint32_t>(bufs_.size()));
-  for (const auto& buf : bufs_) {
-    w.U32(buf->tid);
-    w.U64(buf->dropped);
-    w.U64(static_cast<std::uint64_t>(buf->events.size()));
-    for (const TraceEvent& e : buf->events) {
-      w.U64(static_cast<std::uint64_t>(e.ts_ns));
-      w.U64(static_cast<std::uint64_t>(e.value));
-      w.U32(e.name);
-      w.U8(static_cast<std::uint8_t>(e.kind));
-    }
-  }
-  return w.Take();
-}
-
-bool Tracer::InjectShip(std::int64_t pid, std::string_view payload) {
-  try {
-    wire::PayloadReader r(payload);
-    ForeignProcess proc;
-    proc.pid = pid;
-    const std::uint32_t n_names = r.U32();
-    if (n_names > r.remaining() / 4) return false;
-    proc.names.reserve(n_names);
-    for (std::uint32_t i = 0; i < n_names; ++i) proc.names.push_back(r.Str());
-    const std::uint32_t n_threads = r.U32();
-    if (n_threads > r.remaining() / (4 + 8 + 8)) return false;
-    proc.threads.reserve(n_threads);
-    for (std::uint32_t t = 0; t < n_threads; ++t) {
-      ForeignThread th;
-      th.tid = r.U32();
-      th.dropped = r.U64();
-      const std::uint64_t n_events = r.U64();
-      if (n_events > r.remaining() / kShipEventBytes) return false;
-      th.events.reserve(n_events);
-      for (std::uint64_t e = 0; e < n_events; ++e) {
-        TraceEvent ev;
-        ev.ts_ns = static_cast<std::int64_t>(r.U64());
-        ev.value = static_cast<std::int64_t>(r.U64());
-        ev.name = r.U32();
-        const std::uint8_t kind = r.U8();
-        if (kind > static_cast<std::uint8_t>(EventKind::kInstant)) {
-          return false;
-        }
-        ev.kind = static_cast<EventKind>(kind);
-        th.events.push_back(ev);
-      }
-      proc.threads.push_back(std::move(th));
-    }
-    r.ExpectEnd();
-    std::lock_guard<std::mutex> lock(mu_);
-    foreign_.push_back(std::move(proc));
-    return true;
-  } catch (const wire::WireError&) {
-    return false;
   }
 }
 
@@ -174,17 +99,10 @@ TraceSummary Tracer::Drain(std::ostream& os) {
 
   std::lock_guard<std::mutex> lock(mu_);
 
-  // Everything is timestamped in the coordinator clock domain (ranks
-  // pre-corrected theirs); rebase onto the earliest event so the viewer
-  // opens at t=0.
+  // Rebase onto the earliest event so the viewer opens at t=0.
   std::int64_t min_ts = std::numeric_limits<std::int64_t>::max();
   for (const auto& buf : bufs_) {
     for (const TraceEvent& e : buf->events) min_ts = std::min(min_ts, e.ts_ns);
-  }
-  for (const ForeignProcess& proc : foreign_) {
-    for (const ForeignThread& th : proc.threads) {
-      for (const TraceEvent& e : th.events) min_ts = std::min(min_ts, e.ts_ns);
-    }
   }
   if (min_ts == std::numeric_limits<std::int64_t>::max()) min_ts = 0;
 
@@ -194,24 +112,16 @@ TraceSummary Tracer::Drain(std::ostream& os) {
     os << (first ? "\n" : ",\n");
     first = false;
   };
-  const auto meta = [&](std::int64_t pid, const std::string& label) {
-    comma();
-    os << "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " << pid
-       << ", \"tid\": 0, \"args\": {\"name\": " << JsonQuote(label) << "}}";
-  };
-  meta(0, "dcc (coordinator)");
-  for (const ForeignProcess& proc : foreign_) {
-    meta(proc.pid, "dcc rank " + std::to_string(proc.pid - 1));
-  }
+  comma();
+  os << "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": 0, "
+        "\"tid\": 0, \"args\": {\"name\": \"dcc\"}}";
 
-  const auto write_events = [&](std::int64_t pid,
-                                const std::vector<std::string>& names,
-                                std::uint32_t tid,
-                                const std::vector<TraceEvent>& events) {
-    for (const TraceEvent& e : events) {
+  for (const auto& buf : bufs_) {
+    const std::uint32_t tid = buf->tid;
+    for (const TraceEvent& e : buf->events) {
       comma();
       const std::string name =
-          e.name < names.size() ? JsonQuote(names[e.name]) : "\"?\"";
+          e.name < names_.size() ? JsonQuote(names_[e.name]) : "\"?\"";
       const std::string ts =
           JsonNumber(static_cast<double>(e.ts_ns - min_ts) / 1000.0);
       switch (e.kind) {
@@ -219,44 +129,31 @@ TraceSummary Tracer::Drain(std::ostream& os) {
         case EventKind::kEnd:
           os << "{\"name\": " << name << ", \"cat\": \"dcc\", \"ph\": \""
              << (e.kind == EventKind::kBegin ? 'B' : 'E')
-             << "\", \"ts\": " << ts << ", \"pid\": " << pid
-             << ", \"tid\": " << tid << "}";
+             << "\", \"ts\": " << ts << ", \"pid\": 0, \"tid\": " << tid
+             << "}";
           if (e.kind == EventKind::kBegin) ++sum.spans;
           break;
         case EventKind::kCounter:
           os << "{\"name\": " << name << ", \"cat\": \"dcc\", \"ph\": \"C\""
-             << ", \"ts\": " << ts << ", \"pid\": " << pid
-             << ", \"tid\": " << tid << ", \"args\": {\"value\": " << e.value
-             << "}}";
+             << ", \"ts\": " << ts << ", \"pid\": 0, \"tid\": " << tid
+             << ", \"args\": {\"value\": " << e.value << "}}";
           ++sum.counters;
           break;
         case EventKind::kInstant:
           os << "{\"name\": " << name << ", \"cat\": \"dcc\", \"ph\": \"i\""
-             << ", \"ts\": " << ts << ", \"pid\": " << pid
-             << ", \"tid\": " << tid << ", \"s\": \"t\"}";
+             << ", \"ts\": " << ts << ", \"pid\": 0, \"tid\": " << tid
+             << ", \"s\": \"t\"}";
           ++sum.counters;
           break;
       }
       ++sum.events;
     }
-    if (!events.empty()) ++sum.threads;
-  };
-
-  for (const auto& buf : bufs_) {
-    write_events(0, names_, buf->tid, buf->events);
+    if (!buf->events.empty()) ++sum.threads;
     sum.dropped += static_cast<std::int64_t>(buf->dropped);
   }
-  for (const ForeignProcess& proc : foreign_) {
-    for (const ForeignThread& th : proc.threads) {
-      write_events(proc.pid, proc.names, th.tid, th.events);
-      sum.dropped += static_cast<std::int64_t>(th.dropped);
-    }
-  }
-  sum.ranks = static_cast<std::int64_t>(foreign_.size());
   os << "\n]}\n";
 
   bufs_.clear();
-  foreign_.clear();
   return sum;
 }
 
@@ -264,8 +161,7 @@ void TraceSummary::PrintJson(std::ostream& os) const {
   os << "{\"schema\": \"dcc.obs.v1\", \"events\": " << events
      << ", \"spans\": " << spans << ", \"counters\": " << counters
      << ", \"dropped\": " << dropped << ", \"threads\": " << threads
-     << ", \"ranks\": " << ranks << ", \"overhead_ns\": " << overhead_ns
-     << '}';
+     << ", \"overhead_ns\": " << overhead_ns << '}';
 }
 
 }  // namespace dcc::obs

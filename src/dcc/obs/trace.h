@@ -6,7 +6,7 @@
 // tracked bench gate (bench_obs_overhead) holds that under 1% of round
 // time. Tracing is pure observation: nothing in here is consulted by any
 // scheduling decision, so receptions are bit-identical with tracing on or
-// off at every thread and rank count (pinned by ObsEquivalenceTest).
+// off at every thread count (pinned by ObsEquivalenceTest).
 //
 // Threading contract: Emit is safe from any thread (each thread owns its
 // buffer; registration takes a mutex once per thread per Enable cycle).
@@ -14,14 +14,6 @@
 // tools call them strictly before/after the run, and anything that ran
 // inside a joined WorkerPool task or joined thread is ordered before the
 // drain by that join.
-//
-// Rank stitching: a coordinator with tracing enabled sets the trace flag
-// in the distrib hello, stamping its own steady clock; each rank enables
-// its local tracer with `SetClockOffset(coordinator_now - local_now)` so
-// every recorded timestamp is already in the coordinator's clock domain,
-// then ships its buffers back (EncodeShip) on shutdown for the Session to
-// InjectShip under pid = rank + 1. One drain then writes one stitched
-// file. See docs/ARCHITECTURE.md for the clock-domain caveat.
 #pragma once
 
 #include <atomic>
@@ -39,7 +31,7 @@
 namespace dcc::obs {
 
 // Raw steady-clock ticks in nanoseconds — the time base every trace
-// event is recorded in (plus the per-process clock offset).
+// event is recorded in.
 inline std::int64_t NowRawNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -70,7 +62,6 @@ struct TraceSummary {
   std::int64_t counters = 0;  // counter + instant events among them
   std::int64_t dropped = 0;   // events discarded on full buffers
   std::int64_t threads = 0;   // thread buffers holding >= 1 event
-  std::int64_t ranks = 0;     // stitched rank processes (pid >= 1)
   std::int64_t overhead_ns = 0;  // measured cost of 1000 disabled checks
 
   // {"schema": "dcc.obs.v1", ...} — one object, no trailing newline.
@@ -93,9 +84,9 @@ class Tracer {
     return g_enabled_.load(std::memory_order_relaxed);
   }
 
-  // Starts a fresh recording: clears prior buffers and injected rank
-  // dumps, resets the clock offset, and flips the enabled gate. Interned
-  // names survive (call sites cache their ids in function-local statics).
+  // Starts a fresh recording: clears prior buffers and flips the enabled
+  // gate. Interned names survive (call sites cache their ids in
+  // function-local statics).
   void Enable(std::size_t ring_capacity = kDefaultRingCapacity);
 
   // Stops recording without draining; Drain implies this.
@@ -109,21 +100,9 @@ class Tracer {
   // check enabled() first; Emit re-checks and is a no-op when disabled.
   void Emit(std::uint32_t name, EventKind kind, std::int64_t value = 0);
 
-  // Rebases timestamps of subsequently recorded events into another
-  // process's clock domain (rank stitching).
-  void SetClockOffset(std::int64_t offset_ns);
-
-  // Serializes the current buffers (names, threads, events, drop counts)
-  // into a compact wire payload a rank ships to its coordinator.
-  std::string EncodeShip() const;
-
-  // Decodes a shipped payload and stitches it in under `pid` (rank + 1;
-  // pid 0 is the coordinator). Returns false on a malformed payload.
-  bool InjectShip(std::int64_t pid, std::string_view payload);
-
-  // Disables tracing, writes everything recorded (local + injected) as
-  // one Chrome trace-event JSON document, clears the buffers, and
-  // returns the summary.
+  // Disables tracing, writes everything recorded as one Chrome
+  // trace-event JSON document, clears the buffers, and returns the
+  // summary.
   TraceSummary Drain(std::ostream& os);
 
  private:
@@ -132,29 +111,17 @@ class Tracer {
     std::uint64_t dropped = 0;
     std::uint32_t tid = 0;
   };
-  struct ForeignThread {
-    std::uint32_t tid = 0;
-    std::uint64_t dropped = 0;
-    std::vector<TraceEvent> events;
-  };
-  struct ForeignProcess {
-    std::int64_t pid = 0;
-    std::vector<std::string> names;  // the rank's own intern table
-    std::vector<ForeignThread> threads;
-  };
 
   ThreadBuf* RegisterThisThread(std::uint64_t epoch);
 
   static std::atomic<bool> g_enabled_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::vector<std::string> names_;  // id -> string; append-only
   std::unordered_map<std::string, std::uint32_t> name_ids_;
   std::vector<std::unique_ptr<ThreadBuf>> bufs_;
-  std::vector<ForeignProcess> foreign_;
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::size_t> capacity_{kDefaultRingCapacity};
-  std::atomic<std::int64_t> clock_offset_ns_{0};
 };
 
 // RAII span. Default-constructed it is inert (a dead store); Arm() opens

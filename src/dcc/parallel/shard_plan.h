@@ -52,8 +52,7 @@ class ShardPlan {
   int ShardOfTile(int tile) const;
 
   // The raw cut points: bounds()[k] .. bounds()[k+1] is shard k's tile
-  // range. The distributed launcher exports these to rank processes, which
-  // must agree on the exact cut.
+  // range.
   std::span<const int> bounds() const { return bounds_; }
 
  private:

@@ -66,7 +66,6 @@ struct WorkerPool::Task {
   std::atomic<std::size_t> next{0};       // job dispenser
   std::atomic<int> active{0};             // ticket holders inside JoinTask
   std::atomic<int> refs{1};               // owner + live tickets
-  std::atomic<int> stolen_joins{0};       // helpers that arrived via steals
   std::mutex mu;
   std::condition_variable cv;  // signaled when active drops to 0
   std::mutex error_mu;
@@ -140,7 +139,6 @@ void WorkerPool::JoinTask(Task* task, bool stolen) {
     if (!joined) {
       joined = true;
       if (stolen) {
-        task->stolen_joins.fetch_add(1, std::memory_order_relaxed);
         steal_count_.fetch_add(1, std::memory_order_relaxed);
         static obs::Counter& steals_metric =
             obs::MetricsRegistry::Global().GetCounter(
@@ -232,10 +230,10 @@ void WorkerPool::WorkerLoop(int self) {
   }
 }
 
-int WorkerPool::Run(std::size_t n_jobs,
-                    const std::function<void(std::size_t)>& fn,
-                    int max_workers) {
-  if (n_jobs == 0) return 0;
+void WorkerPool::Run(std::size_t n_jobs,
+                     const std::function<void(std::size_t)>& fn,
+                     int max_workers) {
+  if (n_jobs == 0) return;
   // The caller occupies one participation slot; tickets cover the rest, and
   // never more than there are jobs left to hand out.
   int helper_cap = max_workers > 0 ? max_workers - 1 : n_workers_;
@@ -245,7 +243,7 @@ int WorkerPool::Run(std::size_t n_jobs,
   }
   if (n_workers_ == 0 || n_jobs == 1 || helper_cap <= 0) {
     for (std::size_t i = 0; i < n_jobs; ++i) fn(i);
-    return 0;
+    return;
   }
 
   Task* task = new Task;
@@ -273,11 +271,9 @@ int WorkerPool::Run(std::size_t n_jobs,
       return task->active.load(std::memory_order_acquire) == 0;
     });
   }
-  const int stolen = task->stolen_joins.load(std::memory_order_relaxed);
   std::exception_ptr err = task->error;
   ReleaseRef(task);
   if (err) std::rethrow_exception(err);
-  return stolen;
 }
 
 WorkerPool::TaskHandle WorkerPool::Submit(std::function<void()> fn) {
@@ -314,16 +310,14 @@ WorkerPool::TaskHandle::~TaskHandle() {
   }
 }
 
-bool WorkerPool::TaskHandle::Wait() {
+void WorkerPool::TaskHandle::Wait() {
   Task* task = task_;
   task_ = nullptr;
   // Claim the single job: if we get index 0 nobody had started it — run it
   // inline. Otherwise a ticket holder owns it; it registered in `active`
   // before claiming, and the dispenser traffic orders that registration
   // before our fetch, so waiting for active == 0 cannot pass early.
-  const std::size_t i = task->next.fetch_add(1, std::memory_order_acq_rel);
-  const bool elsewhere = i != 0;
-  if (!elsewhere) {
+  if (task->next.fetch_add(1, std::memory_order_acq_rel) == 0) {
     try {
       (*task->fn)(0);
     } catch (...) {
@@ -339,7 +333,6 @@ bool WorkerPool::TaskHandle::Wait() {
   std::exception_ptr err = task->error;
   ReleaseRef(task);
   if (err) std::rethrow_exception(err);
-  return elsewhere;
 }
 
 }  // namespace dcc::parallel

@@ -15,8 +15,7 @@
 //  * Idle workers first pop their own deque (newest first), then take from
 //    the injection queue, then steal the *oldest* ticket from another
 //    worker's deque. Stealing oldest-first is what lets the tail of a
-//    sweep donate idle workers to the last runs' engine shards (and to
-//    pipelined round prologues submitted via Submit()).
+//    sweep donate idle workers to the last runs' engine shards.
 //  * A ticket is a hint, not an obligation: the dispenser hands each job
 //    index out exactly once, so a stale ticket for a completed task is a
 //    cheap no-op. Tasks are reference-counted (caller + one ref per
@@ -79,14 +78,8 @@ class WorkerPool {
   // max_workers == 1, a 0-worker pool, and n_jobs <= 1 run the loop inline
   // on the caller. Nested calls fan out through the caller's deque (see
   // header comment) instead of going inline.
-  //
-  // Returns the number of pool threads that joined this fan-out by
-  // stealing one of its tickets from another worker's deque. Only nested
-  // Runs publish deque tickets, so a top-level Run always returns 0 —
-  // helpers arriving through the injection queue are normal staffing, not
-  // steals — which keeps the count deterministic for top-level callers.
-  int Run(std::size_t n_jobs, const std::function<void(std::size_t)>& fn,
-          int max_workers = 0);
+  void Run(std::size_t n_jobs, const std::function<void(std::size_t)>& fn,
+           int max_workers = 0);
 
   // Handle for a closure scheduled with Submit(). Wait() blocks until the
   // closure ran, executing it inline on the waiter when no worker claimed
@@ -103,10 +96,8 @@ class WorkerPool {
     TaskHandle& operator=(const TaskHandle&) = delete;
 
     bool valid() const { return task_ != nullptr; }
-    // Returns true when another thread executed the closure (the overlap
-    // actually happened), false when the waiter ran it inline just now.
     // Invalidates the handle.
-    bool Wait();
+    void Wait();
 
    private:
     friend class WorkerPool;

@@ -9,7 +9,6 @@
 #include "dcc/cluster/clustering.h"
 #include "dcc/cluster/validate.h"
 #include "dcc/common/rng.h"
-#include "dcc/distrib/session.h"
 #include "dcc/mobility/churn.h"
 #include "dcc/mobility/models.h"
 #include "dcc/workload/generators.h"
@@ -84,9 +83,6 @@ RunReport RunDynamicScenario(const ScenarioSpec& spec, std::uint64_t seed) {
   rep.topology = spec.topology;
   rep.algo = spec.algo;
   rep.seed = seed;
-  // Outside the try: a rank failure mid-epoch still reports the distributed
-  // accounting gathered so far (see scenario.cc).
-  std::unique_ptr<distrib::Session> session;
   try {
     spec.sinr.Validate();
     DCC_REQUIRE(spec.algo == "clustering",
@@ -134,17 +130,7 @@ RunReport RunDynamicScenario(const ScenarioSpec& spec, std::uint64_t seed) {
                               spec.id_seed.value_or(seed + 1), spec.shadowing);
     sinr::Engine::Options engine_opts = spec.engine;
     engine_opts.coverage = world;
-    if (spec.ranks >= 1) {
-      session = std::make_unique<distrib::Session>(
-          spec, seed, distrib::Session::Options{spec.ranks, ""});
-      engine_opts.delegate = session.get();
-    }
     sim::Exec ex(net, engine_opts);
-    if (spec.ranks >= 1 && ex.engine().mode() != sinr::Engine::Mode::kGrid) {
-      throw InvalidArgument(
-          "--ranks: distributed execution requires the grid engine "
-          "(pass --engine=grid)");
-    }
 
     mobility::ChurnProcess churn(churn_rate, join_rate,
                                  HashCombine(seed, kChurnSalt));
@@ -254,7 +240,6 @@ RunReport RunDynamicScenario(const ScenarioSpec& spec, std::uint64_t seed) {
     rep.ok = false;
     rep.error = e.what();
   }
-  if (session) FillDistribSection(rep, *session);
   return rep;
 }
 

@@ -15,10 +15,6 @@ namespace dcc::sinr {
 class Engine;
 }  // namespace dcc::sinr
 
-namespace dcc::distrib {
-class Session;
-}  // namespace dcc::distrib
-
 namespace dcc::scenario {
 
 struct RunReport {
@@ -57,45 +53,12 @@ struct RunReport {
     // skew max/mean (1 = perfectly balanced; 0 when no round dispatched).
     std::vector<std::int64_t> shard_load;
     double imbalance = 0.0;
-    // Round pipeline (Options::pipeline): rounds whose prologue came from
-    // a validated SetNextRound speculation (deterministic), and the wall
-    // time of builds that genuinely overlapped shard execution
-    // (timing-dependent). 0/0 with the pipeline off.
-    std::int64_t rounds_pipelined = 0;
-    std::int64_t prologue_overlap_ns = 0;
-    // Shard tickets this engine's fan-outs had stolen from another
-    // worker's deque (nested engines donating idle sweep workers;
-    // deterministically 0 for a top-level engine).
-    std::int64_t steal_count = 0;
-    // Per-listener-tile far-field states built in round prologues vs read
-    // back from the prologue cache (both deterministic: pure functions of
-    // the round schedule and the cache capacity).
+    // Per-listener-tile far-field states built in round prologues (a pure
+    // function of the round schedule).
     std::int64_t tile_states_computed = 0;
-    std::int64_t tile_states_reused = 0;
-    // Prologue-cache probes (0/0 with --prologue-cache=0).
-    std::int64_t prologue_cache_hits = 0;
-    std::int64_t prologue_cache_misses = 0;
     bool empty() const { return threads == 0; }
   };
   ParallelSection parallel;
-
-  // Distributed runs only ("dcc.distrib.v1", emitted when the run executed
-  // across rank processes via --ranks): the halo exchange ledger. Every
-  // field is a pure function of the round content — never of timing — so
-  // the section is byte-pinnable (docs/REPORT_SCHEMA.md).
-  struct DistribSection {
-    int ranks = 0;                 // rank process count
-    std::int64_t rounds = 0;       // rounds shipped to the ranks
-    std::int64_t halo_tiles = 0;   // near CSR slices sent (sum over ranks)
-    std::int64_t halo_bytes = 0;   // round frame payload bytes sent
-    std::int64_t reply_bytes = 0;  // reply frame payload bytes received
-    // Cumulative owned listeners per rank, and the load skew max/mean
-    // (1 = perfectly balanced; 0 when no round shipped).
-    std::vector<std::int64_t> rank_load;
-    double imbalance = 0.0;
-    bool empty() const { return ranks == 0; }
-  };
-  DistribSection distrib;
 
   void PrintJson(std::ostream& os) const;
 };
@@ -103,10 +66,6 @@ struct RunReport {
 // Fills rep.parallel from a parallel engine's cumulative stats; a no-op
 // for serial engines (threads() <= 1), leaving the section empty.
 void FillParallelSection(RunReport& rep, const sinr::Engine& engine);
-
-// Fills rep.distrib from a distributed session's accounting; a no-op when
-// the session never shipped a round (the section stays empty).
-void FillDistribSection(RunReport& rep, const distrib::Session& session);
 
 // Sweep envelope ("dcc.sweep.v1"): the canonical spec line + all runs.
 void PrintSweepJson(std::ostream& os, const std::string& spec_line,

@@ -8,7 +8,6 @@
 
 #include "dcc/cluster/validate.h"
 #include "dcc/common/rng.h"
-#include "dcc/distrib/session.h"
 #include "dcc/obs/trace.h"
 #include "dcc/parallel/worker_pool.h"
 #include "dcc/scenario/dynamics.h"
@@ -81,23 +80,8 @@ RunReport RunScenarioOnNetwork(const ScenarioSpec& spec, std::uint64_t seed,
   rep.topology = spec.topology;
   rep.algo = spec.algo;
   rep.seed = seed;
-  // Outside the try so the catch path can still report the distributed
-  // accounting gathered before a failure (a dead rank mid-run produces an
-  // ok=false report WITH its dcc.distrib.v1 section, not a bare error).
-  std::unique_ptr<distrib::Session> session;
   try {
-    sinr::Engine::Options engine_opts = spec.engine;
-    if (spec.ranks >= 1) {
-      session = std::make_unique<distrib::Session>(
-          spec, seed, distrib::Session::Options{spec.ranks, ""});
-      engine_opts.delegate = session.get();
-    }
-    sim::Exec ex(net, engine_opts);
-    if (spec.ranks >= 1 && ex.engine().mode() != sinr::Engine::Mode::kGrid) {
-      throw InvalidArgument(
-          "--ranks: distributed execution requires the grid engine "
-          "(pass --engine=grid)");
-    }
+    sim::Exec ex(net, spec.engine);
 
     std::vector<std::size_t> members(net.size());
     std::iota(members.begin(), members.end(), std::size_t{0});
@@ -145,7 +129,6 @@ RunReport RunScenarioOnNetwork(const ScenarioSpec& spec, std::uint64_t seed,
     rep.ok = false;
     rep.error = e.what();
   }
-  if (session) FillDistribSection(rep, *session);
   return rep;
 }
 

@@ -171,41 +171,6 @@ ScenarioSpec ScenarioSpec::FromArgs(const std::vector<std::string>& args) {
       // tickets idle workers steal, so the tail of a sweep donates its
       // freed threads to the runs still going.
       spec.engine.threads = spec.threads;
-    } else if (key == "--ranks") {
-      spec.ranks = static_cast<int>(ParseInt64(val, key));
-      // Each rank is a forked process with its own network replica; cap
-      // well below any sane host's process budget.
-      if (spec.ranks < 0 || spec.ranks > 512) {
-        throw InvalidArgument("--ranks: rank count '" + val +
-                              "' must be in [0, 512] (0 = in-process)");
-      }
-    } else if (key == "--pipeline") {
-      if (val == "on") {
-        spec.engine.pipeline = true;
-      } else if (val == "off") {
-        spec.engine.pipeline = false;
-      } else {
-        throw InvalidArgument("--pipeline: expected on or off, got '" + val +
-                              "'");
-      }
-    } else if (key == "--farfield") {
-      if (val == "pyramid") {
-        spec.engine.farfield = sinr::Engine::FarField::kPyramid;
-      } else if (val == "flat") {
-        spec.engine.farfield = sinr::Engine::FarField::kFlat;
-      } else {
-        throw InvalidArgument("--farfield: expected pyramid or flat, got '" +
-                              val + "'");
-      }
-    } else if (key == "--prologue-cache") {
-      const std::uint64_t entries = ParseUint64(val, key);
-      // Each entry pins a full prologue (tile state + CSR); bound it the
-      // same way DCC_ENGINE_PROLOGUE_CACHE is.
-      if (entries > 1024) {
-        throw InvalidArgument("--prologue-cache: entry count '" + val +
-                              "' must be in [0, 1024] (0 = off)");
-      }
-      spec.engine.prologue_cache = static_cast<std::size_t>(entries);
     } else {
       throw InvalidArgument("unknown scenario flag '" + key + "'");
     }
@@ -270,14 +235,6 @@ std::vector<std::string> ScenarioSpec::ToArgs() const {
   if (max_rounds != 0) args.push_back("--rounds=" + std::to_string(max_rounds));
   if (faults != 0) args.push_back("--faults=" + std::to_string(faults));
   if (threads != 0) args.push_back("--threads=" + std::to_string(threads));
-  if (ranks != 0) args.push_back("--ranks=" + std::to_string(ranks));
-  if (engine.pipeline) args.push_back("--pipeline=on");
-  if (engine.farfield != sinr::Engine::Options{}.farfield) {
-    args.push_back("--farfield=flat");
-  }
-  if (engine.prologue_cache != 0) {
-    args.push_back("--prologue-cache=" + std::to_string(engine.prologue_cache));
-  }
   return args;
 }
 

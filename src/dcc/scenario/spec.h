@@ -54,11 +54,6 @@ struct ScenarioSpec {
   // copies its value into engine.threads (round-level sharding), so one
   // knob drives both layers; programmatic specs may set them separately.
   int threads = 0;
-  // Distributed round execution: run every engine round across this many
-  // rank processes (src/dcc/distrib), each owning a contiguous tile range
-  // of the spatial index. 0 = in-process (default). Requires grid mode;
-  // receptions stay bit-identical to in-process execution.
-  int ranks = 0;
 
   // Parses a flag list (e.g. {"--topology=uniform:n=128,side=5",
   // "--algo=clustering", "--seeds=1..8"}). Unknown flags or malformed

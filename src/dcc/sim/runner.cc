@@ -50,44 +50,13 @@ int Exec::RunRound(const std::vector<std::size_t>& candidates,
   }
   ++round_;
   max_tx_ = std::max(max_tx_, static_cast<int>(tx_.size()));
-  const std::size_t n = net_->size();
-  // Disclose the next round (if predictable) before stepping this one: the
-  // engine then overlaps the next prologue build with this round's shard
-  // resolution. round_ has already advanced, so it IS the next round's
-  // global number. Runs even when this round has no transmitters — sparse
-  // schedules (think a TDMA slot nobody owns) would otherwise lose the
-  // disclosure for the next occupied slot.
-  if (lookahead_ && engine_.pipeline_enabled()) {
-    next_tx_.clear();
-    if (lookahead_(round_, next_tx_)) {
-      std::erase_if(next_tx_, [&](std::size_t i) { return !on(i); });
-      for (const std::size_t j : background_) {
-        if (!on(j)) continue;
-        if (std::find(next_tx_.begin(), next_tx_.end(), j) == next_tx_.end()) {
-          next_tx_.push_back(j);
-        }
-      }
-      if (next_is_tx_.size() != n) next_is_tx_.assign(n, 0);
-      for (const std::size_t i : next_tx_) next_is_tx_[i] = 1;
-      next_listeners_.clear();
-      for (std::size_t u = 0; u < n; ++u) {
-        if (!next_is_tx_[u] && on(u)) next_listeners_.push_back(u);
-      }
-      for (const std::size_t i : next_tx_) next_is_tx_[i] = 0;
-      engine_.SetNextRound(next_tx_, next_listeners_);
-    } else {
-      engine_.ClearNextRound();
-    }
-  }
   if (tx_.empty()) {
-    // No step will run this round, so the launch site inside the engine's
-    // step can't fire; kick the disclosed build now.
-    engine_.PumpPrefetch();
     if (observer_) observer_(round_ - 1, tx_, {});
     return 0;
   }
 
-  if (slot_of_.size() != net_->size()) slot_of_.assign(net_->size(), 0);
+  const std::size_t n = net_->size();
+  if (slot_of_.size() != n) slot_of_.assign(n, 0);
   for (std::size_t s = 0; s < tx_.size(); ++s) {
     is_tx_[tx_[s]] = 1;
     slot_of_[tx_[s]] = s;

@@ -69,22 +69,6 @@ class Exec {
   void SetBackgroundTransmitters(std::vector<std::size_t> nodes, Message msg);
   void ClearBackgroundTransmitters() { background_.clear(); }
 
-  // Round lookahead (engine pipelining): protocols whose transmit set is a
-  // pure function of the round number (schedule-driven — the TDMA family)
-  // disclose the next round so the engine can build its prologue while the
-  // current round's shards still resolve. The callback receives the global
-  // round number about to execute next and appends the indices that will
-  // transmit in it, in candidate order; returning false means "no
-  // prediction for that round" and skips the disclosure. Exec applies the
-  // same activity-mask and background-transmitter transforms RunRound
-  // itself will, so a correct prediction matches the executed round
-  // exactly. A wrong prediction is safe — the engine validates before use;
-  // it just wastes the speculative build. The whole hook is skipped unless
-  // the engine pipeline is enabled, so it costs nothing otherwise. Clear
-  // it (nullptr) when the schedule ends.
-  using Lookahead = std::function<bool(Round, std::vector<std::size_t>&)>;
-  void SetLookahead(Lookahead lookahead) { lookahead_ = std::move(lookahead); }
-
   // Churn (dynamic networks): nodes with mask[i] == 0 are *off* — they
   // neither transmit (candidates and background transmitters are filtered)
   // nor listen, exactly as if powered down, and they may be absent from
@@ -108,10 +92,6 @@ class Exec {
   std::vector<std::size_t> slot_of_;
   std::vector<sinr::Reception> receptions_;
   Observer observer_;
-  Lookahead lookahead_;
-  std::vector<std::size_t> next_tx_;
-  std::vector<std::size_t> next_listeners_;
-  std::vector<char> next_is_tx_;
   std::vector<std::size_t> background_;
   Message background_msg_;
   std::span<const char> active_;  // empty = all nodes on

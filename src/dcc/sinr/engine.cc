@@ -151,36 +151,6 @@ double AutoCell(const Network& net, const std::optional<Box>& coverage) {
                   std::sqrt(64.0 * area / static_cast<double>(net.size())));
 }
 
-bool SpanEq(const std::vector<std::size_t>& a,
-            std::span<const std::size_t> b) {
-  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
-}
-
-bool OrdinalsEq(const std::vector<std::uint32_t>& a,
-                std::span<const std::uint32_t> b) {
-  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
-}
-
-// Word-wise FNV-1a over the round's input spans — the prologue cache's
-// probe key. Collisions are harmless: a probe match is confirmed by a full
-// element-wise comparison before the entry is used.
-std::uint64_t HashRound(std::span<const std::size_t> tx,
-                        std::span<const std::size_t> listeners,
-                        std::span<const std::uint32_t> ordinals) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(tx.size());
-  for (const std::size_t v : tx) mix(v);
-  mix(listeners.size());
-  for (const std::size_t v : listeners) mix(v);
-  mix(ordinals.size());
-  for (const std::uint32_t v : ordinals) mix(v);
-  return h;
-}
-
 }  // namespace
 
 Engine::Options Engine::Options::FromEnv() {
@@ -225,26 +195,6 @@ Engine::Options Engine::Options::FromEnv() {
     }
     opts.min_listeners_per_shard = static_cast<std::size_t>(v);
   }
-  if (const char* ff = std::getenv("DCC_ENGINE_FARFIELD"); ff && *ff != '\0') {
-    const std::string f(ff);
-    if (f == "pyramid") {
-      opts.farfield = FarField::kPyramid;
-    } else if (f == "flat") {
-      opts.farfield = FarField::kFlat;
-    } else {
-      throw InvalidArgument("DCC_ENGINE_FARFIELD: unknown strategy '" + f +
-                            "' (expected pyramid or flat)");
-    }
-  }
-  if (const char* cache = std::getenv("DCC_ENGINE_PROLOGUE_CACHE");
-      cache && *cache != '\0') {
-    const std::int64_t v = ParseInt64(cache, "DCC_ENGINE_PROLOGUE_CACHE");
-    if (v < 0 || v > 1024) {
-      throw InvalidArgument("DCC_ENGINE_PROLOGUE_CACHE: entry count '" +
-                            std::string(cache) + "' must be in [0, 1024]");
-    }
-    opts.prologue_cache = static_cast<std::size_t>(v);
-  }
   return opts;
 }
 
@@ -268,7 +218,6 @@ Engine::Engine(const Network& net, Options options)
       options_.pool ? *options_.pool : parallel::WorkerPool::Shared();
   threads_ = options_.threads == 0 ? pool.parallelism() : options_.threads;
   if (threads_ > 1) pool_ = &pool;
-  planner_ = parallel::RoundPlanner(pool_);
   if (mode_ == Mode::kGrid) {
     const double cell =
         options_.cell > 0.0 ? options_.cell : AutoCell(net, options_.coverage);
@@ -284,22 +233,14 @@ Engine::Engine(const Network& net, Options options)
       pure_path_loss_ = static_cast<const PathLossModel*>(&net.propagation());
     }
   }
-  for (RoundPrologue& P : prologue_) {
-    P.is_tx.assign(net.size(), 0);
-    if (grid_) {
-      P.tx_start.assign(static_cast<std::size_t>(grid_->tile_count()) + 1, 0);
-    }
-  }
-  if (grid_ && options_.farfield == FarField::kPyramid) {
+  prologue_.is_tx.assign(net.size(), 0);
+  if (grid_) {
+    prologue_.tx_start.assign(
+        static_cast<std::size_t>(grid_->tile_count()) + 1, 0);
     pyramid_.Reset(*grid_);
-  }
-  if (grid_ && options_.prologue_cache > 0) {
-    cache_.resize(options_.prologue_cache);
   }
   EnsureScratch(1);
 }
-
-Engine::~Engine() { AbandonPrefetch(); }
 
 void Engine::EnsureScratch(int shards) const {
   if (static_cast<int>(scratch_.size()) >= shards) return;
@@ -308,10 +249,6 @@ void Engine::EnsureScratch(int shards) const {
 
 void Engine::SyncIndex() {
   if (!grid_) return;
-  // The speculative build reads the grid; finish (and discard) it before
-  // any bucket moves. The generation bump below then keeps any *future*
-  // speculation honest.
-  AbandonPrefetch();
   const auto& pos = net_->positions();
   for (std::size_t i = 0; i < pos.size(); ++i) {
     if (grid_->Contains(i)) grid_->Move(i, pos[i]);
@@ -320,13 +257,11 @@ void Engine::SyncIndex() {
 
 void Engine::IndexErase(std::size_t i) {
   if (!grid_) return;
-  AbandonPrefetch();
   grid_->Erase(i);
 }
 
 void Engine::IndexInsert(std::size_t i) {
   if (!grid_) return;
-  AbandonPrefetch();
   grid_->Insert(i, net_->position(i));
 }
 
@@ -352,12 +287,6 @@ void Engine::StepInto(std::span<const std::size_t> transmitters,
   stats_.transmissions += static_cast<std::int64_t>(transmitters.size());
   out.clear();
   if (transmitters.empty() || listeners.empty()) return;
-  if (mode_ == Mode::kGrid && options_.delegate != nullptr &&
-      options_.delegate->StepRound(*this, transmitters, listeners, out)) {
-    stats_.receptions += static_cast<std::int64_t>(out.size());
-    receptions_metric.Add(static_cast<std::int64_t>(out.size()));
-    return;
-  }
   if (mode_ == Mode::kGrid) {
     StepGrid(transmitters, listeners, out);
   } else {
@@ -367,203 +296,10 @@ void Engine::StepInto(std::span<const std::size_t> transmitters,
   receptions_metric.Add(static_cast<std::int64_t>(out.size()));
 }
 
-void Engine::StepOrdinalsInto(
-    std::span<const std::size_t> transmitters,
-    std::span<const std::size_t> listeners,
-    std::span<const std::uint32_t> ordinals,
-    std::vector<std::pair<std::uint32_t, Reception>>& out) const {
-  DCC_REQUIRE(mode_ == Mode::kGrid,
-              "StepOrdinalsInto: grid mode only (the distributed kernel)");
-  out.clear();
-  if (transmitters.empty() || ordinals.empty()) return;
-  AbandonPrefetch();
-  // A rank runs with threads == 1, so BuildPrologue skips the shard
-  // decomposition and this is exactly the serial per-round index build.
-  // With a prologue cache, a repeated (tx, listeners, ordinals) triple — a
-  // TDMA slot revisited inside one rank process — replays the memoized
-  // prologue instead of rebuilding it.
-  RoundPrologue* P;
-  bool from_cache = false;
-  if (!cache_.empty()) {
-    P = &CacheAcquire(transmitters, listeners, ordinals);
-    from_cache = true;
-  } else {
-    P = &prologue_[live_slot_];
-    BuildPrologue(*P, transmitters, listeners, /*tx_pos=*/nullptr, ordinals);
-    stats_.tile_states_computed +=
-        static_cast<std::int64_t>(P->lt_tiles.size());
-  }
-  EnsureScratch(1);
-  RoundScratch& s = scratch_[0];
-  StepGridRange(*P, transmitters, listeners, /*all_listeners=*/false, ordinals,
-                s);
-  out.insert(out.end(), s.pending.begin(), s.pending.end());
-  stats_.grid_pruned += s.pruned;
-  stats_.grid_exact_fallbacks += s.exact_fallbacks;
-  s.pruned = 0;
-  s.exact_fallbacks = 0;
-  // Cache-resident prologues keep their marks (valid for their tx set and
-  // re-validated on every hit); eviction clears them.
-  if (!from_cache) ClearTxMarks(*P, transmitters);
-}
-
-// --- Round pipeline. ---
-
-void Engine::SetNextRound(std::span<const std::size_t> transmitters,
-                          std::span<const std::size_t> listeners) const {
-  if (!pipeline_enabled() || transmitters.empty() || listeners.empty()) {
-    next_valid_ = false;
-    return;
-  }
-  next_tx_.assign(transmitters.begin(), transmitters.end());
-  next_listeners_.assign(listeners.begin(), listeners.end());
-  // Snapshot the transmitters' positions on this (the stepping) thread:
-  // the asynchronous build and the far-sweep kernels read the snapshot, so
-  // a Network::SetPositions racing the build can never tear a coordinate.
-  // The generation stamps make any such mutation discard the speculation.
-  next_tx_pos_.resize(next_tx_.size());
-  for (std::size_t i = 0; i < next_tx_.size(); ++i) {
-    next_tx_pos_[i] = net_->position(next_tx_[i]);
-  }
-  next_index_gen_ = grid_->generation();
-  next_pos_gen_ = net_->generation();
-  next_valid_ = true;
-}
-
-void Engine::ClearNextRound() const { next_valid_ = false; }
-
-void Engine::PumpPrefetch() const { MaybePrefetchNext(); }
-
-void Engine::MaybePrefetchNext() const {
-  if (!next_valid_ || prefetch_pending_) return;
-  RoundPrologue& spare = prologue_[1 - live_slot_];
-  spare.tx.swap(next_tx_);
-  spare.listeners.swap(next_listeners_);
-  spare.tx_pos.swap(next_tx_pos_);
-  spare.index_gen = next_index_gen_;
-  spare.pos_gen = next_pos_gen_;
-  next_valid_ = false;
-  prefetch_pending_ = true;
-  planner_.Launch([this, slot = 1 - live_slot_] {
-    RoundPrologue& P = prologue_[slot];
-    BuildPrologue(P, P.tx, P.listeners, P.tx_pos.data(), {});
-  });
-}
-
-void Engine::AbandonPrefetch() const {
-  if (!prefetch_pending_) return;
-  planner_.Abandon();
-  prefetch_pending_ = false;
-  ClearTxMarks(prologue_[1 - live_slot_], prologue_[1 - live_slot_].tx);
-}
-
-void Engine::ClearTxMarks(RoundPrologue& P,
-                          std::span<const std::size_t> tx) {
-  for (const std::size_t v : tx) {
-    if (v < P.is_tx.size()) P.is_tx[v] = 0;
-  }
-}
-
-Engine::RoundPrologue& Engine::AcquirePrologue(
-    std::span<const std::size_t> tx,
-    std::span<const std::size_t> listeners) const {
-  live_from_cache_ = false;
-  if (prefetch_pending_) {
-    const parallel::RoundPlanner::Outcome outcome = planner_.Collect();
-    prefetch_pending_ = false;
-    RoundPrologue& spec = prologue_[1 - live_slot_];
-    // Use the speculation only if the disclosed inputs match this round
-    // bit-for-bit and nothing the build read has mutated since: then the
-    // prologue is byte-equivalent to what a serial build would produce
-    // right now, and using it cannot change any output bit.
-    const bool valid = spec.index_gen == grid_->generation() &&
-                       spec.pos_gen == net_->generation() &&
-                       SpanEq(spec.tx, tx) && SpanEq(spec.listeners, listeners);
-    if (valid) {
-      live_slot_ = 1 - live_slot_;
-      ++stats_.rounds_pipelined;
-      stats_.tile_states_computed +=
-          static_cast<std::int64_t>(spec.lt_tiles.size());
-      if (outcome.overlapped) stats_.prologue_overlap_ns += outcome.build_ns;
-      return spec;
-    }
-    ClearTxMarks(spec, spec.tx);  // wrong guess: discard, build fresh
-  }
-  if (!cache_.empty()) {
-    live_from_cache_ = true;
-    return CacheAcquire(tx, listeners, {});
-  }
-  RoundPrologue& P = prologue_[live_slot_];
-  BuildPrologue(P, tx, listeners, /*tx_pos=*/nullptr, {});
-  stats_.tile_states_computed += static_cast<std::int64_t>(P.lt_tiles.size());
-  return P;
-}
-
-Engine::RoundPrologue& Engine::CacheAcquire(
-    std::span<const std::size_t> tx, std::span<const std::size_t> listeners,
-    std::span<const std::uint32_t> ordinals) const {
-  static obs::Counter& hits_metric = obs::MetricsRegistry::Global().GetCounter(
-      "dcc_engine_prologue_cache_hits_total",
-      "Rounds whose prologue was replayed from the transmit-set cache");
-  static obs::Counter& misses_metric =
-      obs::MetricsRegistry::Global().GetCounter(
-          "dcc_engine_prologue_cache_misses_total",
-          "Rounds that built a prologue into the transmit-set cache");
-  const std::uint64_t key = HashRound(tx, listeners, ordinals);
-  const std::uint64_t index_gen = grid_->generation();
-  const std::uint64_t pos_gen = net_->generation();
-  CacheEntry* victim = nullptr;
-  for (CacheEntry& e : cache_) {
-    if (!e.used) {
-      if (victim == nullptr || victim->used) victim = &e;
-      continue;
-    }
-    // The same validation the pipeline's speculation performs: content
-    // equality plus untouched generation stamps. A stale or mismatched
-    // entry is just an eviction candidate.
-    if (e.key == key && e.P.index_gen == index_gen && e.P.pos_gen == pos_gen &&
-        SpanEq(e.P.tx, tx) && SpanEq(e.P.listeners, listeners) &&
-        OrdinalsEq(e.ordinals, ordinals)) {
-      e.last_used = ++cache_tick_;
-      ++stats_.prologue_cache_hits;
-      stats_.tile_states_reused +=
-          static_cast<std::int64_t>(e.P.lt_tiles.size());
-      hits_metric.Add(1);
-      DCC_TRACE_INSTANT("engine.prologue_cache_hit");
-      return e.P;
-    }
-    if (victim == nullptr || (victim->used && e.last_used < victim->last_used)) {
-      victim = &e;
-    }
-  }
-  // Miss: build into the LRU slot (unused entries first). The evicted
-  // prologue's marks are cleared before its tx copy is overwritten.
-  if (victim->used) ClearTxMarks(victim->P, victim->P.tx);
-  victim->used = true;
-  victim->key = key;
-  victim->last_used = ++cache_tick_;
-  victim->ordinals.assign(ordinals.begin(), ordinals.end());
-  RoundPrologue& P = victim->P;
-  P.tx.assign(tx.begin(), tx.end());
-  P.listeners.assign(listeners.begin(), listeners.end());
-  P.tx_pos.clear();
-  P.index_gen = index_gen;
-  P.pos_gen = pos_gen;
-  BuildPrologue(P, tx, listeners, /*tx_pos=*/nullptr, ordinals);
-  ++stats_.prologue_cache_misses;
-  stats_.tile_states_computed += static_cast<std::int64_t>(P.lt_tiles.size());
-  misses_metric.Add(1);
-  DCC_TRACE_INSTANT("engine.prologue_cache_miss");
-  return P;
-}
-
-void Engine::BuildPrologue(RoundPrologue& P, std::span<const std::size_t> tx,
-                           std::span<const std::size_t> listeners,
-                           const Vec2* tx_pos,
-                           std::span<const std::uint32_t> ordinals) const {
-  // Serial builds run on the stepping thread; speculative builds run on a
-  // pool worker — the span lands on whichever thread did the work.
+void Engine::BuildPrologue(std::span<const std::size_t> tx,
+                           std::span<const std::size_t> listeners) const {
   DCC_TRACE_SPAN("engine.prologue");
+  RoundPrologue& P = prologue_;
   const Network& net = *net_;
   const SpatialGrid& grid = *grid_;
   const auto tiles = static_cast<std::size_t>(grid.tile_count());
@@ -588,19 +324,16 @@ void Engine::BuildPrologue(RoundPrologue& P, std::span<const std::size_t> tx,
   P.tx_sx.resize(tx.size());
   P.tx_sy.resize(tx.size());
   P.tx_fill.assign(P.tx_start.begin(), P.tx_start.end() - 1);
-  for (std::size_t i = 0; i < tx.size(); ++i) {
-    const std::size_t v = tx[i];
+  for (const std::size_t v : tx) {
     const std::size_t slot =
         P.tx_fill[static_cast<std::size_t>(grid.TileOfPoint(v))]++;
     P.tx_members[slot] = v;
-    const Vec2 p = tx_pos != nullptr ? tx_pos[i] : net.position(v);
+    const Vec2 p = net.position(v);
     P.tx_sx[slot] = p.x;
     P.tx_sy[slot] = p.y;
   }
 
-  // Dispatch decision + shard decomposition. Stats are NOT touched here
-  // (this may run on a pool worker); the consumer folds P.small_round into
-  // the counters.
+  // Dispatch decision + shard decomposition.
   const std::size_t n_listen = listeners.size();
   P.shards = 1;
   P.small_round = false;
@@ -657,27 +390,21 @@ void Engine::BuildPrologue(RoundPrologue& P, std::span<const std::size_t> tx,
     }
   }
 
-  BuildTileState(P, listeners, ordinals);
+  BuildTileState(listeners);
 }
 
-void Engine::BuildTileState(RoundPrologue& P,
-                            std::span<const std::size_t> listeners,
-                            std::span<const std::uint32_t> ordinals) const {
+void Engine::BuildTileState(std::span<const std::size_t> listeners) const {
   DCC_TRACE_SPAN("engine.farfield");
+  RoundPrologue& P = prologue_;
   const Network& net = *net_;
   const PropagationModel& model = net.propagation();
   const SpatialGrid& grid = *grid_;
   const auto tiles = static_cast<std::size_t>(grid.tile_count());
 
-  // The distinct listener tiles this round resolves, ascending — the whole
-  // round's, or only the named ordinals' (the rank path never pays for
-  // tiles it does not own).
+  // The distinct listener tiles this round resolves, ascending.
   if (P.lt_mark.size() != tiles) P.lt_mark.assign(tiles, 0);
   P.lt_tiles.clear();
-  const std::size_t count = ordinals.empty() ? listeners.size()
-                                             : ordinals.size();
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t u = listeners[ordinals.empty() ? k : ordinals[k]];
+  for (const std::size_t u : listeners) {
     const auto t = static_cast<std::size_t>(grid.TileOfPoint(u));
     if (!P.lt_mark[t]) {
       P.lt_mark[t] = 1;
@@ -707,9 +434,7 @@ void Engine::BuildTileState(RoundPrologue& P,
   };
   const double far_sq = far_start_ * far_start_;
 
-  if (options_.farfield == FarField::kPyramid &&
-      P.occupied_tx.size() >= options_.pyramid_min_occupied) {
-    pyramid_.Reset(grid);
+  if (P.occupied_tx.size() >= options_.pyramid_min_occupied) {
     pyramid_.Rebuild(P.occupied_tx, [&](int b) {
       return P.tx_start[static_cast<std::size_t>(b) + 1] -
              P.tx_start[static_cast<std::size_t>(b)];
@@ -725,9 +450,8 @@ void Engine::BuildTileState(RoundPrologue& P,
       P.tile_far_ub[tile] = far_ub;
     }
   } else {
-    // The flat walk, hoisted verbatim: same occupied-ascending iteration
-    // (and therefore the same far_lo summation order and close-list order)
-    // the per-shard lazy build used to perform.
+    // The flat walk: occupied tiles ascending, which fixes the far_lo
+    // summation order and the close-list order.
     for (const int t : P.lt_tiles) {
       const auto tile = static_cast<std::size_t>(t);
       double far_lo = 0.0, far_ub = 0.0;
@@ -799,19 +523,18 @@ void Engine::StepExact(std::span<const std::size_t> transmitters,
   if (static_cast<int>(stats_.shard_listeners.size()) < shards) {
     stats_.shard_listeners.resize(static_cast<std::size_t>(shards), 0);
   }
-  stats_.steal_count +=
-      pool_->Run(static_cast<std::size_t>(shards), [&](std::size_t k) {
-        RoundScratch& s = scratch_[k];
-        s.pending.clear();
-        const std::size_t lo = n_listen * k / static_cast<std::size_t>(shards);
-        const std::size_t hi =
-            n_listen * (k + 1) / static_cast<std::size_t>(shards);
-        for (std::size_t ord = lo; ord < hi; ++ord) {
-          if (auto r = ResolveExact(listeners[ord], transmitters)) {
-            s.pending.emplace_back(static_cast<std::uint32_t>(ord), *r);
-          }
-        }
-      });
+  pool_->Run(static_cast<std::size_t>(shards), [&](std::size_t k) {
+    RoundScratch& s = scratch_[k];
+    s.pending.clear();
+    const std::size_t lo = n_listen * k / static_cast<std::size_t>(shards);
+    const std::size_t hi =
+        n_listen * (k + 1) / static_cast<std::size_t>(shards);
+    for (std::size_t ord = lo; ord < hi; ++ord) {
+      if (auto r = ResolveExact(listeners[ord], transmitters)) {
+        s.pending.emplace_back(static_cast<std::uint32_t>(ord), *r);
+      }
+    }
+  });
   for (int k = 0; k < shards; ++k) {
     const std::size_t lo =
         n_listen * static_cast<std::size_t>(k) / static_cast<std::size_t>(shards);
@@ -1095,15 +818,10 @@ void Engine::MergeShards(int shards, std::vector<Reception>& out) const {
 void Engine::StepGrid(std::span<const std::size_t> transmitters,
                       std::span<const std::size_t> listeners,
                       std::vector<Reception>& out) const {
-  // This round's prologue: a validated speculation or a fresh build.
-  RoundPrologue& P = AcquirePrologue(transmitters, listeners);
+  BuildPrologue(transmitters, listeners);
+  const RoundPrologue& P = prologue_;
+  stats_.tile_states_computed += static_cast<std::int64_t>(P.lt_tiles.size());
   if (P.small_round) ++stats_.parallel_small_rounds;
-
-  // Launch the *next* round's speculative prologue (if disclosed) before
-  // resolving this one — that ordering is the whole pipeline: the build
-  // ticket is published first, so an idle or early-finishing worker can
-  // execute it while this round's shards (or serial sweep) still run.
-  MaybePrefetchNext();
 
   const int shards = P.shards;
   if (shards <= 1) {
@@ -1122,14 +840,13 @@ void Engine::StepGrid(std::span<const std::size_t> transmitters,
     if (static_cast<int>(stats_.shard_listeners.size()) < shards) {
       stats_.shard_listeners.resize(static_cast<std::size_t>(shards), 0);
     }
-    stats_.steal_count +=
-        pool_->Run(static_cast<std::size_t>(shards), [&](std::size_t k) {
-          const std::span<const std::uint32_t> ordinals(
-              P.shard_ordinals.data() + P.shard_ord_start[k],
-              P.shard_ord_start[k + 1] - P.shard_ord_start[k]);
-          StepGridRange(P, transmitters, listeners, /*all_listeners=*/false,
-                        ordinals, scratch_[k]);
-        });
+    pool_->Run(static_cast<std::size_t>(shards), [&](std::size_t k) {
+      const std::span<const std::uint32_t> ordinals(
+          P.shard_ordinals.data() + P.shard_ord_start[k],
+          P.shard_ord_start[k + 1] - P.shard_ord_start[k]);
+      StepGridRange(P, transmitters, listeners, /*all_listeners=*/false,
+                    ordinals, scratch_[k]);
+    });
     for (int k = 0; k < shards; ++k) {
       stats_.shard_listeners[static_cast<std::size_t>(k)] +=
           static_cast<std::int64_t>(
@@ -1139,9 +856,7 @@ void Engine::StepGrid(std::span<const std::size_t> transmitters,
     MergeShards(shards, out);
   }
 
-  // Cache-resident prologues keep their tx marks until eviction so a hit
-  // can skip the whole serial prologue.
-  if (!live_from_cache_) ClearTxMarks(P, transmitters);
+  for (const std::size_t v : transmitters) prologue_.is_tx[v] = 0;
 }
 
 double Engine::Sinr(std::size_t v, std::size_t u,

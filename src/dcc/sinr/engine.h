@@ -42,22 +42,12 @@
 // idle workers steal their shard tickets, so the tail of a sweep donates
 // its freed threads to the runs still going.
 //
-// --- Round pipeline (Options::pipeline) ---
-// Everything before the shard fan-out — the transmitter CSR, the shard
-// plan, the ordinal buckets — is a pure function of (transmitter set,
-// listener set, index state) collected in a RoundPrologue value. When a
-// caller can disclose round k+1's sets before round k resolves
-// (SetNextRound; schedule-driven protocols like the TDMA family can, via
-// the Exec lookahead hook), the engine builds round k+1's prologue on a
-// stolen pool worker while round k's shards resolve listeners. The
-// speculative prologue carries the input copies plus the Network and
-// SpatialGrid generation counters it was built against; at the next
-// StepInto it is used only if the disclosed sets match the actual ones
-// bit-for-bit AND no mobility/churn/SyncIndex touched the index since —
-// otherwise it is discarded and the prologue is rebuilt serially. Either
-// way the data entering listener resolution is identical to what the
-// serial build would produce, so pipelining never changes a single output
-// bit; it only moves the prologue off the critical path.
+// --- One grid round ---
+// A grid round is three stages: BuildPrologue (the transmitter CSR by
+// tile, the dispatch decision, the shard plan and ordinal buckets, and the
+// hoisted per-listener-tile far-field state, all collected in the single
+// RoundPrologue member), then the shard fan-out (StepGridRange per shard,
+// reading the prologue), then the merge into listener order.
 #pragma once
 
 #include <cstddef>
@@ -68,7 +58,6 @@
 #include <vector>
 
 #include "dcc/common/spatial_grid.h"
-#include "dcc/parallel/round_pipeline.h"
 #include "dcc/parallel/shard_plan.h"
 #include "dcc/sinr/farfield.h"
 #include "dcc/sinr/network.h"
@@ -86,40 +75,12 @@ struct Reception {
   double sinr = 0.0;
 };
 
-class Engine;
-
-// Hook that can take over whole rounds (Options::delegate). StepInto offers
-// every non-empty grid-mode round to the delegate before resolving it
-// locally; returning true means `out` holds the round's receptions (in the
-// serial emission order — the delegate owns the bit-identity contract),
-// false falls through to the engine's own path. The distributed session
-// (src/dcc/distrib) is the one implementation: it ships the round to rank
-// processes and gathers their replies. Exceptions propagate to the Step
-// caller.
-class StepDelegate {
- public:
-  virtual ~StepDelegate() = default;
-  virtual bool StepRound(const Engine& engine,
-                         std::span<const std::size_t> transmitters,
-                         std::span<const std::size_t> listeners,
-                         std::vector<Reception>& out) = 0;
-};
-
 class Engine {
  public:
   enum class Mode {
     kAuto,   // kExact up to the dense-gain-matrix limit, kGrid beyond
     kExact,  // brute-force oracle
     kGrid,   // spatial-index pruning + exact fallback
-  };
-
-  // How grid mode accumulates each listener tile's far-field bounds.
-  // Receptions are bit-identical either way (the pyramid's bounds are
-  // conservative relative to the flat walk, so it can only defer more
-  // listeners to the exact fallback — see sinr/farfield.h).
-  enum class FarField {
-    kFlat,     // walk every occupied transmitter tile per listener tile
-    kPyramid,  // descend the multi-resolution tile pyramid (O(log #tiles))
   };
 
   // Default listener grain: below this many listeners per shard a round is
@@ -157,50 +118,27 @@ class Engine {
     // parallel coverage of small rounds for less dispatch overhead —
     // bench_parallel_rounds --sweep_grain measures the trade.
     std::size_t min_listeners_per_shard = kMinListenersPerShard;
-    // Overlap the next round's prologue with the current round's shard
-    // execution when the caller discloses it via SetNextRound (grid mode,
-    // threads > 1 only; bit-identical output either way — see the header
-    // comment).
-    bool pipeline = false;
-    // Far-field accumulation strategy (grid mode). The pyramid is the
-    // default: strictly less work per listener tile in sparse-wide rounds,
-    // bit-identical receptions (see FarField).
-    FarField farfield = FarField::kPyramid;
-    // With farfield == kPyramid, descend the pyramid only for rounds whose
-    // transmitters occupy at least this many tiles; below it the flat walk
-    // is already trivially cheap and the descent's constant factor loses
-    // (measured ~+4..9% per round at <100 occupied tiles vs ~5x faster at
-    // >1000). Receptions are bit-identical on either path, so the
-    // per-round choice is invisible outside timing. Tests pin 0 to force
-    // the descent on small fixtures.
+    // Grid mode descends the far-field tile pyramid (sinr/farfield.h) only
+    // for rounds whose transmitters occupy at least this many tiles; below
+    // it the flat occupied-tile walk is already trivially cheap and the
+    // descent's constant factor loses (measured ~+4..9% per round at <100
+    // occupied tiles vs ~5x faster at >1000). Receptions are bit-identical
+    // on either path (the pyramid's bounds are conservative relative to the
+    // flat walk, so it can only defer more listeners to the exact
+    // fallback), so the per-round choice is invisible outside timing.
+    // Tests pin 0 to force the descent and SIZE_MAX to force the flat walk.
     std::size_t pyramid_min_occupied = 512;
-    // Transmit-set-memoized prologues: a small LRU of this many full
-    // RoundPrologue values keyed on the (transmitter set, listener set)
-    // content plus the Network/SpatialGrid generation stamps — the exact
-    // validation the pipeline's speculation performs. Schedule-driven
-    // protocols (TDMA periodic slots) then skip the serial prologue build
-    // entirely on repeated rounds. 0 disables (default). Receptions are
-    // bit-identical with the cache on or off: a hit replays a prologue
-    // byte-equivalent to what a fresh build would produce.
-    std::size_t prologue_cache = 0;
     // Pool to dispatch on (defaults to WorkerPool::Shared()). Must outlive
     // the engine; ignored when the resolved thread count is 1. Not in the
     // flag grammar — tests inject a dedicated pool to pin scheduling
     // behavior without touching the process-wide one.
     parallel::WorkerPool* pool = nullptr;
-    // Round takeover hook (grid mode only): offered every non-empty round
-    // before local resolution. Must outlive the engine. Not in the flag
-    // grammar — the scenario layer wires the distributed session in when
-    // --ranks is set.
-    StepDelegate* delegate = nullptr;
 
     // Options overridden from the environment (benches and dcc_run):
-    //   DCC_ENGINE_MODE           = exact | grid | auto (default auto)
-    //   DCC_ENGINE_CELL           = <tile side>     (default: engine heuristic)
-    //   DCC_ENGINE_THREADS        = <shard count, 0=hw> (default: 1, serial)
-    //   DCC_ENGINE_MIN_SHARD      = <listener grain> (default: 8)
-    //   DCC_ENGINE_FARFIELD       = pyramid | flat  (default pyramid)
-    //   DCC_ENGINE_PROLOGUE_CACHE = <entries, 0=off> (default 0)
+    //   DCC_ENGINE_MODE      = exact | grid | auto (default auto)
+    //   DCC_ENGINE_CELL      = <tile side>     (default: engine heuristic)
+    //   DCC_ENGINE_THREADS   = <shard count, 0=hw> (default: 1, serial)
+    //   DCC_ENGINE_MIN_SHARD = <listener grain> (default: 8)
     // Throws InvalidArgument on any unrecognized or malformed value — a
     // typo must not silently fall back to the default strategy.
     static Options FromEnv();
@@ -208,7 +146,6 @@ class Engine {
 
   explicit Engine(const Network& net) : Engine(net, Options{}) {}
   Engine(const Network& net, Options options);
-  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -229,46 +166,6 @@ class Engine {
                 std::span<const std::size_t> listeners,
                 std::vector<Reception>& out) const;
 
-  // --- Round pipeline (Options::pipeline). ---
-
-  // Discloses the sets the *next* StepInto will be called with, letting the
-  // engine build that round's prologue on an idle pool worker while the
-  // current round resolves. One-shot: consumed by the next StepInto, which
-  // launches the speculative build before fanning out its shards. Copies
-  // the spans (and the transmitters' current positions) immediately, so
-  // the caller's buffers may be reused. A prediction that turns out wrong
-  // costs the wasted build and nothing else — the engine validates the
-  // disclosed sets against the actual ones before use. No-op unless the
-  // pipeline is active (grid mode, threads > 1, Options::pipeline).
-  void SetNextRound(std::span<const std::size_t> transmitters,
-                    std::span<const std::size_t> listeners) const;
-
-  // Drops an un-consumed disclosure (the caller lost the ability to
-  // predict the next round).
-  void ClearNextRound() const;
-
-  // Launches the disclosed round's speculative build immediately (no-op
-  // when nothing was disclosed or a build is already in flight). Steps
-  // launch the build themselves — where it overlaps shard resolution — so
-  // this exists for callers whose current round never reaches the engine
-  // (e.g. a TDMA slot nobody owns): the build then overlaps the caller's
-  // inter-round work instead of the disclosure being lost.
-  void PumpPrefetch() const;
-
-  // Resolves exactly the listeners named by `ordinals` (ascending indices
-  // into `listeners`) against the full transmitter set, appending
-  // ordinal-tagged receptions in ordinal order. Grid mode only, always
-  // serial. This is the per-rank kernel of the distributed execution mode
-  // (src/dcc/distrib): a rank owning a subset of the listeners runs the
-  // exact same resolution path a shard worker would, so the gathered
-  // merge stays bit-identical to serial. Listener slots outside `ordinals`
-  // are never read — a rank may leave them zeroed.
-  void StepOrdinalsInto(
-      std::span<const std::size_t> transmitters,
-      std::span<const std::size_t> listeners,
-      std::span<const std::uint32_t> ordinals,
-      std::vector<std::pair<std::uint32_t, Reception>>& out) const;
-
   // SINR of transmitter `v` at listener `u` under transmitter set T.
   double Sinr(std::size_t v, std::size_t u,
               const std::vector<std::size_t>& transmitters) const;
@@ -287,21 +184,11 @@ class Engine {
   // shared pool's parallelism).
   int threads() const { return threads_; }
 
-  // True when SetNextRound disclosures can actually be consumed (pipeline
-  // option on, grid mode, pool available). Callers check this to skip the
-  // O(n) disclosure assembly when it could never pay off.
-  bool pipeline_enabled() const {
-    return options_.pipeline && mode_ == Mode::kGrid && pool_ != nullptr;
-  }
-
   // --- Dynamic networks: spatial-index maintenance. ---
   // The grid built at construction tracks the network's positions; after
   // the network mutates (Network::SetPositions / churn), reconcile the
   // index before the next Step. All three are O(changed points) bucket
-  // updates — never a rebuild — and no-ops in exact mode. Each first
-  // completes any in-flight speculative prologue (whose build reads the
-  // index) and bumps the index generation, so the pipeline can never see
-  // or use a half-mutated index.
+  // updates — never a rebuild — and no-ops in exact mode.
 
   // Re-tiles every indexed point whose position changed tiles. Call after
   // a bulk Network::SetPositions.
@@ -318,16 +205,6 @@ class Engine {
   // Live points in the index (== net().size() minus erased nodes); 0 in
   // exact mode, where no index exists.
   std::size_t IndexSize() const { return grid_ ? grid_->point_count() : 0; }
-
-  // The spatial index (grid mode; nullptr in exact mode). Read-only: the
-  // distributed session reads tile geometry and occupancy to cut rank
-  // ranges and halo sets identical to what the ranks derive themselves.
-  const SpatialGrid* grid() const { return grid_ ? &*grid_ : nullptr; }
-
-  // Distance beyond which tiles contribute through shared far-field bounds
-  // (grid mode). Part of the halo contract: a rank needs exact CSR slices
-  // only for tiles closer than this to its listeners.
-  double far_start() const { return far_start_; }
 
   // Cumulative counters (diagnostics for benches).
   struct Stats {
@@ -347,31 +224,10 @@ class Engine {
     std::int64_t parallel_rounds = 0;
     std::int64_t parallel_small_rounds = 0;
     std::vector<std::int64_t> shard_listeners;
-    // Pipeline: rounds whose prologue came from a validated SetNextRound
-    // speculation (deterministic), and the wall time of the speculative
-    // builds that genuinely ran on another thread before they were needed
-    // (timing-dependent — an honest overlap gauge, not a logical count).
-    std::int64_t rounds_pipelined = 0;
-    std::int64_t prologue_overlap_ns = 0;
-    // Work stealing: pool threads that joined this engine's shard fan-outs
-    // by stealing a ticket from another worker's deque. Always 0 for a
-    // top-level engine (its tickets go through the injection queue);
-    // nonzero when a nested engine's shards were picked up by idle sweep
-    // workers.
-    std::int64_t steal_count = 0;
-    // Hoisted per-listener-tile far-field state: tiles whose bounds/close
-    // lists were computed by a prologue build vs served again from a
-    // memoized prologue (cache hit) without recomputation. Before the
-    // hoist, boundary tiles shared by adjacent shards were recomputed per
-    // shard; now every distinct listener tile is computed at most once per
-    // distinct round content.
+    // Per-listener-tile far-field states computed by prologue builds (one
+    // per distinct listener tile per grid round; boundary tiles shared by
+    // adjacent shards are computed once, not once per shard).
     std::int64_t tile_states_computed = 0;
-    std::int64_t tile_states_reused = 0;
-    // Transmit-set-memoized prologue cache (Options::prologue_cache):
-    // rounds whose full prologue was replayed from the LRU vs rounds that
-    // had to build one (misses stay 0 while the cache is disabled).
-    std::int64_t prologue_cache_hits = 0;
-    std::int64_t prologue_cache_misses = 0;
   };
   const Stats& stats() const { return stats_; }
   // Counters accumulate through const Steps (they are diagnostics, not
@@ -390,25 +246,12 @@ class Engine {
   };
 
   // Everything a grid round computes before listener resolution, as one
-  // reusable value: the per-round transmitter index (CSR by tile), the
-  // shard plan and ordinal buckets, and the dispatch decision. A pure
-  // function of (transmitters, listeners, index state), built either
-  // serially at the top of StepGrid or speculatively on a pool worker
-  // (Options::pipeline). Two slots double-buffer: the live round reads one
-  // while the speculative build writes the other.
+  // value: the per-round transmitter index (CSR by tile), the shard plan
+  // and ordinal buckets, the dispatch decision, and the hoisted far-field
+  // state. A pure function of (transmitters, listeners, index state),
+  // built serially at the top of StepGrid and read-only for the rest of
+  // the round, which is what lets shard workers share it.
   struct RoundPrologue {
-    // Speculative builds only: copies of the disclosed inputs (validated
-    // against the actual ones at use) and the transmitters' positions at
-    // disclosure time (the build and the far-sweep kernels read these
-    // instead of the live network, so concurrent epoch-boundary motion
-    // can't tear them). Empty for synchronous builds, which read the
-    // caller's spans directly.
-    std::vector<std::size_t> tx;
-    std::vector<std::size_t> listeners;
-    std::vector<Vec2> tx_pos;
-    std::uint64_t index_gen = 0;  // SpatialGrid::generation() at disclosure
-    std::uint64_t pos_gen = 0;    // Network::generation() at disclosure
-
     // Transmitter index: CSR over tiles, positions in CSR order.
     std::vector<char> is_tx;  // per-node transmitter marks (cleared per round)
     std::vector<std::size_t> tx_start;    // CSR offsets per tile
@@ -422,8 +265,7 @@ class Engine {
     // plus each tile's close (near/mid) transmitter-tile list, computed
     // once per build for every distinct listener tile (ascending) and read
     // by every shard — boundary tiles shared by adjacent shards are not
-    // recomputed per shard, and a memoized prologue replays this state
-    // for free. Only the entries named by lt_tiles are valid.
+    // recomputed per shard. Only the entries named by lt_tiles are valid.
     std::vector<int> lt_tiles;  // distinct listener tiles, ascending
     std::vector<char> lt_mark;  // collection scratch (all-zero between builds)
     std::vector<double> tile_far_lo;
@@ -444,11 +286,11 @@ class Engine {
   };
 
   // One worker's whole mutable state for one round: the deferred-fallback
-  // queue and the (ordinal, Reception) pairs it produced (the
-  // per-listener-tile bound cache lives in the RoundPrologue now — shards
-  // read it, they never build it). Serial rounds use scratch_[0]; a
-  // K-shard round uses scratch_[0..K) with no sharing, which is what makes
-  // the fan-out race-free by construction.
+  // queue and the (ordinal, Reception) pairs it produced (shards read the
+  // per-listener-tile far-field state from the prologue, they never build
+  // it). Serial rounds use scratch_[0]; a K-shard round uses
+  // scratch_[0..K) with no sharing, which is what makes the fan-out
+  // race-free by construction.
   struct RoundScratch {
     std::vector<GridFallback> fallback;
     // Receptions tagged with their listener ordinal; sorted by ordinal at
@@ -471,48 +313,18 @@ class Engine {
   // near-threshold recheck; returns the reception if SINR clears beta.
   std::optional<Reception> ResolveExact(
       std::size_t u, std::span<const std::size_t> transmitters) const;
-  // Builds P from (tx, listeners): buckets the transmitters into tiles
-  // (CSR, occupied tiles ascending), decides the dispatch, and — when
+  // Builds prologue_ from (tx, listeners): buckets the transmitters into
+  // tiles (CSR, occupied tiles ascending), decides the dispatch, and — when
   // dispatching — plans contiguous tile shards balanced by this round's
   // listener histogram and buckets listener ordinals by shard (stable, so
   // each shard sees ascending ordinals — the serial processing order).
-  // `tx_pos` supplies transmitter positions (speculative builds pass their
-  // snapshot; nullptr reads the live network). `ordinals` scopes the
-  // hoisted tile state: empty builds it for every listener's tile (a whole
-  // round); a rank passes its owned ordinals so it never pays for tiles it
-  // does not resolve. Read-only for the rest of the round, which is what
-  // lets shard workers share it.
-  void BuildPrologue(RoundPrologue& P, std::span<const std::size_t> tx,
-                     std::span<const std::size_t> listeners,
-                     const Vec2* tx_pos,
-                     std::span<const std::uint32_t> ordinals) const;
+  void BuildPrologue(std::span<const std::size_t> tx,
+                     std::span<const std::size_t> listeners) const;
   // The hoisted far-field stage of BuildPrologue: collects the distinct
   // listener tiles and computes each one's far-field bounds + close list,
-  // via the pyramid (Options::farfield) or the flat occupied-tile walk.
-  void BuildTileState(RoundPrologue& P, std::span<const std::size_t> listeners,
-                      std::span<const std::uint32_t> ordinals) const;
-  // Returns this round's ready prologue: a validated speculative one
-  // (flipping the live slot), a memoized one from the prologue cache, or a
-  // fresh serial build. Updates the pipeline/dispatch/cache stats and
-  // live_from_cache_ (cache-resident prologues keep their is_tx marks
-  // across rounds; the others are cleared at round end as before).
-  RoundPrologue& AcquirePrologue(std::span<const std::size_t> tx,
-                                 std::span<const std::size_t> listeners) const;
-  // The prologue-cache half of AcquirePrologue, shared with the rank path:
-  // returns a hit's prologue or builds into the evicted LRU slot. Only
-  // called when options_.prologue_cache > 0.
-  RoundPrologue& CacheAcquire(std::span<const std::size_t> tx,
-                              std::span<const std::size_t> listeners,
-                              std::span<const std::uint32_t> ordinals) const;
-  // Launches the speculative build of the disclosed next round into the
-  // spare slot, if there is a disclosure and the pipeline is active.
-  void MaybePrefetchNext() const;
-  // Completes and discards any in-flight speculative build. Must run
-  // before anything the build reads (grid buckets, tile map) mutates.
-  void AbandonPrefetch() const;
-  // Clears P's is_tx marks for the given transmitter set.
-  static void ClearTxMarks(RoundPrologue& P,
-                           std::span<const std::size_t> tx);
+  // via the pyramid (rounds with >= pyramid_min_occupied occupied tiles)
+  // or the flat occupied-tile walk.
+  void BuildTileState(std::span<const std::size_t> listeners) const;
   // Resolves listeners into s.pending, tagged with their ordinal and
   // ordinal-sorted: all of them when `all_listeners` is set (a whole
   // serial grid round), else exactly the ones named by `ordinals`
@@ -556,43 +368,14 @@ class Engine {
   // the virtual GainFromDistanceSq per link.
   const PathLossModel* pure_path_loss_ = nullptr;
 
-  // Double-buffered round prologues: prologue_[live_slot_] backs the
-  // current round; the other slot is the speculative build target.
-  mutable RoundPrologue prologue_[2];
-  mutable int live_slot_ = 0;
+  // The round prologue: rebuilt at the top of every grid round, then read
+  // by that round's shards.
+  mutable RoundPrologue prologue_;
 
-  // Far-field tile pyramid (Options::farfield == kPyramid), rebuilt by each
-  // prologue build from that round's tx CSR. One instance is enough: builds
-  // are serialized (AbandonPrefetch/Collect precede every fresh build) and
-  // shards never touch it — they read the hoisted tile state instead.
+  // Far-field tile pyramid, rebuilt by each prologue build that descends
+  // it from that round's tx CSR. Shards never touch it — they read the
+  // hoisted tile state instead.
   mutable FarFieldPyramid pyramid_;
-
-  // Transmit-set-memoized prologues (Options::prologue_cache): a small LRU
-  // of fully built RoundPrologue values. Entries keep their is_tx marks
-  // while resident (valid for their own tx set; every prologue carries its
-  // own mark array) and are cleared only on eviction.
-  struct CacheEntry {
-    bool used = false;
-    std::uint64_t key = 0;        // content hash (validation re-compares)
-    std::uint64_t last_used = 0;  // LRU clock
-    std::vector<std::uint32_t> ordinals;  // rank-path key (empty = whole round)
-    RoundPrologue P;
-  };
-  mutable std::vector<CacheEntry> cache_;
-  mutable std::uint64_t cache_tick_ = 0;
-  mutable bool live_from_cache_ = false;
-
-  // --- Pipeline state (Options::pipeline). ---
-  mutable parallel::RoundPlanner planner_;
-  mutable bool prefetch_pending_ = false;
-  // The un-consumed SetNextRound disclosure (swapped into the spare slot
-  // when the speculative build launches).
-  mutable bool next_valid_ = false;
-  mutable std::vector<std::size_t> next_tx_;
-  mutable std::vector<std::size_t> next_listeners_;
-  mutable std::vector<Vec2> next_tx_pos_;
-  mutable std::uint64_t next_index_gen_ = 0;
-  mutable std::uint64_t next_pos_gen_ = 0;
 
   // Per-worker round state; [0] doubles as the serial scratch.
   mutable std::vector<RoundScratch> scratch_;

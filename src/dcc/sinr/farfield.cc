@@ -19,49 +19,6 @@ void FarFieldPyramid::Reset(const SpatialGrid& grid) {
     nx = (nx + 1) / 2;
     ny = (ny + 1) / 2;
   }
-  near_mark_.assign(
-      static_cast<std::size_t>(nx0_) * static_cast<std::size_t>(ny0_), 0);
-}
-
-std::vector<int> FarFieldPyramid::NearTiles(const SpatialGrid& grid,
-                                            std::span<const int> listener_tiles,
-                                            std::span<const int> occupied_tx,
-                                            double far_start) const {
-  const double far_sq = far_start * far_start;
-  const int top = static_cast<int>(levels_.size()) - 1;
-  for (const int t : listener_tiles) {
-    stack_.clear();
-    if (top >= 0 && levels_[static_cast<std::size_t>(top)].count[0] > 0) {
-      stack_.push_back(Cell{top, 0, 0});
-    }
-    while (!stack_.empty()) {
-      const Cell c = stack_.back();
-      stack_.pop_back();
-      const int bx0 = c.x << c.level;
-      const int by0 = c.y << c.level;
-      const int bx1 = std::min(((c.x + 1) << c.level) - 1, nx0_ - 1);
-      const int by1 = std::min(((c.y + 1) << c.level) - 1, ny0_ - 1);
-      if (grid.TileRangeDistLoSq(t, bx0, by0, bx1, by1) > far_sq) continue;
-      if (c.level == 0) {
-        near_mark_[static_cast<std::size_t>(by0) *
-                       static_cast<std::size_t>(nx0_) +
-                   static_cast<std::size_t>(bx0)] = 1;
-      } else {
-        PushChildren(c);
-      }
-    }
-  }
-  // Ascending by construction: marks are harvested in occupied order, which
-  // is exactly how the flat NearTxTiles emits them.
-  std::vector<int> out;
-  for (const int b : occupied_tx) {
-    auto& mark = near_mark_[static_cast<std::size_t>(b)];
-    if (mark != 0) {
-      out.push_back(b);
-      mark = 0;
-    }
-  }
-  return out;
 }
 
 }  // namespace dcc::sinr

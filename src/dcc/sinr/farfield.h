@@ -29,10 +29,9 @@
 //    listeners receive, which is why receptions are bit-identical with the
 //    pyramid on or off.
 //
-// Thread-safety: Rebuild/Accumulate/NearTiles use internal scratch and must
-// not run concurrently on one pyramid. The engine serializes its prologue
-// builds (AbandonPrefetch/Collect precede every fresh build), which is the
-// only place the pyramid is touched.
+// Thread-safety: Rebuild/Accumulate use internal scratch and must not run
+// concurrently on one pyramid. The engine touches it only from its serial
+// prologue build.
 #pragma once
 
 #include <algorithm>
@@ -54,10 +53,9 @@ class FarFieldPyramid {
   void Reset(const SpatialGrid& grid);
 
   // Rebuilds the counts from one round's occupied transmitter tiles
-  // (ascending) and a per-tile count lookup — the engine passes CSR row
-  // widths, the distributed session its tx tally. Incremental: only the
-  // cells touched by the previous round are zeroed, so a rebuild is
-  // O(|occupied| * levels), not O(#tiles).
+  // (ascending) and a per-tile count lookup (the engine passes its CSR row
+  // widths). Incremental: only the cells touched by the previous round are
+  // zeroed, so a rebuild is O(|occupied| * levels), not O(#tiles).
   template <class CountFn>
   void Rebuild(std::span<const int> occupied_tx, CountFn&& count_of) {
     for (Level& lv : levels_) {
@@ -122,17 +120,6 @@ class FarFieldPyramid {
               close_out.end());
   }
 
-  // The subset of `occupied_tx` within far_start of at least one listener
-  // tile, ascending — provably the same set protocol.h's flat NearTxTiles
-  // derives (the leaf close/far classification above is exact), found in
-  // O(|listener_tiles| * log #tiles + |occupied|) instead of the flat
-  // product. The distributed session uses this for its per-rank halo cut;
-  // the receiving rank still verifies against the flat derivation.
-  std::vector<int> NearTiles(const SpatialGrid& grid,
-                             std::span<const int> listener_tiles,
-                             std::span<const int> occupied_tx,
-                             double far_start) const;
-
   // This round's transmitter count at a leaf tile (0 when unoccupied).
   std::uint32_t LeafCount(int tile) const {
     return levels_.empty() ? 0
@@ -174,8 +161,7 @@ class FarFieldPyramid {
 
   int nx0_ = 0, ny0_ = 0;  // leaf (grid) dimensions
   std::vector<Level> levels_;
-  mutable std::vector<Cell> stack_;       // descent scratch
-  mutable std::vector<char> near_mark_;   // NearTiles scratch
+  mutable std::vector<Cell> stack_;  // descent scratch
 };
 
 }  // namespace dcc::sinr

@@ -1,7 +1,6 @@
 // Engine::Options::FromEnv — strict parsing of DCC_ENGINE_MODE /
-// DCC_ENGINE_CELL / DCC_ENGINE_THREADS / DCC_ENGINE_MIN_SHARD /
-// DCC_ENGINE_FARFIELD / DCC_ENGINE_PROLOGUE_CACHE. Typos must reject, not
-// silently fall back.
+// DCC_ENGINE_CELL / DCC_ENGINE_THREADS / DCC_ENGINE_MIN_SHARD. Typos must
+// reject, not silently fall back.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -18,8 +17,6 @@ class EngineEnvTest : public ::testing::Test {
     unsetenv("DCC_ENGINE_CELL");
     unsetenv("DCC_ENGINE_THREADS");
     unsetenv("DCC_ENGINE_MIN_SHARD");
-    unsetenv("DCC_ENGINE_FARFIELD");
-    unsetenv("DCC_ENGINE_PROLOGUE_CACHE");
   }
 };
 
@@ -90,50 +87,16 @@ TEST_F(EngineEnvTest, RejectsMalformedMinShard) {
   EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
 }
 
-TEST_F(EngineEnvTest, ParsesFarfield) {
-  setenv("DCC_ENGINE_FARFIELD", "flat", 1);
-  EXPECT_EQ(Engine::Options::FromEnv().farfield, Engine::FarField::kFlat);
-  setenv("DCC_ENGINE_FARFIELD", "pyramid", 1);
-  EXPECT_EQ(Engine::Options::FromEnv().farfield, Engine::FarField::kPyramid);
-}
-
-TEST_F(EngineEnvTest, RejectsFarfieldTypos) {
-  setenv("DCC_ENGINE_FARFIELD", "pyramind", 1);
-  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-  setenv("DCC_ENGINE_FARFIELD", "on", 1);
-  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-}
-
-TEST_F(EngineEnvTest, ParsesPrologueCache) {
-  setenv("DCC_ENGINE_PROLOGUE_CACHE", "8", 1);
-  EXPECT_EQ(Engine::Options::FromEnv().prologue_cache, 8u);
-  setenv("DCC_ENGINE_PROLOGUE_CACHE", "0", 1);  // 0 = off
-  EXPECT_EQ(Engine::Options::FromEnv().prologue_cache, 0u);
-}
-
-TEST_F(EngineEnvTest, RejectsMalformedPrologueCache) {
-  setenv("DCC_ENGINE_PROLOGUE_CACHE", "many", 1);
-  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-  setenv("DCC_ENGINE_PROLOGUE_CACHE", "-1", 1);
-  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-  setenv("DCC_ENGINE_PROLOGUE_CACHE", "4096", 1);  // above the sanity cap
-  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-}
-
 TEST_F(EngineEnvTest, EmptyValuesMeanUnset) {
   setenv("DCC_ENGINE_MODE", "", 1);
   setenv("DCC_ENGINE_CELL", "", 1);
   setenv("DCC_ENGINE_THREADS", "", 1);
   setenv("DCC_ENGINE_MIN_SHARD", "", 1);
-  setenv("DCC_ENGINE_FARFIELD", "", 1);
-  setenv("DCC_ENGINE_PROLOGUE_CACHE", "", 1);
   const auto opts = Engine::Options::FromEnv();
   EXPECT_EQ(opts.mode, Engine::Mode::kAuto);
   EXPECT_EQ(opts.cell, 0.0);
   EXPECT_EQ(opts.threads, 1);
   EXPECT_EQ(opts.min_listeners_per_shard, Engine::kMinListenersPerShard);
-  EXPECT_EQ(opts.farfield, Engine::FarField::kPyramid);
-  EXPECT_EQ(opts.prologue_cache, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -17,15 +18,19 @@
 namespace dcc::sinr {
 namespace {
 
+// gtest names each instance by the raw bytes of its Scenario, so every
+// field is 8 bytes wide: padding bytes are indeterminate and would make
+// the test names differ from one build (or run) to the next.
 struct Scenario {
-  int n;
+  std::int64_t n;
   double side;
   double shadowing_spread;
-  int tx_period;  // every tx_period-th node transmits
-  double cell;    // grid tile size; 0 = auto
+  std::int64_t tx_period;  // every tx_period-th node transmits
+  double cell;             // grid tile size; 0 = auto
 };
+static_assert(sizeof(Scenario) == 5 * 8, "Scenario must have no padding");
 
-void SplitTxListeners(std::size_t n, int period,
+void SplitTxListeners(std::size_t n, std::int64_t period,
                       std::vector<std::size_t>& tx,
                       std::vector<std::size_t>& listeners) {
   tx.clear();
@@ -65,7 +70,8 @@ TEST_P(EngineEquivalence, GridReproducesExactReceptions) {
   const Scenario sc = GetParam();
   Params params = Params::Default();
   params.id_space = 1 << 16;
-  auto pts = workload::UniformSquare(sc.n, sc.side, /*seed=*/17 + sc.n);
+  auto pts = workload::UniformSquare(static_cast<int>(sc.n), sc.side,
+                                    /*seed=*/17 + sc.n);
   std::vector<NodeId> ids(pts.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     ids[i] = static_cast<NodeId>(2 * i + 3);  // non-sequential ids

@@ -1,34 +1,25 @@
-// The far-field tile pyramid and the transmit-set-memoized prologue cache
-// must be invisible except for speed:
+// The far-field tile pyramid must be invisible except for speed:
 //  * the pyramid's coarse bounds are CONSERVATIVE relative to the flat
 //    per-tile walk (interference lower bound can only shrink, best-gain
 //    upper bound can only grow) and its leaf close/far classification is
 //    EXACT — checked as a randomized property over 1k transmit sets with
 //    shadowing on and off;
-//  * receptions are bit-identical with the pyramid on or off, and with the
-//    prologue cache on or off, across thread counts, rank counts, and
-//    mobility + churn;
-//  * a periodic (TDMA) schedule hits the cache on every repeat, and any
-//    position or membership mutation invalidates instead of serving stale
-//    state.
+//  * receptions are bit-identical with the pyramid descent forced on
+//    (pyramid_min_occupied = 0) or off (SIZE_MAX), across thread counts and
+//    mobility + churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <memory>
-#include <set>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dcc/common/rng.h"
 #include "dcc/common/spatial_grid.h"
-#include "dcc/distrib/protocol.h"
-#include "dcc/distrib/session.h"
-#include "dcc/scenario/scenario.h"
-#include "dcc/scenario/spec.h"
 #include "dcc/sinr/engine.h"
 #include "dcc/sinr/farfield.h"
 #include "dcc/sinr/network.h"
@@ -98,9 +89,9 @@ TEST(FarFieldRangeBoundsTest, RangeBoundsContainEveryMemberTile) {
 
 // --- Pyramid bounds: randomized conservativeness property -------------------
 
-// Flat reference: the exact walk BuildTileState performs with
-// --farfield=flat (occupied ascending; far tiles accumulate count-scaled
-// envelope bounds, close tiles are listed).
+// Flat reference: the exact walk BuildTileState performs below
+// pyramid_min_occupied (occupied ascending; far tiles accumulate
+// count-scaled envelope bounds, close tiles are listed).
 template <class MinGain, class MaxGain>
 void FlatAccumulate(const SpatialGrid& grid, int tile, double far_sq,
                     const std::vector<int>& occupied,
@@ -201,41 +192,11 @@ TEST(FarFieldPyramidTest, BoundsConservativeUnderShadowing) {
   RunConservativenessProperty(/*shadowing_spread=*/0.6, /*seed=*/202);
 }
 
-TEST(FarFieldPyramidTest, NearTilesMatchesFlatHaloDerivation) {
-  constexpr int kNx = 20, kNy = 16;
-  const SpatialGrid grid = MakeGrid(kNx, kNy, 1.0);
-  FarFieldPyramid pyr;
-  pyr.Reset(grid);
-  Xoshiro256ss rng(33);
-  std::vector<std::uint32_t> count(static_cast<std::size_t>(kNx) * kNy);
-  for (int it = 0; it < 200; ++it) {
-    std::fill(count.begin(), count.end(), 0);
-    std::vector<int> occupied, listener_tiles;
-    const int n_occ = 1 + static_cast<int>(rng.NextBelow(50));
-    for (int i = 0; i < n_occ; ++i) {
-      count[rng.NextBelow(static_cast<std::uint64_t>(kNx) * kNy)] = 1;
-    }
-    for (int t = 0; t < kNx * kNy; ++t) {
-      if (count[static_cast<std::size_t>(t)] > 0) occupied.push_back(t);
-    }
-    std::set<int> lt;
-    const int n_lt = 1 + static_cast<int>(rng.NextBelow(6));
-    for (int i = 0; i < n_lt; ++i) {
-      lt.insert(
-          static_cast<int>(rng.NextBelow(static_cast<std::uint64_t>(kNx) * kNy)));
-    }
-    listener_tiles.assign(lt.begin(), lt.end());
-    const double far_start = 2.0 + static_cast<double>(rng.NextBelow(8));
+// --- Engine: pyramid on/off — bit for bit ----------------------------------
 
-    pyr.Rebuild(occupied,
-                [&](int b) { return count[static_cast<std::size_t>(b)]; });
-    EXPECT_EQ(distrib::NearTxTiles(grid, listener_tiles, occupied, far_start),
-              pyr.NearTiles(grid, listener_tiles, occupied, far_start))
-        << "it=" << it;
-  }
-}
-
-// --- Engine: pyramid on/off, cache on/off — bit for bit ---------------------
+// Below this many occupied tiles the engine walks the flat list, so
+// SIZE_MAX pins the flat reference on every round; 0 forces the descent.
+constexpr std::size_t kFlatOnly = std::numeric_limits<std::size_t>::max();
 
 void ExpectBitIdentical(const std::vector<Reception>& ref,
                         const std::vector<Reception>& got,
@@ -276,7 +237,7 @@ TEST(FarFieldEngineTest, PyramidBitIdenticalToFlatAcrossThreads) {
   for (const double spread : {0.0, 0.4}) {
     const Network net = MakeUniformNet(700, 13.0, spread, 404);
     Engine::Options flat{.mode = Engine::Mode::kGrid};
-    flat.farfield = Engine::FarField::kFlat;
+    flat.pyramid_min_occupied = kFlatOnly;
     const Engine ref(net, flat);
     std::vector<std::size_t> tx, listeners;
     std::vector<Reception> want, got;
@@ -285,7 +246,6 @@ TEST(FarFieldEngineTest, PyramidBitIdenticalToFlatAcrossThreads) {
       ref.StepInto(tx, listeners, want);
       for (const int threads : {1, 4}) {
         Engine::Options pyr{.mode = Engine::Mode::kGrid};
-        pyr.farfield = Engine::FarField::kPyramid;
         pyr.pyramid_min_occupied = 0;  // force the descent on this fixture
         pyr.threads = threads;
         const Engine eng(net, pyr);
@@ -295,7 +255,6 @@ TEST(FarFieldEngineTest, PyramidBitIdenticalToFlatAcrossThreads) {
                                " period=" + std::to_string(period) +
                                " threads=" + std::to_string(threads));
         EXPECT_GT(eng.stats().tile_states_computed, 0);
-        EXPECT_EQ(eng.stats().tile_states_reused, 0);
       }
     }
   }
@@ -307,18 +266,14 @@ TEST(FarFieldEngineTest, MobilityChurnStaysIdentical) {
   Network net = MakeUniformNet(n, side, 0.0, 909);
   Engine::Options flat{.mode = Engine::Mode::kGrid};
   flat.coverage = Box{{0.0, 0.0}, {side, side}};
-  flat.farfield = Engine::FarField::kFlat;
+  flat.pyramid_min_occupied = kFlatOnly;
   Engine::Options pyr = flat;
-  pyr.farfield = Engine::FarField::kPyramid;
   pyr.pyramid_min_occupied = 0;  // force the descent on this fixture
   Engine::Options pyr4 = pyr;
   pyr4.threads = 4;
-  Engine::Options pyr_cached = pyr;
-  pyr_cached.prologue_cache = 4;
   Engine ref(net, flat);
   Engine a(net, pyr);
   Engine b(net, pyr4);
-  Engine c(net, pyr_cached);
 
   Xoshiro256ss rng(4242);
   std::vector<char> active(n, 1);
@@ -334,17 +289,17 @@ TEST(FarFieldEngineTest, MobilityChurnStaysIdentical) {
           side, std::max(0.0, pos[i].y + 0.6 * (rng.NextDouble() - 0.5)));
     }
     net.SetPositions(pos);
-    for (Engine* e : {&ref, &a, &b, &c}) e->SyncIndex();
+    for (Engine* e : {&ref, &a, &b}) e->SyncIndex();
     for (int i = 0; i < n; ++i) {
       if (active[i] && rng.NextBelow(20) == 0) {
         active[i] = 0;
-        for (Engine* e : {&ref, &a, &b, &c}) e->IndexErase(i);
+        for (Engine* e : {&ref, &a, &b}) e->IndexErase(i);
       } else if (!active[i] && rng.NextBelow(4) == 0) {
         const Vec2 p{side * rng.NextDouble(), side * rng.NextDouble()};
         pos[i] = p;
         net.SetPosition(i, p);
         active[i] = 1;
-        for (Engine* e : {&ref, &a, &b, &c}) e->IndexInsert(i);
+        for (Engine* e : {&ref, &a, &b}) e->IndexInsert(i);
       }
     }
     tx.clear();
@@ -354,228 +309,10 @@ TEST(FarFieldEngineTest, MobilityChurnStaysIdentical) {
       (i % 5 == epoch % 5 ? tx : listeners).push_back(i);
     }
     ref.StepInto(tx, listeners, want);
-    for (Engine* e : {&a, &b, &c}) {
+    for (Engine* e : {&a, &b}) {
       e->StepInto(tx, listeners, got);
       ExpectBitIdentical(want, got, "epoch " + std::to_string(epoch));
     }
-  }
-  // Every mutation bumped a generation stamp, so the cached engine can
-  // never have served a stale prologue.
-  EXPECT_EQ(c.stats().prologue_cache_hits, 0);
-  EXPECT_EQ(c.stats().prologue_cache_misses, 6);
-}
-
-// --- Prologue cache ---------------------------------------------------------
-
-TEST(PrologueCacheTest, PeriodicScheduleHitsAfterFirstPeriod) {
-  const Network net = MakeUniformNet(600, 12.0, 0.0, 777);
-  Engine::Options base{.mode = Engine::Mode::kGrid};
-  base.pyramid_min_occupied = 0;  // cache + descent together
-  const Engine ref(net, base);
-  for (const int threads : {1, 4}) {
-    Engine::Options copts = base;
-    copts.threads = threads;
-    copts.prologue_cache = 8;
-    const Engine cached(net, copts);
-    constexpr int kPeriod = 4;
-    constexpr int kRounds = 24;
-    std::vector<std::size_t> tx, listeners;
-    std::vector<Reception> want, got;
-    for (int r = 0; r < kRounds; ++r) {
-      // TDMA: slot r mod kPeriod transmits, the rest listen — after the
-      // first period every (tx, listeners) pair repeats exactly.
-      tx.clear();
-      listeners.clear();
-      for (std::size_t i = 0; i < net.size(); ++i) {
-        (i % kPeriod == static_cast<std::size_t>(r % kPeriod) ? tx : listeners)
-            .push_back(i);
-      }
-      ref.StepInto(tx, listeners, want);
-      cached.StepInto(tx, listeners, got);
-      ExpectBitIdentical(want, got, "threads=" + std::to_string(threads) +
-                                        " round " + std::to_string(r));
-    }
-    EXPECT_EQ(cached.stats().prologue_cache_misses, kPeriod)
-        << "threads=" << threads;
-    EXPECT_EQ(cached.stats().prologue_cache_hits, kRounds - kPeriod)
-        << "threads=" << threads;
-    EXPECT_GT(cached.stats().tile_states_reused, 0) << "threads=" << threads;
-  }
-}
-
-TEST(PrologueCacheTest, CapacityEvictionStillCorrect) {
-  const Network net = MakeUniformNet(400, 10.0, 0.0, 321);
-  Engine::Options base{.mode = Engine::Mode::kGrid};
-  const Engine ref(net, base);
-  Engine::Options copts = base;
-  copts.prologue_cache = 2;  // smaller than the period: every round evicts
-  const Engine cached(net, copts);
-  std::vector<std::size_t> tx, listeners;
-  std::vector<Reception> want, got;
-  for (int r = 0; r < 12; ++r) {
-    SplitTxListeners(net.size(), 2 + (r % 4), tx, listeners);
-    ref.StepInto(tx, listeners, want);
-    cached.StepInto(tx, listeners, got);
-    ExpectBitIdentical(want, got, "round " + std::to_string(r));
-  }
-  // Period 4 > capacity 2: LRU evicts every slot before it repeats.
-  EXPECT_EQ(cached.stats().prologue_cache_hits, 0);
-  EXPECT_EQ(cached.stats().prologue_cache_misses, 12);
-}
-
-TEST(PrologueCacheTest, PositionMutationInvalidates) {
-  const double side = 10.0;
-  Network net = MakeUniformNet(400, side, 0.0, 11);
-  Engine::Options copts{.mode = Engine::Mode::kGrid};
-  copts.coverage = Box{{0.0, 0.0}, {side, side}};
-  copts.prologue_cache = 4;
-  Engine cached(net, copts);
-  Engine::Options base{.mode = Engine::Mode::kGrid};
-  base.coverage = copts.coverage;
-  Engine ref(net, base);
-
-  std::vector<std::size_t> tx, listeners;
-  SplitTxListeners(net.size(), 4, tx, listeners);
-  std::vector<Reception> want, got;
-  ref.StepInto(tx, listeners, want);
-  cached.StepInto(tx, listeners, got);
-  ExpectBitIdentical(want, got, "before move");
-  ASSERT_EQ(cached.stats().prologue_cache_misses, 1);
-
-  // Same transmit set again: a hit.
-  cached.StepInto(tx, listeners, got);
-  ExpectBitIdentical(want, got, "repeat");
-  ASSERT_EQ(cached.stats().prologue_cache_hits, 1);
-
-  // Move one node: the generation stamps must reject the entry even though
-  // the sets are unchanged.
-  net.SetPosition(3, Vec2{side * 0.5, side * 0.5});
-  ref.SyncIndex();
-  cached.SyncIndex();
-  ref.StepInto(tx, listeners, want);
-  cached.StepInto(tx, listeners, got);
-  ExpectBitIdentical(want, got, "after move");
-  EXPECT_EQ(cached.stats().prologue_cache_hits, 1);
-  EXPECT_EQ(cached.stats().prologue_cache_misses, 2);
-
-  // Churn: erase a listener from the index — again a forced rebuild.
-  const std::size_t gone = listeners.back();
-  listeners.pop_back();
-  ref.IndexErase(gone);
-  cached.IndexErase(gone);
-  ref.StepInto(tx, listeners, want);
-  cached.StepInto(tx, listeners, got);
-  ExpectBitIdentical(want, got, "after churn");
-  EXPECT_EQ(cached.stats().prologue_cache_misses, 3);
-}
-
-// --- Distributed ranks ------------------------------------------------------
-
-TEST(FarFieldDistribTest, RanksBitIdenticalWithPyramidAndCache) {
-  const std::vector<std::string> args = {"--topology=uniform:n=600,side=14",
-                                         "--farfield=pyramid",
-                                         "--prologue-cache=4"};
-  const auto spec = scenario::ScenarioSpec::FromArgs(args);
-  const std::uint64_t seed = 7;
-  sinr::Network net = scenario::BuildScenarioNetwork(spec, seed);
-
-  // Reference: serial grid, flat far field, no cache.
-  Engine::Options flat{.mode = Engine::Mode::kGrid};
-  flat.cell = 1.5;
-  flat.farfield = Engine::FarField::kFlat;
-  const Engine ref(net, flat);
-
-  Engine::Options pyr = flat;
-  pyr.farfield = Engine::FarField::kPyramid;
-  pyr.pyramid_min_occupied = 0;  // force the descent on this fixture
-  pyr.prologue_cache = 4;
-
-  for (const int ranks : {0, 2}) {
-    std::unique_ptr<distrib::Session> session;
-    Engine::Options opts = pyr;
-    if (ranks > 0) {
-      session = std::make_unique<distrib::Session>(
-          spec, seed, distrib::Session::Options{ranks, ""});
-      opts.delegate = session.get();
-    }
-    const Engine eng(net, opts);
-    std::vector<std::size_t> tx, listeners;
-    std::vector<Reception> want, got;
-    for (int r = 0; r < 8; ++r) {
-      // Periodic slots so the rank-side prologue caches see repeats too.
-      tx.clear();
-      listeners.clear();
-      for (std::size_t i = 0; i < net.size(); ++i) {
-        (i % 4 == static_cast<std::size_t>(r % 4) ? tx : listeners).push_back(i);
-      }
-      ref.StepInto(tx, listeners, want);
-      eng.StepInto(tx, listeners, got);
-      ExpectBitIdentical(want, got, "ranks=" + std::to_string(ranks) +
-                                        " round " + std::to_string(r));
-    }
-  }
-}
-
-// --- Scenario flags ---------------------------------------------------------
-
-TEST(FarFieldScenarioTest, FlagsDriveEngineAndRoundTrip) {
-  const auto spec = scenario::ScenarioSpec::FromArgs(
-      {"--topology=uniform:n=32,side=3", "--algo=clustering", "--seeds=1",
-       "--farfield=flat", "--prologue-cache=16"});
-  EXPECT_EQ(spec.engine.farfield, Engine::FarField::kFlat);
-  EXPECT_EQ(spec.engine.prologue_cache, 16u);
-  EXPECT_EQ(scenario::ScenarioSpec::FromArgs(spec.ToArgs()), spec);
-
-  // Defaults round-trip to NO flag (the pinned canonical spec string in
-  // scenario_test must not grow).
-  const auto defaults = scenario::ScenarioSpec::FromArgs(
-      {"--topology=uniform", "--algo=clustering", "--seeds=1"});
-  EXPECT_EQ(defaults.engine.farfield, Engine::FarField::kPyramid);
-  EXPECT_EQ(defaults.engine.prologue_cache, 0u);
-  for (const std::string& a : defaults.ToArgs()) {
-    EXPECT_EQ(a.find("--farfield"), std::string::npos) << a;
-    EXPECT_EQ(a.find("--prologue-cache"), std::string::npos) << a;
-  }
-
-  // Strict rejection.
-  EXPECT_THROW(scenario::ScenarioSpec::FromArgs({"--farfield=triangle"}),
-               InvalidArgument);
-  EXPECT_THROW(scenario::ScenarioSpec::FromArgs({"--farfield="}),
-               InvalidArgument);
-  EXPECT_THROW(scenario::ScenarioSpec::FromArgs({"--prologue-cache=big"}),
-               InvalidArgument);
-  EXPECT_THROW(scenario::ScenarioSpec::FromArgs({"--prologue-cache=-4"}),
-               InvalidArgument);
-  EXPECT_THROW(scenario::ScenarioSpec::FromArgs({"--prologue-cache=2000"}),
-               InvalidArgument);
-}
-
-TEST(FarFieldScenarioTest, CachedParallelRunReportsCounters) {
-  scenario::ScenarioSpec spec;
-  spec.topology_params.Set("n", "48");
-  spec.topology_params.Set("side", "4");
-  spec.sinr.id_space = 4096;
-  // Grid mode explicitly: auto would pick exact at n=48, and only grid
-  // rounds build prologues (the cache has nothing to memoize in exact).
-  spec.engine.mode = Engine::Mode::kGrid;
-
-  const scenario::RunReport serial = RunScenario(spec, 1);
-  ASSERT_TRUE(serial.ok) << serial.error;
-
-  scenario::ScenarioSpec cached = spec;
-  cached.engine.threads = 2;
-  cached.engine.prologue_cache = 8;
-  const scenario::RunReport rep = RunScenario(cached, 1);
-  ASSERT_TRUE(rep.ok) << rep.error;
-  ASSERT_FALSE(rep.parallel.empty());
-  EXPECT_GT(rep.parallel.tile_states_computed, 0);
-  EXPECT_GT(rep.parallel.prologue_cache_hits +
-                rep.parallel.prologue_cache_misses,
-            0);
-  // Bit-identity at the metric level: the cache must not change one result.
-  ASSERT_EQ(serial.metrics.entries().size(), rep.metrics.entries().size());
-  for (std::size_t i = 0; i < serial.metrics.entries().size(); ++i) {
-    EXPECT_EQ(serial.metrics.entries()[i], rep.metrics.entries()[i]);
   }
 }
 

@@ -2,10 +2,9 @@
 // interpolated quantiles (including the single-bucket edge case the old
 // service LatencyHistogram got wrong — p50 == p99 for any one-bucket
 // distribution), the Prometheus text exposition, and the Tracer's
-// bounded-buffer drop accounting, ship/inject round trip, and Chrome
-// trace-event JSON shape (validated with the in-repo JsonValue parser —
-// the same well-formedness bar the CI obs-smoke job applies with an
-// external parser).
+// bounded-buffer drop accounting and Chrome trace-event JSON shape
+// (validated with the in-repo JsonValue parser — the same well-formedness
+// bar the CI obs-smoke job applies with an external parser).
 //
 // All Tracer tests run against the process-global instance; each test
 // Enables a fresh recording (which clears prior buffers) and Drains it,
@@ -159,7 +158,6 @@ TEST(ObsTracerTest, DropNewKeepsPrefixAndCountsDrops) {
   EXPECT_EQ(sum.events, 8);
   EXPECT_EQ(sum.dropped, 12);
   EXPECT_EQ(sum.threads, 1);
-  EXPECT_EQ(sum.ranks, 0);
   // Drop-new: the surviving events are the FIRST 8 (values 0..7), not an
   // arbitrary suffix.
   const JsonValue doc = JsonValue::Parse(os.str());
@@ -219,52 +217,7 @@ TEST(ObsTracerTest, DrainWritesWellFormedChromeTrace) {
   EXPECT_EQ(ends, 1);
   EXPECT_EQ(counters, 1);
   EXPECT_EQ(instants, 1);
-  EXPECT_GE(meta, 1);  // process_name for the coordinator
-}
-
-TEST(ObsTracerTest, ShipInjectRoundTripStitchesRank) {
-  Tracer& t = Tracer::Global();
-  // "Rank" recording: capture a couple of events and ship them.
-  t.Enable();
-  const std::uint32_t id = t.Intern("obs_test.rank_work");
-  t.Emit(id, EventKind::kBegin);
-  t.Emit(id, EventKind::kEnd);
-  const std::string ship = t.EncodeShip();
-  // "Coordinator" recording: fresh buffers, then stitch the dump in.
-  t.Enable();
-  t.Emit(t.Intern("obs_test.coord_work"), EventKind::kInstant);
-  ASSERT_TRUE(t.InjectShip(2, ship));
-  std::ostringstream os;
-  const TraceSummary sum = t.Drain(os);
-  EXPECT_EQ(sum.events, 3);  // 1 local + 2 injected
-  EXPECT_EQ(sum.ranks, 1);
-  const JsonValue doc = JsonValue::Parse(os.str());
-  bool saw_rank_event = false, saw_rank_name = false;
-  for (const JsonValue& e : doc.Find("traceEvents")->GetArray()) {
-    if (e.GetString("name", "") == "obs_test.rank_work" &&
-        e.GetNumber("pid", -1.0) == 2.0) {
-      saw_rank_event = true;
-    }
-    if (e.GetString("ph", "") == "M" && e.GetNumber("pid", -1.0) == 2.0) {
-      saw_rank_name = true;
-    }
-  }
-  EXPECT_TRUE(saw_rank_event);
-  EXPECT_TRUE(saw_rank_name);
-}
-
-TEST(ObsTracerTest, InjectShipRejectsMalformedPayloads) {
-  Tracer& t = Tracer::Global();
-  t.Enable();
-  EXPECT_FALSE(t.InjectShip(1, ""));
-  EXPECT_FALSE(t.InjectShip(1, "definitely not a ship payload"));
-  // A hostile event count must be rejected before it allocates.
-  std::string hostile;
-  hostile.append(4, '\0');                      // n_names = 0
-  hostile += std::string("\x7f\xff\xff\xff", 4);  // n_threads, absurd
-  EXPECT_FALSE(t.InjectShip(1, hostile));
-  std::ostringstream os;
-  EXPECT_EQ(t.Drain(os).ranks, 0);
+  EXPECT_GE(meta, 1);  // process_name
 }
 
 TEST(ObsTracerTest, DisabledEmitIsANoOp) {
@@ -299,13 +252,12 @@ TEST(ObsSummaryTest, PrintJsonShape) {
   sum.counters = 2;
   sum.dropped = 1;
   sum.threads = 3;
-  sum.ranks = 2;
   sum.overhead_ns = 1234;
   std::ostringstream os;
   sum.PrintJson(os);
   EXPECT_EQ(os.str(),
             "{\"schema\": \"dcc.obs.v1\", \"events\": 10, \"spans\": 4, "
-            "\"counters\": 2, \"dropped\": 1, \"threads\": 3, \"ranks\": 2, "
+            "\"counters\": 2, \"dropped\": 1, \"threads\": 3, "
             "\"overhead_ns\": 1234}");
 }
 

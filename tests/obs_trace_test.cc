@@ -5,23 +5,19 @@
 //     pool Run's join orders every recorded event before the Drain.
 //
 //  2. Pure observation: receptions are BIT-identical with tracing on or
-//     off, at threads {1, 4} and ranks {0, 2}. The trace must never feed
-//     back into scheduling, so flipping the tracer cannot move a single
-//     reception bit anywhere in the engine / parallel / distrib stack.
-//     (Rank runs fork dcc_rank from the build directory — the same
-//     resolution the distrib equivalence suite relies on.)
+//     off, at threads {1, 4}. The trace must never feed back into
+//     scheduling, so flipping the tracer cannot move a single reception
+//     bit anywhere in the engine / parallel stack.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "dcc/common/rng.h"
-#include "dcc/distrib/session.h"
 #include "dcc/obs/trace.h"
 #include "dcc/parallel/worker_pool.h"
 #include "dcc/scenario/scenario.h"
@@ -86,22 +82,14 @@ bool Transmits(std::uint64_t seed, int round, std::size_t i) {
          0;
 }
 
-// Runs the fixed round schedule at (threads, ranks) and returns the
-// concatenated reception stream.
-std::vector<Reception> RunSchedule(const ScenarioSpec& spec,
-                                   const sinr::Network& net,
-                                   std::uint64_t seed, int threads,
-                                   int ranks) {
+// Runs the fixed round schedule at `threads` and returns the concatenated
+// reception stream.
+std::vector<Reception> RunSchedule(const sinr::Network& net,
+                                   std::uint64_t seed, int threads) {
   Engine::Options opts;
   opts.mode = Engine::Mode::kGrid;
   opts.cell = 1.5;
   opts.threads = threads;
-  std::unique_ptr<distrib::Session> session;
-  if (ranks > 0) {
-    session = std::make_unique<distrib::Session>(
-        spec, seed, distrib::Session::Options{ranks, ""});
-    opts.delegate = session.get();
-  }
   Engine engine(net, opts);
 
   const std::size_t n = net.size();
@@ -130,9 +118,8 @@ void ExpectBitIdentical(const std::vector<Reception>& ref,
   }
 }
 
-void RunBitIdentityConfig(int threads, int ranks) {
-  const std::string label = "threads=" + std::to_string(threads) +
-                            " ranks=" + std::to_string(ranks);
+void RunBitIdentityConfig(int threads) {
+  const std::string label = "threads=" + std::to_string(threads);
   SCOPED_TRACE(label);
   const std::uint64_t seed = 23;
   const ScenarioSpec spec =
@@ -140,26 +127,21 @@ void RunBitIdentityConfig(int threads, int ranks) {
   const sinr::Network net = scenario::BuildScenarioNetwork(spec, seed);
 
   Tracer::Global().Disable();
-  const std::vector<Reception> untraced =
-      RunSchedule(spec, net, seed, threads, ranks);
+  const std::vector<Reception> untraced = RunSchedule(net, seed, threads);
   ASSERT_GT(untraced.size(), 0u);
 
   Tracer::Global().Enable();
-  const std::vector<Reception> traced =
-      RunSchedule(spec, net, seed, threads, ranks);
+  const std::vector<Reception> traced = RunSchedule(net, seed, threads);
   std::ostringstream os;
   const TraceSummary sum = Tracer::Global().Drain(os);
   // The traced run must actually have recorded engine spans...
   EXPECT_GT(sum.events, 0) << label;
-  EXPECT_EQ(sum.ranks, static_cast<std::int64_t>(ranks)) << label;
   // ...without perturbing one reception bit.
   ExpectBitIdentical(untraced, traced, label);
 }
 
-TEST(ObsEquivalenceTest, Threads1Ranks0) { RunBitIdentityConfig(1, 0); }
-TEST(ObsEquivalenceTest, Threads4Ranks0) { RunBitIdentityConfig(4, 0); }
-TEST(ObsEquivalenceTest, Threads1Ranks2) { RunBitIdentityConfig(1, 2); }
-TEST(ObsEquivalenceTest, Threads4Ranks2) { RunBitIdentityConfig(4, 2); }
+TEST(ObsEquivalenceTest, Threads1Ranks0) { RunBitIdentityConfig(1); }
+TEST(ObsEquivalenceTest, Threads4Ranks0) { RunBitIdentityConfig(4); }
 
 }  // namespace
 }  // namespace dcc

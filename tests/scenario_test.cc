@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace dcc::scenario {
 namespace {
@@ -105,6 +106,19 @@ TEST(ScenarioSpecTest, RejectsUnknownOrMalformedFlags) {
   EXPECT_THROW(ScenarioSpec::FromArgs({"--engine=fast"}), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::FromArgs({"--cell=-1"}), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::FromArgs({"--seeds="}), InvalidArgument);
+  // Flags of engine mechanisms that no longer exist are unknown, not
+  // silently ignored.
+  for (const char* gone : {"--pipeline=on", "--ranks=2", "--prologue-cache=8",
+                           "--farfield=flat"}) {
+    try {
+      ScenarioSpec::FromArgs({gone});
+      ADD_FAILURE() << gone << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown scenario flag"),
+                std::string::npos)
+          << gone << ": " << e.what();
+    }
+  }
 }
 
 // --- Registries -------------------------------------------------------------

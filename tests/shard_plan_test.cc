@@ -1,8 +1,6 @@
-// Cut invariants of the domain decomposition (parallel/shard_plan.h). The
-// distributed launcher exports bounds() to rank processes, which must agree
-// on the exact cut — so the invariants here are wire-protocol guarantees,
-// not just engine internals: contiguous, disjoint, covering, and (under
-// kBalanced) a pure deterministic function of the weight histogram.
+// Cut invariants of the domain decomposition (parallel/shard_plan.h):
+// contiguous, disjoint, covering, and (under kBalanced) a pure
+// deterministic function of the weight histogram.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -54,25 +54,6 @@ void PrintUsage(std::ostream& os) {
         "                             receptions are bit-identical at every\n"
         "                             T, and parallel runs report a\n"
         "                             dcc.parallel.v1 section\n"
-        "  --pipeline=on|off          overlap each round's prologue build\n"
-        "                             with the previous round's shards for\n"
-        "                             schedule-driven algorithms (grid mode,\n"
-        "                             threads > 1; bit-identical output) (off)\n"
-        "  --ranks=N                  distribute rounds across N rank\n"
-        "                             processes (grid mode; fork/exec of\n"
-        "                             dcc_rank over socketpairs). Receptions\n"
-        "                             are bit-identical to --ranks=0 and runs\n"
-        "                             report a dcc.distrib.v1 section (0)\n"
-        "  --farfield=pyramid|flat    far-field bound accumulation: descend\n"
-        "                             the multi-resolution tile pyramid, or\n"
-        "                             walk every occupied tile per listener\n"
-        "                             tile. Receptions are bit-identical\n"
-        "                             either way (pyramid)\n"
-        "  --prologue-cache=N         memoize up to N round prologues keyed\n"
-        "                             on the transmit/listener sets so\n"
-        "                             periodic schedules (TDMA) skip the\n"
-        "                             serial prologue on repeats;\n"
-        "                             bit-identical output (0 = off)\n"
         "\n"
         "driver flags:\n"
         "  --list --json=PATH --quiet --help   (--json=- writes the report\n"
@@ -83,9 +64,8 @@ void PrintUsage(std::ostream& os) {
         "                             exit\n"
         "  --trace=PATH               record spans/counters for the whole\n"
         "                             sweep and write one Chrome-trace JSON\n"
-        "                             (load in Perfetto / chrome://tracing;\n"
-        "                             rank traces are stitched in). Pure\n"
-        "                             observation: receptions stay\n"
+        "                             (load in Perfetto / chrome://tracing).\n"
+        "                             Pure observation: receptions stay\n"
         "                             bit-identical. Summary on stderr\n"
         "  --metrics                  after the sweep, dump the process\n"
         "                             metrics registry (Prometheus text\n"
