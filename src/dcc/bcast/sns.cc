@@ -12,14 +12,13 @@ Round RunSns(sim::Exec& ex, const cluster::Profile& prof,
   const auto sns = prof.MakeSns(ex.net().params().id_space, nonce);
   sim::ExecuteSchedule(
       ex, *sns, parts,
-      [&](std::size_t idx, std::int64_t) -> std::optional<sim::Message> {
-        auto m = make_msg(idx);
-        if (m && m->src == kNoNode) m->src = ex.net().id(idx);
+      [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
+        auto m = make_msg(parts[p].index);
+        if (m && m->src == kNoNode) m->src = ex.net().id(parts[p].index);
         return m;
       },
-      [&](std::size_t listener, const sim::Message& m, std::int64_t) {
-        hear(listener, m);
-      });
+      [&](std::size_t listener, std::size_t, const sim::Message& m,
+          std::int64_t) { hear(listener, m); });
   return ex.rounds() - start;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <unordered_map>
 
 #include "dcc/cluster/radius_reduction.h"
 #include "dcc/cluster/sparsify.h"
@@ -71,13 +70,10 @@ ClusteringResult BuildClustering(sim::Exec& ex, const Profile& prof,
     // Inheritance: replay each exchange stage; nodes that already hold a
     // cluster broadcast it; children listen for their recorded parent.
     for (const ExchangeStage& stage : lev.sp.stages) {
-      std::unordered_map<std::size_t, std::size_t> pos_of_index;
-      for (std::size_t p = 0; p < stage.participants.size(); ++p) {
-        pos_of_index.emplace(stage.participants[p].index, p);
-      }
       sim::ExecuteSchedule(
           ex, *stage.schedule, stage.participants,
-          [&](std::size_t idx, std::int64_t) -> std::optional<sim::Message> {
+          [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
+            const std::size_t idx = stage.participants[p].index;
             if (res.cluster_of[idx] == kNoCluster) return std::nullopt;
             sim::Message m;
             m.src = net.id(idx);
@@ -85,9 +81,9 @@ ClusteringResult BuildClustering(sim::Exec& ex, const Profile& prof,
             m.a = res.cluster_of[idx];
             return m;
           },
-          [&](std::size_t listener, const sim::Message& m, std::int64_t) {
-            if (m.kind != kInheritMsg) return;
-            if (!pos_of_index.count(listener)) return;
+          [&](std::size_t listener, std::size_t p, const sim::Message& m,
+              std::int64_t) {
+            if (m.kind != kInheritMsg || p == sim::kNotParticipant) return;
             if (res.cluster_of[listener] != kNoCluster) return;
             const auto lit = lev.sp.links.find(net.id(listener));
             if (lit == lev.sp.links.end()) return;

@@ -53,15 +53,12 @@ LabelingResult ImperfectLabeling(sim::Exec& ex, const Profile& prof,
   for (int s = 0; s < num_stages; ++s) {
     if (stage_children[static_cast<std::size_t>(s)].empty()) continue;
     const ExchangeStage& stage = forest.stages[static_cast<std::size_t>(s)];
-    std::unordered_map<std::size_t, std::size_t> pos_of_index;
-    for (std::size_t p = 0; p < stage.participants.size(); ++p) {
-      pos_of_index.emplace(stage.participants[p].index, p);
-    }
     // Dedupe: a parent may hear the same child in several rounds.
     std::unordered_map<NodeId, std::vector<NodeId>> seen;  // parent -> childs
     sim::ExecuteSchedule(
         ex, *stage.schedule, stage.participants,
-        [&](std::size_t idx, std::int64_t) -> std::optional<sim::Message> {
+        [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
+          const std::size_t idx = stage.participants[p].index;
           const NodeId id = net.id(idx);
           const auto lit = forest.links.find(id);
           if (lit == forest.links.end() || lit->second.stage != s)
@@ -74,9 +71,9 @@ LabelingResult ImperfectLabeling(sim::Exec& ex, const Profile& prof,
           m.b = info.at(id).subtree;   // accumulated size
           return m;
         },
-        [&](std::size_t listener, const sim::Message& m, std::int64_t) {
-          if (m.kind != kSubtreeSizeMsg) return;
-          if (!pos_of_index.count(listener)) return;
+        [&](std::size_t listener, std::size_t p, const sim::Message& m,
+            std::int64_t) {
+          if (m.kind != kSubtreeSizeMsg || p == sim::kNotParticipant) return;
           const NodeId me = net.id(listener);
           if (m.a != me) return;
           auto& kids = seen[me];
@@ -118,14 +115,11 @@ LabelingResult ImperfectLabeling(sim::Exec& ex, const Profile& prof,
     const auto& kids = stage_children[static_cast<std::size_t>(s)];
     if (kids.empty()) continue;
     const ExchangeStage& stage = forest.stages[static_cast<std::size_t>(s)];
-    std::unordered_map<std::size_t, std::size_t> pos_of_index;
-    for (std::size_t p = 0; p < stage.participants.size(); ++p) {
-      pos_of_index.emplace(stage.participants[p].index, p);
-    }
     for (int rep = 0; rep < prof.label_reps; ++rep) {
       sim::ExecuteSchedule(
           ex, *stage.schedule, stage.participants,
-          [&](std::size_t idx, std::int64_t) -> std::optional<sim::Message> {
+          [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
+            const std::size_t idx = stage.participants[p].index;
             const NodeId me = net.id(idx);
             const auto iit = info.find(me);
             if (iit == info.end() || !iit->second.has_range)
@@ -149,9 +143,9 @@ LabelingResult ImperfectLabeling(sim::Exec& ex, const Profile& prof,
             }
             return std::nullopt;
           },
-          [&](std::size_t listener, const sim::Message& m, std::int64_t) {
-            if (m.kind != kLabelRangeMsg) return;
-            if (!pos_of_index.count(listener)) return;
+          [&](std::size_t listener, std::size_t p, const sim::Message& m,
+              std::int64_t) {
+            if (m.kind != kLabelRangeMsg || p == sim::kNotParticipant) return;
             const NodeId me = net.id(listener);
             if (m.a != me) return;
             auto& ti = info.at(me);

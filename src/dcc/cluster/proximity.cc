@@ -28,15 +28,10 @@ ProximityResult BuildProximityGraph(sim::Exec& ex, const Profile& prof,
     return res;
   }
 
-  // Lookup: node index -> position in parts; id -> position.
-  std::unordered_map<std::size_t, std::size_t> pos_of_index;
+  // Lookup: id -> position in parts.
   std::unordered_map<NodeId, std::size_t> pos_of_id;
-  pos_of_index.reserve(np);
   pos_of_id.reserve(np);
-  for (std::size_t p = 0; p < np; ++p) {
-    pos_of_index.emplace(parts[p].index, p);
-    pos_of_id.emplace(parts[p].id, p);
-  }
+  for (std::size_t p = 0; p < np; ++p) pos_of_id.emplace(parts[p].id, p);
 
   // --- Exchange phase ---------------------------------------------------
   // heard[p]: (local round, sender position), same-cluster only when
@@ -44,18 +39,15 @@ ProximityResult BuildProximityGraph(sim::Exec& ex, const Profile& prof,
   std::vector<std::vector<std::pair<std::int64_t, std::size_t>>> heard(np);
   sim::ExecuteSchedule(
       ex, S, parts,
-      [&](std::size_t idx, std::int64_t) -> std::optional<sim::Message> {
-        const std::size_t p = pos_of_index.at(idx);
+      [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
         sim::Message m;
         m.src = parts[p].id;
         m.cluster = parts[p].cluster;
         m.kind = kExchangeMsg;
         return m;
       },
-      [&](std::size_t listener, const sim::Message& m, std::int64_t t) {
-        const auto it = pos_of_index.find(listener);
-        if (it == pos_of_index.end()) return;  // not a participant
-        const std::size_t p = it->second;
+      [&](std::size_t, std::size_t p, const sim::Message& m, std::int64_t t) {
+        if (p == sim::kNotParticipant) return;
         if (clustered && m.cluster != parts[p].cluster) return;
         const auto sit = pos_of_id.find(m.src);
         if (sit == pos_of_id.end()) return;
@@ -95,8 +87,7 @@ ProximityResult BuildProximityGraph(sim::Exec& ex, const Profile& prof,
   for (int rep = 0; rep < prof.kappa; ++rep) {
     sim::ExecuteSchedule(
         ex, S, parts,
-        [&](std::size_t idx, std::int64_t) -> std::optional<sim::Message> {
-          const std::size_t p = pos_of_index.at(idx);
+        [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
           if (static_cast<std::size_t>(rep) >= cand[p].size())
             return std::nullopt;
           sim::Message m;
@@ -106,11 +97,9 @@ ProximityResult BuildProximityGraph(sim::Exec& ex, const Profile& prof,
           m.a = parts[cand[p][static_cast<std::size_t>(rep)]].id;
           return m;
         },
-        [&](std::size_t listener, const sim::Message& m, std::int64_t) {
-          if (m.kind != kConfirmMsg) return;
-          const auto it = pos_of_index.find(listener);
-          if (it == pos_of_index.end()) return;
-          const std::size_t p = it->second;
+        [&](std::size_t, std::size_t p, const sim::Message& m,
+            std::int64_t) {
+          if (m.kind != kConfirmMsg || p == sim::kNotParticipant) return;
           if (clustered && m.cluster != parts[p].cluster) return;
           if (m.a != parts[p].id) return;  // not addressed to me
           const auto sit = pos_of_id.find(m.src);

@@ -46,9 +46,9 @@ RadiusReductionStats RadiusReduction(sim::Exec& ex, const Profile& prof,
 
     std::vector<sim::Participant> core_parts;
     core_parts.reserve(core.size());
-    std::unordered_map<std::size_t, std::size_t> core_pos;
+    std::unordered_map<NodeId, std::size_t> core_pos_of_id;
     for (const std::size_t idx : core) {
-      core_pos.emplace(idx, core_parts.size());
+      core_pos_of_id.emplace(net.id(idx), core_parts.size());
       core_parts.push_back(sim::Participant{idx, net.id(idx), kNoCluster});
     }
 
@@ -59,18 +59,16 @@ RadiusReductionStats RadiusReduction(sim::Exec& ex, const Profile& prof,
     std::vector<std::vector<std::size_t>> g_adj(core_parts.size());
     sim::ExecuteSchedule(
         ex, *sns, core_parts,
-        [&](std::size_t idx, std::int64_t) -> std::optional<sim::Message> {
+        [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
           sim::Message m;
-          m.src = net.id(idx);
+          m.src = core_parts[p].id;
           m.kind = kHelloMsg;
           return m;
         },
-        [&](std::size_t listener, const sim::Message& m, std::int64_t) {
-          if (m.kind != kHelloMsg) return;
-          const auto it2 = core_pos.find(listener);
-          if (it2 == core_pos.end()) return;
-          g_adj[it2->second].push_back(
-              core_pos.at(net.IndexOf(m.src)));
+        [&](std::size_t, std::size_t p, const sim::Message& m,
+            std::int64_t) {
+          if (m.kind != kHelloMsg || p == sim::kNotParticipant) return;
+          g_adj[p].push_back(core_pos_of_id.at(m.src));
         });
     for (auto& a : g_adj) {
       std::sort(a.begin(), a.end());
@@ -86,20 +84,17 @@ RadiusReductionStats RadiusReduction(sim::Exec& ex, const Profile& prof,
           core_parts.size());
       sim::ExecuteSchedule(
           ex, *sns, core_parts,
-          [&](std::size_t idx, std::int64_t) -> std::optional<sim::Message> {
-            const std::size_t p = core_pos.at(idx);
+          [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
             sim::Message m;
-            m.src = net.id(idx);
+            m.src = core_parts[p].id;
             m.kind = kMisStateMsg;
             m.a = static_cast<std::int64_t>(state[p]);
             return m;
           },
-          [&](std::size_t listener, const sim::Message& m, std::int64_t) {
-            if (m.kind != kMisStateMsg) return;
-            const auto it2 = core_pos.find(listener);
-            if (it2 == core_pos.end()) return;
-            inbox[it2->second].emplace_back(m.src,
-                                            static_cast<mis::MisState>(m.a));
+          [&](std::size_t, std::size_t p, const sim::Message& m,
+              std::int64_t) {
+            if (m.kind != kMisStateMsg || p == sim::kNotParticipant) return;
+            inbox[p].emplace_back(m.src, static_cast<mis::MisState>(m.a));
           });
       bool changed = false;
       std::vector<mis::MisState> next(state);
@@ -121,13 +116,14 @@ RadiusReductionStats RadiusReduction(sim::Exec& ex, const Profile& prof,
     std::unordered_set<std::size_t> x_set(X.begin(), X.end());
     sim::ExecuteSchedule(
         ex, *sns, centers,
-        [&](std::size_t idx, std::int64_t) -> std::optional<sim::Message> {
+        [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
           sim::Message m;
-          m.src = net.id(idx);
+          m.src = centers[p].id;
           m.kind = kNewClusterMsg;
           return m;
         },
-        [&](std::size_t listener, const sim::Message& m, std::int64_t) {
+        [&](std::size_t listener, std::size_t, const sim::Message& m,
+            std::int64_t) {
           if (m.kind != kNewClusterMsg) return;
           if (!x_set.count(listener)) return;
           if (newcluster.count(listener)) return;  // first reception wins

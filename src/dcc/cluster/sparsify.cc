@@ -23,18 +23,11 @@ void ReplayOnce(
     sim::Exec& ex, const ExchangeStage& stage,
     const std::function<std::optional<sim::Message>(std::size_t)>& payload,
     const std::function<void(std::size_t, const sim::Message&)>& on_hear) {
-  std::unordered_map<std::size_t, std::size_t> pos_of_index;
-  pos_of_index.reserve(stage.participants.size());
-  for (std::size_t p = 0; p < stage.participants.size(); ++p) {
-    pos_of_index.emplace(stage.participants[p].index, p);
-  }
   sim::ExecuteSchedule(
       ex, *stage.schedule, stage.participants,
-      [&](std::size_t idx, std::int64_t) { return payload(pos_of_index.at(idx)); },
-      [&](std::size_t listener, const sim::Message& m, std::int64_t) {
-        const auto it = pos_of_index.find(listener);
-        if (it == pos_of_index.end()) return;
-        on_hear(it->second, m);
+      [&](std::size_t p, std::int64_t) { return payload(p); },
+      [&](std::size_t, std::size_t p, const sim::Message& m, std::int64_t) {
+        if (p != sim::kNotParticipant) on_hear(p, m);
       });
 }
 

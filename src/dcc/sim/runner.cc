@@ -35,6 +35,7 @@ int Exec::RunRound(const std::vector<std::size_t>& candidates,
     return active_.empty() || active_[i];
   };
   for (const std::size_t i : candidates) {
+    DCC_REQUIRE(i < net_->size(), "RunRound: candidate index out of range");
     if (!on(i)) continue;
     if (auto m = decide(i)) {
       tx_.push_back(i);

@@ -34,7 +34,8 @@ class Exec {
 
   // Runs one SINR round.
   //  * `candidates`: indices that may transmit; `decide` is called for each
-  //    and a returned message means "transmit".
+  //    and a returned message means "transmit". An index >= net().size()
+  //    throws InvalidArgument.
   //  * every non-transmitting node is a listener; `hear` fires on each
   //    successful reception (including nodes outside `candidates` — that is
   //    how sleeping nodes get woken in the broadcast problems).

@@ -1,33 +1,40 @@
 #include "dcc/sim/schedule.h"
 
-#include <unordered_map>
-
 namespace dcc::sim {
 
 void ExecuteSchedule(
     Exec& ex, const Schedule& sched, const std::vector<Participant>& parts,
     const std::function<std::optional<Message>(std::size_t, std::int64_t)>&
         make_msg,
-    const std::function<void(std::size_t, const Message&, std::int64_t)>&
-        hear) {
-  std::vector<std::size_t> candidates(parts.size());
-  std::unordered_map<std::size_t, std::size_t> pos;  // node index -> parts pos
-  pos.reserve(parts.size());
+    const std::function<void(std::size_t, std::size_t, const Message&,
+                             std::int64_t)>& hear) {
+  // Node index -> position in `parts`.
+  std::vector<std::size_t> pos(ex.net().size(), kNotParticipant);
   for (std::size_t p = 0; p < parts.size(); ++p) {
-    candidates[p] = parts[p].index;
-    const bool inserted = pos.emplace(parts[p].index, p).second;
-    DCC_REQUIRE(inserted, "ExecuteSchedule: duplicate participant index");
+    DCC_REQUIRE(parts[p].index < pos.size(),
+                "ExecuteSchedule: participant index out of range");
+    DCC_REQUIRE(pos[parts[p].index] == kNotParticipant,
+                "ExecuteSchedule: duplicate participant index");
+    pos[parts[p].index] = p;
   }
 
-  for (std::int64_t t = 0; t < sched.size(); ++t) {
-    ex.RunRound(
-        candidates,
-        [&](std::size_t idx) -> std::optional<Message> {
-          const Participant& part = parts[pos.at(idx)];
-          if (!sched.Transmits(t, part.id, part.cluster)) return std::nullopt;
-          return make_msg(idx, t);
-        },
-        [&](std::size_t listener, const Message& m) { hear(listener, m, t); });
+  std::vector<std::size_t> scheduled;
+  scheduled.reserve(parts.size());
+  std::int64_t t = 0;
+  const Exec::Decide decide = [&](std::size_t idx) {
+    return make_msg(pos[idx], t);
+  };
+  const Exec::Hear deliver = [&](std::size_t listener, const Message& m) {
+    hear(listener, pos[listener], m, t);
+  };
+  for (; t < sched.size(); ++t) {
+    scheduled.clear();
+    for (const Participant& part : parts) {
+      if (sched.Transmits(t, part.id, part.cluster)) {
+        scheduled.push_back(part.index);
+      }
+    }
+    ex.RunRound(scheduled, decide, deliver);
   }
 }
 

@@ -75,15 +75,26 @@ struct Participant {
   ClusterId cluster = kNoCluster;
 };
 
-// Runs `sched` from its first to last round on `ex`.
-//  * `make_msg(index, local_round)` produces the message a scheduled
-//    participant sends (nullopt = stay silent even when scheduled).
-//  * `hear(listener_index, msg, local_round)` fires per reception at any
-//    listening node of the network.
+// The position `hear` reports for a listener outside the participant set.
+inline constexpr std::size_t kNotParticipant = static_cast<std::size_t>(-1);
+
+// Runs `sched` from its first to last round on `ex`, one Exec round per
+// local round (empty rounds included). Each local round t evaluates
+// `sched.Transmits(t, id, cluster)` once per participant; the scheduled
+// participants, in `parts` order, are the round's candidates.
+//  * `make_msg(p, t)` produces the message of scheduled participant
+//    `parts[p]` (nullopt = stay silent); it is never called for an
+//    unscheduled participant.
+//  * `hear(listener, p, msg, t)` fires per reception at any listening node
+//    of the network: `listener` is its node index, `p` its position in
+//    `parts` or kNotParticipant.
+// Participant indices must be distinct and below `ex.net().size()`
+// (InvalidArgument otherwise). Nothing is allocated per local round.
 void ExecuteSchedule(
     Exec& ex, const Schedule& sched, const std::vector<Participant>& parts,
     const std::function<std::optional<Message>(std::size_t, std::int64_t)>&
         make_msg,
-    const std::function<void(std::size_t, const Message&, std::int64_t)>& hear);
+    const std::function<void(std::size_t, std::size_t, const Message&,
+                             std::int64_t)>& hear);
 
 }  // namespace dcc::sim

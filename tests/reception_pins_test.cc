@@ -1,0 +1,105 @@
+// Golden reception pins for the protocol path: one fixed (spec, seed) per
+// case, with the round count, the engine's counters and an order-sensitive
+// digest of every (round, listener, sender) reception pinned to the values
+// the code produced when they were recorded. A change that reorders a
+// transmit set, drops a round or moves a single reception fails here, not
+// just in a comparison of two runs of the same build.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <string>
+
+#include "dcc/scenario/scenario.h"
+
+namespace dcc::scenario {
+namespace {
+
+constexpr const char* kProbeAlgo = "reception_pins.probe";
+
+struct Observed {
+  std::string algo;
+  std::uint64_t digest = 0;
+  sinr::Engine::Stats stats;
+};
+
+void Fold(std::uint64_t& h, std::uint64_t v) {
+  h = (h ^ v) * 0x9e3779b97f4a7c15ull;
+  h ^= h >> 32;
+}
+
+// Runs the named algorithm with an Exec observer folding every reception
+// into the digest, and keeps the engine's counters.
+class ProbeAlgorithm final : public Algorithm {
+ public:
+  explicit ProbeAlgorithm(Observed& obs) : obs_(obs) {}
+
+  RunReport Run(RunContext& ctx) override {
+    obs_.digest = 1469598103934665603ull;
+    ctx.ex.SetObserver([&digest = obs_.digest](
+                           Round r, const std::vector<std::size_t>&,
+                           const std::vector<sinr::Reception>& recs) {
+      for (const sinr::Reception& rec : recs) {
+        Fold(digest, static_cast<std::uint64_t>(r));
+        Fold(digest, rec.listener);
+        Fold(digest, rec.sender);
+      }
+    });
+    RunReport rep = Algorithms().Get(obs_.algo)()->Run(ctx);
+    obs_.stats = ctx.ex.engine().stats();
+    return rep;
+  }
+
+ private:
+  Observed& obs_;
+};
+
+struct Pins {
+  double rounds_total;
+  std::int64_t engine_rounds;
+  std::int64_t transmissions;
+  std::int64_t receptions;
+  std::uint64_t digest;
+};
+
+void ExpectPinned(const std::string& topology, const std::string& algo,
+                  const std::string& engine, const Pins& want) {
+  static Observed obs;  // outlives the factory registered below
+  obs = Observed{};
+  obs.algo = algo;
+  Algorithms().Register(
+      kProbeAlgo, [] { return std::make_unique<ProbeAlgorithm>(obs); },
+      "reception pins probe");
+  ScenarioSpec spec = ScenarioSpec::FromArgs(
+      {"--topology=" + topology, "--algo=" + algo, "--engine=" + engine,
+       "--threads=1"});
+  spec.algo = kProbeAlgo;
+  const RunReport rep = RunScenario(spec, /*seed=*/1);
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_EQ(rep.metrics.Get("rounds_total"), want.rounds_total);
+  EXPECT_EQ(obs.stats.rounds, want.engine_rounds);
+  EXPECT_EQ(obs.stats.transmissions, want.transmissions);
+  EXPECT_EQ(obs.stats.receptions, want.receptions);
+  EXPECT_EQ(obs.digest, want.digest);
+}
+
+// The grid engine must reproduce the exact engine's receptions, so both
+// clustering cases carry the same pins.
+constexpr Pins kClustering{536264, 98431, 211981, 1336839,
+                           0xe19748244a65b920ull};
+
+TEST(ReceptionPinsTest, ClusteringExactEngine) {
+  ExpectPinned("uniform:n=48,side=3.06", "clustering", "exact", kClustering);
+}
+
+TEST(ReceptionPinsTest, ClusteringGridEngine) {
+  ExpectPinned("uniform:n=48,side=3.06", "clustering", "grid", kClustering);
+}
+
+TEST(ReceptionPinsTest, GlobalBroadcast) {
+  ExpectPinned("connected_uniform:n=64,side=3.54", "global_broadcast", "auto",
+               {686138, 51868, 76063, 655497, 0x4822c28536a7e2b6ull});
+}
+
+}  // namespace
+}  // namespace dcc::scenario

@@ -127,6 +127,20 @@ class PingProtocol final : public NodeProtocol {
   bool done_ = false;
 };
 
+TEST(RunnerTest, OutOfRangeCandidateRejected) {
+  const auto net = LineNetwork(4, 0.5);
+  Exec ex(net);
+  const Exec::Decide transmit = [](std::size_t) {
+    return std::optional<Message>(Message{});
+  };
+  const Exec::Hear ignore = [](std::size_t, const Message&) {};
+  EXPECT_THROW(ex.RunRound({0, 7}, transmit, ignore), InvalidArgument);
+  EXPECT_EQ(ex.rounds(), 0);
+  // The rejected round left no transmitter behind.
+  EXPECT_EQ(ex.RunRound({1}, transmit, ignore), 1);
+  EXPECT_EQ(ex.rounds(), 1);
+}
+
 TEST(RunnerTest, StopsWhenAllDone) {
   const auto net = LineNetwork(3, 0.5);
   Runner runner(net);
