@@ -38,21 +38,16 @@ struct RunReport {
   };
   DynamicSection dynamic;
 
-  // Parallel engines only ("dcc.parallel.v1", emitted when the run's
-  // engine decomposed rounds into shards): how the round work spread
-  // across them. Serial runs leave it empty and the JSON omits the
-  // section entirely.
+  // Parallel engines only ("dcc.parallel.v2", emitted when the run's
+  // engine shards rounds): how many rounds were dispatched across the
+  // shards. Serial runs leave it empty and the JSON omits the section
+  // entirely.
   struct ParallelSection {
     int threads = 0;  // resolved shard count (Engine::threads())
     std::int64_t rounds_parallel = 0;  // rounds dispatched across shards
-    // Rounds a parallel engine ran inline because dispatching could not
-    // win: under the listener grain, an indivisible tile plan, or the
-    // engine nested inside a pool-occupying sweep.
+    // Rounds the engine ran inline because they fell under the listener
+    // grain (fewer than min_listeners_per_shard * threads listeners).
     std::int64_t rounds_serial = 0;
-    // Cumulative listeners resolved by each shard index, and the load
-    // skew max/mean (1 = perfectly balanced; 0 when no round dispatched).
-    std::vector<std::int64_t> shard_load;
-    double imbalance = 0.0;
     // Per-listener-tile far-field states built in round prologues (a pure
     // function of the round schedule).
     std::int64_t tile_states_computed = 0;

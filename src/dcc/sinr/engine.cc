@@ -44,16 +44,16 @@ constexpr std::size_t kChunk = 8;
 // definition.
 #if defined(DCC_X86_DISPATCH) && !defined(__clang__) && \
     !defined(__SANITIZE_THREAD__)
-#define DCC_TARGET_CLONES \
-  __attribute__((target_clones("avx512f", "avx2", "default")))
+#define DCC_TARGET_CLONES __attribute__((target_clones("avx2", "default")))
 #else
 #define DCC_TARGET_CLONES
 #endif
 
 // Sweeps the far-field transmitter ranges for one chunk of listeners under
-// the alpha = 3 path-loss kernel. div and sqrt vectorize to their packed
-// forms, which are correctly rounded, so results are bit-identical across
-// the dispatched clones.
+// the alpha = 3 path-loss kernel; AVX-512 hosts run FarSweepAlpha3Avx512
+// instead. div and sqrt vectorize to their packed forms, which are
+// correctly rounded, and neither clone's target has FMA to contract
+// dx * dx + dy * dy, so results are bit-identical across the clones.
 DCC_TARGET_CLONES
 void FarSweepAlpha3(const double* __restrict xs, const double* __restrict ys,
                     const std::pair<std::size_t, std::size_t>* ranges,
@@ -287,17 +287,29 @@ void Engine::StepInto(std::span<const std::size_t> transmitters,
   stats_.transmissions += static_cast<std::int64_t>(transmitters.size());
   out.clear();
   if (transmitters.empty() || listeners.empty()) return;
+  const int shards = ShardsFor(listeners.size());
   if (mode_ == Mode::kGrid) {
-    StepGrid(transmitters, listeners, out);
+    StepGrid(transmitters, listeners, shards, out);
   } else {
-    StepExact(transmitters, listeners, out);
+    StepExact(transmitters, listeners, shards, out);
   }
   stats_.receptions += static_cast<std::int64_t>(out.size());
   receptions_metric.Add(static_cast<std::int64_t>(out.size()));
 }
 
+int Engine::ShardsFor(std::size_t n_listen) const {
+  if (threads_ <= 1) return 1;
+  if (n_listen <
+      options_.min_listeners_per_shard * static_cast<std::size_t>(threads_)) {
+    ++stats_.parallel_small_rounds;
+    return 1;
+  }
+  return threads_;
+}
+
 void Engine::BuildPrologue(std::span<const std::size_t> tx,
-                           std::span<const std::size_t> listeners) const {
+                           std::span<const std::size_t> listeners,
+                           bool sharded) const {
   DCC_TRACE_SPAN("engine.prologue");
   RoundPrologue& P = prologue_;
   const Network& net = *net_;
@@ -333,60 +345,20 @@ void Engine::BuildPrologue(std::span<const std::size_t> tx,
     P.tx_sy[slot] = p.y;
   }
 
-  // Dispatch decision + shard decomposition.
-  const std::size_t n_listen = listeners.size();
-  P.shards = 1;
-  P.small_round = false;
-  if (threads_ > 1 && pool_ != nullptr &&
-      n_listen >= options_.min_listeners_per_shard *
-                      static_cast<std::size_t>(threads_)) {
-    P.shards = threads_;
-  } else if (threads_ > 1) {
-    P.small_round = true;
-  }
-  if (P.shards > 1) {
-    // Plan contiguous tile shards balanced by this round's listener
-    // histogram, then bucket listener ordinals by shard (stable, so each
-    // shard sees its listeners in ascending ordinal order — the exact
-    // relative order the serial sweep would process them in).
-    P.shard_weights.assign(tiles, 0);
-    P.listener_shard.resize(n_listen);
+  if (sharded) {
+    // Stable counting sort of the listener ordinals by tile; O(tiles + n).
+    P.order_fill.assign(tiles + 1, 0);
     for (const std::size_t u : listeners) {
-      ++P.shard_weights[static_cast<std::size_t>(grid.TileOfPoint(u))];
+      ++P.order_fill[static_cast<std::size_t>(grid.TileOfPoint(u)) + 1];
     }
-    P.plan.Reset(grid.tile_count(), P.shards, options_.shard_policy,
-                 P.shard_weights);
-    P.shard_ord_start.assign(static_cast<std::size_t>(P.shards) + 1, 0);
-    for (std::size_t ord = 0; ord < n_listen; ++ord) {
-      const auto k = static_cast<std::uint32_t>(
-          P.plan.ShardOfTile(grid.TileOfPoint(listeners[ord])));
-      P.listener_shard[ord] = k;
-      ++P.shard_ord_start[k + 1];
+    for (std::size_t t = 1; t < P.order_fill.size(); ++t) {
+      P.order_fill[t] += P.order_fill[t - 1];
     }
-    for (std::size_t k = 1; k < P.shard_ord_start.size(); ++k) {
-      P.shard_ord_start[k] += P.shard_ord_start[k - 1];
-    }
-    // A plan below 2 non-empty shards cannot win (tiles are the
-    // decomposition grain; e.g. a tiny network whose auto cell yields one
-    // tile): the dispatch would pay pool overhead to run serially anyway.
-    int populated = 0;
-    for (int k = 0; k < P.shards; ++k) {
-      populated += P.shard_ord_start[static_cast<std::size_t>(k) + 1] >
-                           P.shard_ord_start[static_cast<std::size_t>(k)]
-                       ? 1
-                       : 0;
-    }
-    if (populated < 2) {
-      P.shards = 1;
-      P.small_round = true;
-    } else {
-      P.shard_ordinals.resize(n_listen);
-      P.shard_ord_fill.assign(P.shard_ord_start.begin(),
-                              P.shard_ord_start.end() - 1);
-      for (std::size_t ord = 0; ord < n_listen; ++ord) {
-        P.shard_ordinals[P.shard_ord_fill[P.listener_shard[ord]]++] =
-            static_cast<std::uint32_t>(ord);
-      }
+    P.order.resize(listeners.size());
+    for (std::size_t ord = 0; ord < listeners.size(); ++ord) {
+      P.order[P.order_fill[static_cast<std::size_t>(
+          grid.TileOfPoint(listeners[ord]))]++] =
+          static_cast<std::uint32_t>(ord);
     }
   }
 
@@ -498,52 +470,39 @@ std::optional<Reception> Engine::ResolveExact(
   return std::nullopt;
 }
 
-void Engine::StepExact(std::span<const std::size_t> transmitters,
-                       std::span<const std::size_t> listeners,
+template <typename Resolve>
+void Engine::RunShards(int shards, std::size_t n_listen, const Resolve& resolve,
                        std::vector<Reception>& out) const {
-  const std::size_t n_listen = listeners.size();
-  const int shards =
-      threads_ > 1 && pool_ != nullptr &&
-              n_listen >= options_.min_listeners_per_shard *
-                              static_cast<std::size_t>(threads_)
-          ? threads_
-          : 1;
-  if (shards <= 1) {
-    if (threads_ > 1) ++stats_.parallel_small_rounds;
+  EnsureScratch(shards);
+  ++stats_.parallel_rounds;
+  const auto k_shards = static_cast<std::size_t>(shards);
+  pool_->Run(k_shards, [&](std::size_t k) {
+    resolve(n_listen * k / k_shards, n_listen * (k + 1) / k_shards,
+            scratch_[k]);
+  });
+  MergeShards(shards, out);
+}
+
+void Engine::StepExact(std::span<const std::size_t> transmitters,
+                       std::span<const std::size_t> listeners, int shards,
+                       std::vector<Reception>& out) const {
+  if (shards == 1) {
     for (const std::size_t u : listeners) {
       if (auto r = ResolveExact(u, transmitters)) out.push_back(*r);
     }
     return;
   }
-
-  // Contiguous listener ranges (no spatial structure to decompose in exact
-  // mode); shard k resolves ordinals [n*k/K, n*(k+1)/K).
-  EnsureScratch(shards);
-  ++stats_.parallel_rounds;
-  if (static_cast<int>(stats_.shard_listeners.size()) < shards) {
-    stats_.shard_listeners.resize(static_cast<std::size_t>(shards), 0);
-  }
-  pool_->Run(static_cast<std::size_t>(shards), [&](std::size_t k) {
-    RoundScratch& s = scratch_[k];
-    s.pending.clear();
-    const std::size_t lo = n_listen * k / static_cast<std::size_t>(shards);
-    const std::size_t hi =
-        n_listen * (k + 1) / static_cast<std::size_t>(shards);
-    for (std::size_t ord = lo; ord < hi; ++ord) {
-      if (auto r = ResolveExact(listeners[ord], transmitters)) {
-        s.pending.emplace_back(static_cast<std::uint32_t>(ord), *r);
-      }
-    }
-  });
-  for (int k = 0; k < shards; ++k) {
-    const std::size_t lo =
-        n_listen * static_cast<std::size_t>(k) / static_cast<std::size_t>(shards);
-    const std::size_t hi = n_listen * static_cast<std::size_t>(k + 1) /
-                           static_cast<std::size_t>(shards);
-    stats_.shard_listeners[static_cast<std::size_t>(k)] +=
-        static_cast<std::int64_t>(hi - lo);
-  }
-  MergeShards(shards, out);
+  RunShards(
+      shards, listeners.size(),
+      [&](std::size_t lo, std::size_t hi, RoundScratch& s) {
+        s.pending.clear();
+        for (std::size_t ord = lo; ord < hi; ++ord) {
+          if (auto r = ResolveExact(listeners[ord], transmitters)) {
+            s.pending.emplace_back(static_cast<std::uint32_t>(ord), *r);
+          }
+        }
+      },
+      out);
 }
 
 void Engine::ResolveFallbacksBlocked(
@@ -816,15 +775,13 @@ void Engine::MergeShards(int shards, std::vector<Reception>& out) const {
 }
 
 void Engine::StepGrid(std::span<const std::size_t> transmitters,
-                      std::span<const std::size_t> listeners,
+                      std::span<const std::size_t> listeners, int shards,
                       std::vector<Reception>& out) const {
-  BuildPrologue(transmitters, listeners);
+  BuildPrologue(transmitters, listeners, shards > 1);
   const RoundPrologue& P = prologue_;
   stats_.tile_states_computed += static_cast<std::int64_t>(P.lt_tiles.size());
-  if (P.small_round) ++stats_.parallel_small_rounds;
 
-  const int shards = P.shards;
-  if (shards <= 1) {
+  if (shards == 1) {
     RoundScratch& s = scratch_[0];
     StepGridRange(P, transmitters, listeners, /*all_listeners=*/true, {}, s);
     stats_.grid_pruned += s.pruned;
@@ -835,25 +792,13 @@ void Engine::StepGrid(std::span<const std::size_t> transmitters,
       out.push_back(rec);
     }
   } else {
-    EnsureScratch(shards);
-    ++stats_.parallel_rounds;
-    if (static_cast<int>(stats_.shard_listeners.size()) < shards) {
-      stats_.shard_listeners.resize(static_cast<std::size_t>(shards), 0);
-    }
-    pool_->Run(static_cast<std::size_t>(shards), [&](std::size_t k) {
-      const std::span<const std::uint32_t> ordinals(
-          P.shard_ordinals.data() + P.shard_ord_start[k],
-          P.shard_ord_start[k + 1] - P.shard_ord_start[k]);
-      StepGridRange(P, transmitters, listeners, /*all_listeners=*/false,
-                    ordinals, scratch_[k]);
-    });
-    for (int k = 0; k < shards; ++k) {
-      stats_.shard_listeners[static_cast<std::size_t>(k)] +=
-          static_cast<std::int64_t>(
-              P.shard_ord_start[static_cast<std::size_t>(k) + 1] -
-              P.shard_ord_start[static_cast<std::size_t>(k)]);
-    }
-    MergeShards(shards, out);
+    RunShards(
+        shards, listeners.size(),
+        [&](std::size_t lo, std::size_t hi, RoundScratch& s) {
+          StepGridRange(P, transmitters, listeners, /*all_listeners=*/false,
+                        std::span(P.order).subspan(lo, hi - lo), s);
+        },
+        out);
   }
 
   for (const std::size_t v : transmitters) prologue_.is_tx[v] = 0;

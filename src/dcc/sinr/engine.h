@@ -25,26 +25,23 @@
 //
 // --- Parallel sharded rounds (Options::threads) ---
 // Either strategy can run one round across K shards on the process-wide
-// parallel::WorkerPool. In grid mode a parallel::ShardPlan partitions the
-// spatial tiles into K contiguous ranges (balanced by this round's
-// listeners-per-tile histogram); each worker resolves the listeners of its
-// own tiles against the full, read-only transmitter index — its near-field
-// tiles plus the conservative envelope bounds of everything beyond, so the
-// "halo" a shard needs from its neighbors is exactly the shared CSR slices
-// of their tiles, imported by reference rather than by message. In exact
-// mode shards are contiguous listener ranges. Per-listener resolution is a
-// pure function of (listener, transmitter index), every worker owns its
-// whole scratch, and the merge emits receptions in listener order — so the
-// reception set AND every SINR bit are identical to serial execution at
-// every thread count. Rounds below min_listeners_per_shard * K listeners
-// run serially (the dispatch would cost more than the round). Nested
-// engines (inside a sweep job) dispatch too: the work-stealing pool lets
-// idle workers steal their shard tickets, so the tail of a sweep donates
-// its freed threads to the runs still going.
+// parallel::WorkerPool, and both cut it one way: shard k resolves the equal
+// slice [n*k/K, n*(k+1)/K) of one order of the round's n listeners — the
+// call order in exact mode, the listeners stably sorted by tile in grid
+// mode (so a shard's batched fallback groups stay full). Every worker reads
+// the whole read-only round state (the "halo" by reference) and owns its
+// whole scratch, and the fallback's lanes are independent accumulators, so
+// a listener's reception is a pure function of (listener, round state):
+// with the merge emitting receptions in listener order, any cut gives the
+// reception set AND every SINR bit of serial execution. Rounds below
+// min_listeners_per_shard * K listeners run serially (the dispatch would
+// cost more than the round). Nested engines (inside a sweep job) dispatch
+// too: idle pool workers steal their shard tickets, so the tail of a sweep
+// donates its freed threads to the runs still going.
 //
 // --- One grid round ---
 // A grid round is three stages: BuildPrologue (the transmitter CSR by
-// tile, the dispatch decision, the shard plan and ordinal buckets, and the
+// tile, the tile-sorted listener order of a dispatched round, and the
 // hoisted per-listener-tile far-field state, all collected in the single
 // RoundPrologue member), then the shard fan-out (StepGridRange per shard,
 // reading the prologue), then the merge into listener order.
@@ -58,7 +55,6 @@
 #include <vector>
 
 #include "dcc/common/spatial_grid.h"
-#include "dcc/parallel/shard_plan.h"
 #include "dcc/sinr/farfield.h"
 #include "dcc/sinr/network.h"
 
@@ -110,8 +106,6 @@ class Engine {
     // shards regardless of the host (receptions are bit-identical to
     // serial at every setting, so K only affects speed).
     int threads = 1;
-    // How grid-mode shards cut the tile range (see parallel/shard_plan.h).
-    parallel::ShardPolicy shard_policy = parallel::ShardPolicy::kBalanced;
     // Dispatch grain: a round with fewer than min_listeners_per_shard * K
     // listeners runs serially even when threads > 1 (counted in
     // Stats::parallel_small_rounds). Must be >= 1; raising it trades
@@ -134,7 +128,8 @@ class Engine {
     // behavior without touching the process-wide one.
     parallel::WorkerPool* pool = nullptr;
 
-    // Options overridden from the environment (benches and dcc_run):
+    // Options overridden from the environment (the bench/ regenerators;
+    // dcc_run takes its engine options from flags only):
     //   DCC_ENGINE_MODE      = exact | grid | auto (default auto)
     //   DCC_ENGINE_CELL      = <tile side>     (default: engine heuristic)
     //   DCC_ENGINE_THREADS   = <shard count, 0=hw> (default: 1, serial)
@@ -216,17 +211,13 @@ class Engine {
     std::int64_t grid_pruned = 0;
     std::int64_t grid_exact_fallbacks = 0;
     // Parallel engines only (threads() > 1): rounds dispatched across
-    // shards vs rounds run serially because dispatching could not win
-    // (under the listener grain, or a tile plan with < 2 populated
-    // shards), and the cumulative listeners resolved by each shard index —
-    // the per-shard load profile the dcc.parallel.v1 report section
-    // exposes.
+    // shards vs rounds run serially because they fell under the listener
+    // grain (the dcc.parallel.v2 report section exposes both).
     std::int64_t parallel_rounds = 0;
     std::int64_t parallel_small_rounds = 0;
-    std::vector<std::int64_t> shard_listeners;
     // Per-listener-tile far-field states computed by prologue builds (one
-    // per distinct listener tile per grid round; boundary tiles shared by
-    // adjacent shards are computed once, not once per shard).
+    // per distinct listener tile per grid round; a tile whose listeners
+    // span two shards is computed once, not once per shard).
     std::int64_t tile_states_computed = 0;
   };
   const Stats& stats() const { return stats_; }
@@ -246,11 +237,11 @@ class Engine {
   };
 
   // Everything a grid round computes before listener resolution, as one
-  // value: the per-round transmitter index (CSR by tile), the shard plan
-  // and ordinal buckets, the dispatch decision, and the hoisted far-field
-  // state. A pure function of (transmitters, listeners, index state),
-  // built serially at the top of StepGrid and read-only for the rest of
-  // the round, which is what lets shard workers share it.
+  // value: the per-round transmitter index (CSR by tile), the tile-sorted
+  // listener order, and the hoisted far-field state. A pure function of
+  // (transmitters, listeners, index state), built serially at the top of
+  // StepGrid and read-only for the rest of the round, which is what lets
+  // shard workers share it.
   struct RoundPrologue {
     // Transmitter index: CSR over tiles, positions in CSR order.
     std::vector<char> is_tx;  // per-node transmitter marks (cleared per round)
@@ -264,7 +255,7 @@ class Engine {
     // Hoisted per-listener-tile far-field state: shared far-field bounds
     // plus each tile's close (near/mid) transmitter-tile list, computed
     // once per build for every distinct listener tile (ascending) and read
-    // by every shard — boundary tiles shared by adjacent shards are not
+    // by every shard — a tile whose listeners span two shards is not
     // recomputed per shard. Only the entries named by lt_tiles are valid.
     std::vector<int> lt_tiles;  // distinct listener tiles, ascending
     std::vector<char> lt_mark;  // collection scratch (all-zero between builds)
@@ -274,15 +265,10 @@ class Engine {
     std::vector<std::uint32_t> tile_close_end;
     std::vector<int> close_pool;
 
-    // Shard decomposition (only filled when shards > 1).
-    int shards = 1;
-    bool small_round = false;  // threads > 1 but dispatch cannot win
-    parallel::ShardPlan plan;
-    std::vector<std::uint32_t> shard_weights;    // listeners per tile
-    std::vector<std::uint32_t> listener_shard;   // shard per listener
-    std::vector<std::uint32_t> shard_ord_start;  // CSR offsets
-    std::vector<std::uint32_t> shard_ord_fill;
-    std::vector<std::uint32_t> shard_ordinals;   // ordinals by shard
+    // Listener ordinals stably sorted by tile, the order shards cut into
+    // equal slices (only filled for dispatched rounds).
+    std::vector<std::uint32_t> order_fill;  // scatter cursors per tile
+    std::vector<std::uint32_t> order;
   };
 
   // One worker's whole mutable state for one round: the deferred-fallback
@@ -302,11 +288,15 @@ class Engine {
     std::int64_t exact_fallbacks = 0;
   };
 
+  // The dispatch decision both modes share: the number of shards a round
+  // of `n_listen` listeners runs on (1 = serial). A parallel engine's round
+  // under the listener grain is counted in Stats::parallel_small_rounds.
+  int ShardsFor(std::size_t n_listen) const;
   void StepExact(std::span<const std::size_t> transmitters,
-                 std::span<const std::size_t> listeners,
+                 std::span<const std::size_t> listeners, int shards,
                  std::vector<Reception>& out) const;
   void StepGrid(std::span<const std::size_t> transmitters,
-                std::span<const std::size_t> listeners,
+                std::span<const std::size_t> listeners, int shards,
                 std::vector<Reception>& out) const;
   // The exact per-listener inner loop, shared by kExact mode, kGrid's
   // fallback for models without a devirtualized kernel, and the
@@ -314,12 +304,11 @@ class Engine {
   std::optional<Reception> ResolveExact(
       std::size_t u, std::span<const std::size_t> transmitters) const;
   // Builds prologue_ from (tx, listeners): buckets the transmitters into
-  // tiles (CSR, occupied tiles ascending), decides the dispatch, and — when
-  // dispatching — plans contiguous tile shards balanced by this round's
-  // listener histogram and buckets listener ordinals by shard (stable, so
-  // each shard sees ascending ordinals — the serial processing order).
+  // tiles (CSR, occupied tiles ascending), and — for a `sharded` round —
+  // counting-sorts the listener ordinals by tile into prologue_.order.
   void BuildPrologue(std::span<const std::size_t> tx,
-                     std::span<const std::size_t> listeners) const;
+                     std::span<const std::size_t> listeners,
+                     bool sharded) const;
   // The hoisted far-field stage of BuildPrologue: collects the distinct
   // listener tiles and computes each one's far-field bounds + close list,
   // via the pyramid (rounds with >= pyramid_min_occupied occupied tiles)
@@ -327,9 +316,8 @@ class Engine {
   void BuildTileState(std::span<const std::size_t> listeners) const;
   // Resolves listeners into s.pending, tagged with their ordinal and
   // ordinal-sorted: all of them when `all_listeners` is set (a whole
-  // serial grid round), else exactly the ones named by `ordinals`
-  // (ascending indices into `listeners`, possibly empty — an empty shard
-  // is a no-op). The body of one shard worker.
+  // serial grid round), else exactly the ones named by `ordinals` (one
+  // shard's slice of prologue_.order). The body of one grid shard worker.
   void StepGridRange(const RoundPrologue& P,
                      std::span<const std::size_t> transmitters,
                      std::span<const std::size_t> listeners,
@@ -347,6 +335,12 @@ class Engine {
                                RoundScratch& s) const;
   // Grows scratch_ to `shards` entries.
   void EnsureScratch(int shards) const;
+  // The fan-out both modes share: runs resolve(lo, hi, scratch_[k]) for
+  // every shard k on the pool, [lo, hi) = [n*k/K, n*(k+1)/K) being shard
+  // k's slice of the round's listener order, then merges into `out`.
+  template <typename Resolve>
+  void RunShards(int shards, std::size_t n_listen, const Resolve& resolve,
+                 std::vector<Reception>& out) const;
   // Concatenates every shard's pending receptions, restores global
   // listener order, and appends to `out` (allocation-free at steady
   // state). Folds the shards' counter deltas into stats_.

@@ -1,9 +1,8 @@
 // The parallel sharded round engine must be invisible except for speed:
 // receptions (listener, sender AND every SINR bit) are pinned identical to
-// serial execution across thread counts, shard policies, engine modes,
-// propagation models, and moving/churning networks. Also covers the
-// subsystem's building blocks: WorkerPool fan-out semantics and ShardPlan
-// partition invariants.
+// serial execution across thread counts, engine modes, propagation models,
+// and moving/churning networks. Also covers the subsystem's building block:
+// WorkerPool fan-out semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "dcc/common/rng.h"
-#include "dcc/parallel/shard_plan.h"
 #include "dcc/parallel/worker_pool.h"
 #include "dcc/scenario/scenario.h"
 #include "dcc/sinr/engine.h"
@@ -27,8 +25,6 @@
 namespace dcc {
 namespace {
 
-using parallel::ShardPlan;
-using parallel::ShardPolicy;
 using parallel::WorkerPool;
 using sinr::Engine;
 using sinr::Network;
@@ -128,68 +124,6 @@ TEST(WorkerPoolTest, SharedPoolIsOneInstance) {
   EXPECT_GE(a.parallelism(), 1);
 }
 
-// --- ShardPlan --------------------------------------------------------------
-
-// Every tile in exactly one shard, shards contiguous and ordered, lookup
-// consistent with the ranges.
-void ExpectValidPartition(const ShardPlan& plan, int n_tiles, int shards) {
-  ASSERT_EQ(plan.shard_count(), shards);
-  EXPECT_EQ(plan.begin(0), 0);
-  EXPECT_EQ(plan.end(shards - 1), n_tiles);
-  for (int k = 0; k < shards; ++k) {
-    EXPECT_LE(plan.begin(k), plan.end(k)) << "shard " << k;
-    if (k > 0) EXPECT_EQ(plan.begin(k), plan.end(k - 1)) << "shard " << k;
-    for (int t = plan.begin(k); t < plan.end(k); ++t) {
-      EXPECT_EQ(plan.ShardOfTile(t), k) << "tile " << t;
-    }
-  }
-}
-
-TEST(ShardPlanTest, EvenPolicyPartitionsAnyShape) {
-  for (const int n_tiles : {1, 7, 64, 100}) {
-    for (const int shards : {1, 2, 3, 5, 7, 16, 200}) {
-      ShardPlan plan;
-      plan.Reset(n_tiles, shards, ShardPolicy::kEven, {});
-      ExpectValidPartition(plan, n_tiles, shards);
-    }
-  }
-}
-
-TEST(ShardPlanTest, BalancedPolicyPartitionsRandomWeights) {
-  Xoshiro256ss rng(42);
-  for (const int n_tiles : {1, 9, 144}) {
-    std::vector<std::uint32_t> weights(n_tiles);
-    std::uint64_t total = 0;
-    for (auto& w : weights) {
-      w = static_cast<std::uint32_t>(rng.NextBelow(50));
-      total += w;
-    }
-    for (const int shards : {1, 2, 3, 5, 7, 16}) {
-      ShardPlan plan;
-      plan.Reset(n_tiles, shards, ShardPolicy::kBalanced, weights);
-      ExpectValidPartition(plan, n_tiles, shards);
-      // Balance: a shard exceeds its fair share by at most one tile's
-      // weight (the greedy cut overshoots by at most the tile it closed
-      // on).
-      std::uint32_t max_w = 0;
-      for (const std::uint32_t w : weights) max_w = std::max(max_w, w);
-      for (int k = 0; k < plan.shard_count(); ++k) {
-        std::uint64_t load = 0;
-        for (int t = plan.begin(k); t < plan.end(k); ++t) load += weights[t];
-        EXPECT_LE(load, total / static_cast<std::uint64_t>(shards) + max_w + 1)
-            << "shard " << k << " of " << shards << ", tiles " << n_tiles;
-      }
-    }
-  }
-}
-
-TEST(ShardPlanTest, MoreShardsThanTilesLeavesTrailingShardsEmpty) {
-  std::vector<std::uint32_t> weights(3, 1);
-  ShardPlan plan;
-  plan.Reset(3, 8, ShardPolicy::kBalanced, weights);
-  ExpectValidPartition(plan, 3, 8);
-}
-
 // --- Engine: parallel == serial, bit for bit --------------------------------
 
 void SplitTxListeners(std::size_t n, int period, std::vector<std::size_t>& tx,
@@ -282,18 +216,11 @@ TEST(ParallelEngineTest, ShadowingModelTakesTheVirtualPathIdentically) {
 }
 
 TEST(ParallelEngineTest, OddShardCountsOnFewTiles) {
-  // A huge tile side leaves very few tiles — shard counts above the tile
-  // count must produce empty shards, not wrong answers.
+  // A huge tile side leaves very few tiles, so most cuts land inside one
+  // tile's listeners and adjacent shards share that tile.
   const Network net = MakeUniformNet(300, 8.0, 0.0, 31);
   ExpectParallelMatchesSerial(net, {.mode = Engine::Mode::kGrid, .cell = 4.0},
                               {3, 5, 7, 16}, "few-tiles");
-}
-
-TEST(ParallelEngineTest, EvenShardPolicyAlsoMatches) {
-  const Network net = MakeUniformNet(420, 10.0, 0.0, 88);
-  Engine::Options opts{.mode = Engine::Mode::kGrid};
-  opts.shard_policy = ShardPolicy::kEven;
-  ExpectParallelMatchesSerial(net, opts, {2, 5}, "even-policy");
 }
 
 TEST(ParallelEngineTest, TileBoundaryStress) {
@@ -403,10 +330,10 @@ TEST(ParallelEngineTest, SmallRoundsFallBackToSerialExecution) {
   EXPECT_EQ(par.stats().parallel_small_rounds, 1);
 }
 
-TEST(ParallelEngineTest, SingleTileGridRunsSeriallyInsteadOfIdleShards) {
-  // cell >= side leaves one tile: the domain cannot be decomposed, so the
-  // round must skip the dispatch (idle workers would be pure overhead)
-  // and still produce serial results.
+TEST(ParallelEngineTest, SingleTileGridRoundDispatchesBitIdentically) {
+  // cell >= side leaves one tile: shards cut the listener order, not the
+  // tiles, so the round is dispatched under the same listener grain as an
+  // exact round and still produces serial results.
   const Network net = MakeUniformNet(128, 4.0, 0.0, 21);
   Engine::Options opts{.mode = Engine::Mode::kGrid, .cell = 8.0};
   opts.threads = 4;
@@ -416,26 +343,8 @@ TEST(ParallelEngineTest, SingleTileGridRunsSeriallyInsteadOfIdleShards) {
   SplitTxListeners(net.size(), 4, tx, listeners);
   ExpectBitIdentical(serial.Step(tx, listeners), par.Step(tx, listeners),
                      "one tile");
-  EXPECT_EQ(par.stats().parallel_rounds, 0);
-  EXPECT_EQ(par.stats().parallel_small_rounds, 1);
-}
-
-TEST(ParallelEngineTest, ShardLoadsAccountForEveryListener) {
-  const Network net = MakeUniformNet(600, 12.0, 0.0, 11);
-  Engine::Options opts{.mode = Engine::Mode::kGrid};
-  opts.threads = 4;
-  const Engine par(net, opts);
-  std::vector<std::size_t> tx, listeners;
-  SplitTxListeners(net.size(), 3, tx, listeners);
-  std::vector<Reception> out;
-  const int rounds = 5;
-  for (int r = 0; r < rounds; ++r) par.StepInto(tx, listeners, out);
-  const auto& st = par.stats();
-  EXPECT_EQ(st.parallel_rounds, rounds);
-  ASSERT_EQ(st.shard_listeners.size(), 4u);
-  std::int64_t total = 0;
-  for (const std::int64_t l : st.shard_listeners) total += l;
-  EXPECT_EQ(total, static_cast<std::int64_t>(listeners.size()) * rounds);
+  EXPECT_EQ(par.stats().parallel_rounds, 1);
+  EXPECT_EQ(par.stats().parallel_small_rounds, 0);
 }
 
 TEST(ParallelEngineTest, SweepTailDonatesIdleWorkersToNestedEngines) {
@@ -497,9 +406,6 @@ TEST(ParallelScenarioTest, ParallelRunReportsSectionAndIdenticalMetrics) {
     spec.topology_params.Set("side", "3.5");
     spec.sinr.id_space = 4096;
     spec.engine.mode = mode;
-    // The auto tile side would cover this small field with one tile, which
-    // the grid engine never shards (see SingleTileGridRunsSerially...).
-    if (mode == Engine::Mode::kGrid) spec.engine.cell = 1.0;
 
     const scenario::RunReport serial = RunScenario(spec, 1);
     ASSERT_TRUE(serial.ok) << label << ": " << serial.error;
@@ -511,8 +417,6 @@ TEST(ParallelScenarioTest, ParallelRunReportsSectionAndIdenticalMetrics) {
     ASSERT_FALSE(par.parallel.empty()) << label;
     EXPECT_EQ(par.parallel.threads, 3) << label;
     EXPECT_GT(par.parallel.rounds_parallel, 0) << label;
-    EXPECT_EQ(par.parallel.shard_load.size(), 3u) << label;
-    EXPECT_GE(par.parallel.imbalance, 1.0) << label;
     // Only grid rounds build prologues.
     if (mode == Engine::Mode::kGrid) {
       EXPECT_GT(par.parallel.tile_states_computed, 0) << label;
@@ -587,6 +491,40 @@ TEST(ParallelScenarioTest, SweepRunReportsMatchTopLevelRunsByteForByte) {
       RunScenario(spec, nested.seed).PrintJson(top_json);
       EXPECT_EQ(nested_json.str(), top_json.str())
           << "threads=" << threads << " seed=" << nested.seed;
+    }
+  }
+}
+
+TEST(ParallelScenarioTest, ReportBytesMatchAcrossThreadCounts) {
+  // A report is a pure function of (spec, seed): apart from the parallel
+  // section, which describes the decomposition itself, a run prints the
+  // same bytes at every engine thread count. The grid spec keeps the auto
+  // tile side, which covers this field with one tile.
+  for (const Engine::Mode mode : {Engine::Mode::kExact, Engine::Mode::kGrid}) {
+    const std::string label =
+        mode == Engine::Mode::kGrid ? "engine=grid" : "engine=exact";
+    scenario::ScenarioSpec spec;
+    spec.topology_params.Set("n", "40");
+    spec.topology_params.Set("side", "3.5");
+    spec.sinr.id_space = 4096;
+    spec.engine.mode = mode;
+    std::string serial_json;
+    for (const int threads : {1, 2, 4}) {
+      spec.engine.threads = threads;
+      scenario::RunReport rep = RunScenario(spec, 1);
+      ASSERT_TRUE(rep.ok) << label << ": " << rep.error;
+      if (threads > 1) {
+        EXPECT_GT(rep.parallel.rounds_parallel, 0)
+            << label << " threads=" << threads;
+      }
+      rep.parallel = {};
+      std::ostringstream json;
+      rep.PrintJson(json);
+      if (threads == 1) {
+        serial_json = json.str();
+      } else {
+        EXPECT_EQ(json.str(), serial_json) << label << " threads=" << threads;
+      }
     }
   }
 }

@@ -96,7 +96,7 @@ TEST(ReportSchemaDocTest, ParallelExampleIsCurrent) {
   ASSERT_TRUE(rep.ok) << rep.error;
   std::ostringstream out;
   rep.PrintJson(out);
-  EXPECT_EQ(PinnedExample(ReadDoc(), "dcc.parallel.v1"), out.str());
+  EXPECT_EQ(PinnedExample(ReadDoc(), "dcc.parallel.v2"), out.str());
 }
 
 TEST(ReportSchemaDocTest, ServiceStatsExampleIsCurrent) {

@@ -53,7 +53,7 @@ void PrintUsage(std::ostream& os) {
         "                             on the shared pool (0 = hardware);\n"
         "                             receptions are bit-identical at every\n"
         "                             T, and parallel runs report a\n"
-        "                             dcc.parallel.v1 section\n"
+        "                             dcc.parallel.v2 section\n"
         "\n"
         "driver flags:\n"
         "  --list --json=PATH --quiet --help   (--json=- writes the report\n"
@@ -142,25 +142,6 @@ int main(int argc, char** argv) {
     if (canonical) {
       std::cout << spec.CanonicalKey() << '\n';
       return 0;
-    }
-    // DCC_ENGINE_MODE / DCC_ENGINE_CELL / DCC_ENGINE_THREADS supply the
-    // engine defaults (same knobs as the benches); explicit
-    // --engine/--cell/--threads flags win. When any default still comes
-    // from the environment, all env knobs are validated — a typo'd value
-    // fails loudly even if overridden.
-    bool engine_flag = false;
-    bool cell_flag = false;
-    bool threads_flag = false;
-    for (const std::string& a : spec_args) {
-      engine_flag = engine_flag || a.rfind("--engine=", 0) == 0;
-      cell_flag = cell_flag || a.rfind("--cell=", 0) == 0;
-      threads_flag = threads_flag || a.rfind("--threads=", 0) == 0;
-    }
-    if (!engine_flag || !cell_flag || !threads_flag) {
-      const auto env_engine = dcc::sinr::Engine::Options::FromEnv();
-      if (!engine_flag) spec.engine.mode = env_engine.mode;
-      if (!cell_flag) spec.engine.cell = env_engine.cell;
-      if (!threads_flag) spec.engine.threads = env_engine.threads;
     }
     if (!quiet) std::cout << "spec: " << spec.ToString() << '\n';
     if (!trace_path.empty()) dcc::obs::Tracer::Global().Enable();
