@@ -14,6 +14,12 @@
 #      one of the three.
 #   4. Registry drift — every mobility model `dcc_run --list` reports,
 #      and every dynamics driver key it names, must appear in README.md.
+#   5. Environment drift — every DCC_... name README.md, docs/*.md or the
+#      repository's skill notes (SKILL.md files under a hidden skills/
+#      directory at the root) mention must still appear as a whole token in
+#      src/, tools/, bench/ or CMakeLists.txt, so the docs cannot advertise
+#      a knob the code stopped reading. Prefix mentions such as
+#      DCC_ENGINE_* are skipped.
 #
 # Usage: scripts/check_docs.sh [path-to-dcc_run]   (default: build/dcc_run;
 # dccd and dcc_load are expected next to it)
@@ -138,6 +144,21 @@ for key in $driver_keys; do
   grep -qF -- "$key" <<< "$help_out" ||
     err "dcc_run --help does not document dynamics driver key '$key'"
 done
+
+# --- 5. DCC_ environment names vs the code -----------------------------------
+ENV_DOCS=("${DOCS[@]}")
+for skill in "$ROOT"/.[!.]*/skills/*/SKILL.md; do
+  [ -f "$skill" ] && ENV_DOCS+=("$skill")
+done
+while IFS=: read -r doc name; do
+  # A trailing '*' or '_' marks a prefix mention, not a variable.
+  case "$name" in
+    *'*' | *_) continue ;;
+  esac
+  grep -rqwF -- "$name" "$ROOT/src" "$ROOT/tools" "$ROOT/bench" \
+      "$ROOT/CMakeLists.txt" ||
+    err "$(basename "$doc"): mentions $name, which nothing in src/, tools/, bench/ or CMakeLists.txt names"
+done < <(grep -oHE 'DCC_[A-Z0-9_]+[*]?' "${ENV_DOCS[@]}" | sort -u)
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2

@@ -44,8 +44,11 @@ Profile Profile::Theory(const sinr::Params& params, std::int64_t id_space) {
 
   // Lemma 4: SNS must select each node among all nodes within the far-field
   // cutoff, k_gamma = gamma * chi(x, 1) with gamma the density bound.
-  const int gamma = 3;
-  p.sns_k = gamma * ChiUpperBound(x, 1.0);
+  // ChiUpperBound saturates at INT_MAX here, so multiply in 64 bits and
+  // clamp like kappa.
+  const std::int64_t gamma = 3;
+  p.sns_k = static_cast<int>(std::min<std::int64_t>(
+      gamma * ChiUpperBound(x, 1.0), std::numeric_limits<int>::max()));
   p.sns_use_prime_ssf = true;
 
   // Full-length selectors (Lemmas 2-3 union bounds): c covers the e^2-ish

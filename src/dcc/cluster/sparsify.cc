@@ -88,7 +88,6 @@ SparsifyResult Sparsify(sim::Exec& ex, const Profile& prof,
       }
       // One replay: everyone announces its Y flag; H-neighbors hear it
       // (H-edge deliveries recur under replays — see proximity.h).
-      std::vector<std::vector<std::pair<std::size_t, char>>> heard_flags(np);
       ReplayOnce(
           ex, stage,
           [&](std::size_t p) -> std::optional<sim::Message> {

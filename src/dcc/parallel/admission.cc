@@ -7,8 +7,7 @@
 
 namespace dcc::parallel {
 
-AdmissionQueue::AdmissionQueue(WorkerPool& pool, int capacity)
-    : pool_(pool), capacity_(capacity) {
+AdmissionQueue::AdmissionQueue(int capacity) : capacity_(capacity) {
   DCC_REQUIRE(capacity >= 1, "admission: capacity must be >= 1");
 }
 
@@ -25,7 +24,7 @@ bool AdmissionQueue::Execute(const std::function<void()>& fn) {
     DCC_TRACE_COUNTER("admission.depth", depth_);
   }
   DCC_TRACE_SPAN("admission.run");
-  // Release the slot whatever the job does — Wait() rethrows its exception.
+  // Release the slot whatever the job does; its exception propagates.
   struct SlotGuard {
     AdmissionQueue* q;
     ~SlotGuard() {
@@ -34,8 +33,7 @@ bool AdmissionQueue::Execute(const std::function<void()>& fn) {
       q->slot_cv_.notify_one();
     }
   } guard{this};
-  WorkerPool::TaskHandle handle = pool_.Submit(fn);
-  handle.Wait();
+  fn();
   return true;
 }
 

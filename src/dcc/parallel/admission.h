@@ -1,38 +1,32 @@
-// Bounded admission of external work onto a WorkerPool.
+// Bounded admission of external work.
 //
 // The scenario service accepts requests from arbitrarily many client
-// connections, but the process has one shared pool that also runs sweeps
-// and engine shards. AdmissionQueue is the valve between the two: at most
-// `capacity` admitted jobs exist at once, and an admitting thread *blocks*
-// when the queue is full — backpressure propagates to the socket instead
-// of unbounded closures piling up in the pool's injection queue.
+// connections, but the process has one shared WorkerPool that also runs
+// sweeps and engine shards. AdmissionQueue is the valve in front of it: at
+// most `capacity` admitted jobs run at once, and an admitting thread
+// *blocks* when the queue is full — backpressure propagates to the socket
+// instead of unbounded work piling onto the pool.
 //
-// Execute() submits the job to the pool (an idle worker picks it up; under
-// full load the admitting thread runs it inline via TaskHandle::Wait — the
-// pool's graceful-degradation contract) and waits for completion, so the
-// caller observes the job's effects and exceptions synchronously. Nested
-// parallelism composes: a job that fans out again (an engine sharding its
-// rounds) publishes tickets idle workers steal.
+// Execute() runs the job on the admitting thread, so the caller observes
+// its effects and exceptions synchronously. Parallelism inside a job
+// still reaches the pool: an engine sharding its rounds publishes tickets
+// the pool's workers take.
 #pragma once
 
 #include <condition_variable>
-#include <cstdint>
 #include <functional>
 #include <mutex>
-
-#include "dcc/parallel/worker_pool.h"
 
 namespace dcc::parallel {
 
 class AdmissionQueue {
  public:
-  // `capacity` >= 1: max jobs admitted (executing or handed to the pool)
-  // at once.
-  AdmissionQueue(WorkerPool& pool, int capacity);
+  // `capacity` >= 1: max jobs admitted at once.
+  explicit AdmissionQueue(int capacity);
 
-  // Blocks until a slot frees, runs `fn` to completion on the pool, and
-  // rethrows anything it threw. Returns false (without running fn) when
-  // the queue is draining.
+  // Blocks until a slot frees, runs `fn` to completion on the calling
+  // thread, and rethrows anything it threw. Returns false (without running
+  // fn) when the queue is draining.
   bool Execute(const std::function<void()>& fn);
 
   // Rejects all future Execute calls and wakes blocked admitters; jobs
@@ -45,7 +39,6 @@ class AdmissionQueue {
   int peak_depth() const;
 
  private:
-  WorkerPool& pool_;
   const int capacity_;
 
   mutable std::mutex mu_;

@@ -1,11 +1,7 @@
 #include "dcc/parallel/worker_pool.h"
 
-#include <cstdlib>
 #include <exception>
-#include <string>
-#include <utility>
 
-#include "dcc/common/types.h"
 #include "dcc/obs/metrics.h"
 #include "dcc/obs/trace.h"
 
@@ -13,41 +9,13 @@ namespace dcc::parallel {
 
 namespace {
 
-// Identifies the pool whose job the current thread is running (nullptr
-// outside any job). Set around each job, so OnWorkerThread() is true for
-// nested fan-outs from inside a job regardless of which thread runs it.
-thread_local const WorkerPool* t_running_pool = nullptr;
-
 // Worker-thread identity: which pool owns this thread and which deque is
-// its local one. Distinct from t_running_pool — a non-worker caller inside
-// Run has a running pool but no local deque.
+// its local one (a non-worker caller of Run has no local deque).
 struct WorkerSlot {
   const WorkerPool* pool = nullptr;
   int index = -1;
 };
 thread_local WorkerSlot t_worker;
-
-int SharedWorkerCount() {
-  const char* env = std::getenv("DCC_POOL_WORKERS");
-  if (env != nullptr && *env != '\0') {
-    const std::string s(env);
-    std::size_t pos = 0;
-    long v = -1;
-    try {
-      v = std::stol(s, &pos);
-    } catch (...) {
-      pos = 0;
-    }
-    if (pos != s.size() || v < 0 || v > 4096) {
-      throw InvalidArgument("DCC_POOL_WORKERS: expected an integer in "
-                            "[0, 4096], got \"" +
-                            s + "\"");
-    }
-    return static_cast<int>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 1 ? static_cast<int>(hw) - 1 : 0;
-}
 
 }  // namespace
 
@@ -57,10 +25,9 @@ int SharedWorkerCount() {
 // `active` counts ticket holders currently contributing; the caller drains
 // the dispenser itself and then waits for active == 0, at which point no
 // other thread can reach `fn` again (the dispenser is exhausted and only
-// hands out indices >= n_jobs). Reference-counted: the owner handle plus
+// hands out indices >= n_jobs). Reference-counted: the calling Run plus
 // one reference per published ticket.
 struct WorkerPool::Task {
-  std::function<void(std::size_t)> owned_fn;  // Submit owns its closure
   const std::function<void(std::size_t)>* fn = nullptr;
   std::size_t n_jobs = 0;
   std::atomic<std::size_t> next{0};       // job dispenser
@@ -89,8 +56,8 @@ WorkerPool::~WorkerPool() {
   }
   idle_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
-  // Every task is complete by now (Run blocks until done; TaskHandle waits
-  // in its destructor), but stale tickets may still hold references.
+  // Every task is complete by now (Run blocks until done), but stale
+  // tickets may still hold references.
   for (int i = 0; i < n_workers_; ++i) {
     while (Task* t = deques_[i].PopBottom()) ReleaseRef(t);
   }
@@ -100,19 +67,18 @@ WorkerPool::~WorkerPool() {
 WorkerPool& WorkerPool::Shared() {
   // Leaked on purpose: joining workers from a static destructor while other
   // statics may still Run is a shutdown hazard with zero upside.
-  static WorkerPool* pool = new WorkerPool(SharedWorkerCount());
+  static WorkerPool* pool = [] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return new WorkerPool(hw > 1 ? static_cast<int>(hw) - 1 : 0);
+  }();
   return *pool;
 }
-
-bool WorkerPool::OnWorkerThread() const { return t_running_pool == this; }
 
 void WorkerPool::ReleaseRef(Task* t) {
   if (t->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete t;
 }
 
 void WorkerPool::RunJob(Task& task, std::size_t i) {
-  const WorkerPool* prev = t_running_pool;
-  t_running_pool = this;
   try {
     (*task.fn)(i);
   } catch (...) {
@@ -123,7 +89,6 @@ void WorkerPool::RunJob(Task& task, std::size_t i) {
     std::lock_guard<std::mutex> lock(task.error_mu);
     if (!task.error) task.error = std::current_exception();
   }
-  t_running_pool = prev;
 }
 
 void WorkerPool::JoinTask(Task* task, bool stolen) {
@@ -164,7 +129,8 @@ void WorkerPool::CollectStaleTickets(Deque& d) {
     Task* t = d.PopBottom();
     if (t == nullptr) return;
     if (t->next.load(std::memory_order_relaxed) < t->n_jobs) {
-      // Still live (an unconsumed Submit ticket): put it back and stop.
+      // Still live (a fan-out enclosing the current job): put it back and
+      // stop.
       d.TryPush(t);  // space is guaranteed — we just popped it
       return;
     }
@@ -266,65 +232,6 @@ void WorkerPool::Run(std::size_t n_jobs,
   // every job's writes visible to the caller; late stale tickets touch
   // only the task's own (reference-counted) fields, never `fn`.
   {
-    std::unique_lock<std::mutex> lock(task->mu);
-    task->cv.wait(lock, [&] {
-      return task->active.load(std::memory_order_acquire) == 0;
-    });
-  }
-  std::exception_ptr err = task->error;
-  ReleaseRef(task);
-  if (err) std::rethrow_exception(err);
-}
-
-WorkerPool::TaskHandle WorkerPool::Submit(std::function<void()> fn) {
-  Task* task = new Task;
-  task->owned_fn = [f = std::move(fn)](std::size_t) { f(); };
-  task->fn = &task->owned_fn;
-  task->n_jobs = 1;
-  // With no workers there is nobody to publish to; Wait() runs it inline.
-  if (n_workers_ > 0) PublishTickets(task, 1);
-  return TaskHandle(task);
-}
-
-WorkerPool::TaskHandle& WorkerPool::TaskHandle::operator=(
-    TaskHandle&& o) noexcept {
-  if (this != &o) {
-    if (task_ != nullptr) {
-      try {
-        Wait();
-      } catch (...) {
-      }
-    }
-    task_ = o.task_;
-    o.task_ = nullptr;
-  }
-  return *this;
-}
-
-WorkerPool::TaskHandle::~TaskHandle() {
-  if (task_ != nullptr) {
-    try {
-      Wait();
-    } catch (...) {
-    }
-  }
-}
-
-void WorkerPool::TaskHandle::Wait() {
-  Task* task = task_;
-  task_ = nullptr;
-  // Claim the single job: if we get index 0 nobody had started it — run it
-  // inline. Otherwise a ticket holder owns it; it registered in `active`
-  // before claiming, and the dispenser traffic orders that registration
-  // before our fetch, so waiting for active == 0 cannot pass early.
-  if (task->next.fetch_add(1, std::memory_order_acq_rel) == 0) {
-    try {
-      (*task->fn)(0);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(task->error_mu);
-      if (!task->error) task->error = std::current_exception();
-    }
-  } else {
     std::unique_lock<std::mutex> lock(task->mu);
     task->cv.wait(lock, [&] {
       return task->active.load(std::memory_order_acquire) == 0;

@@ -29,13 +29,6 @@
 //    after all jobs drain; later exceptions are dropped.
 //  * Run establishes a full happens-before edge: everything jobs wrote is
 //    visible to the caller when Run returns.
-//  * Submit() schedules a single closure for asynchronous execution by an
-//    idle worker; TaskHandle::Wait() runs it inline when no worker picked
-//    it up, so a 0-worker pool degrades gracefully.
-//
-// `DCC_POOL_WORKERS` overrides Shared()'s worker-thread count (strict
-// parse, [0, 4096]; parallelism() == workers + 1). Useful to exercise the
-// thread ladder on hosts whose hardware_concurrency is 1.
 #pragma once
 
 #include <array>
@@ -54,8 +47,6 @@ namespace dcc::parallel {
 
 class WorkerPool {
  public:
-  struct Task;
-
   // Spawns `workers` threads. The calling thread of Run also executes jobs,
   // so parallelism() == workers + 1; workers == 0 is a valid (serial) pool.
   explicit WorkerPool(int workers);
@@ -65,9 +56,9 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   // The process-wide pool, sized once on first use to
-  // hardware_concurrency() - 1 workers (never negative) unless
-  // DCC_POOL_WORKERS overrides it. Lives for the process; intentionally
-  // leaked so late static destructors can still call into it.
+  // hardware_concurrency() - 1 workers (never negative). Lives for the
+  // process; intentionally leaked so late static destructors can still
+  // call into it.
   static WorkerPool& Shared();
 
   // Max threads a Run can occupy (pool workers + the caller).
@@ -81,39 +72,6 @@ class WorkerPool {
   void Run(std::size_t n_jobs, const std::function<void(std::size_t)>& fn,
            int max_workers = 0);
 
-  // Handle for a closure scheduled with Submit(). Wait() blocks until the
-  // closure ran, executing it inline on the waiter when no worker claimed
-  // it first, and rethrows any exception it threw. The destructor waits
-  // too (swallowing errors) — call Wait() to observe them.
-  class TaskHandle {
-   public:
-    TaskHandle() = default;
-    TaskHandle(TaskHandle&& o) noexcept : task_(o.task_) { o.task_ = nullptr; }
-    TaskHandle& operator=(TaskHandle&& o) noexcept;
-    ~TaskHandle();
-
-    TaskHandle(const TaskHandle&) = delete;
-    TaskHandle& operator=(const TaskHandle&) = delete;
-
-    bool valid() const { return task_ != nullptr; }
-    // Invalidates the handle.
-    void Wait();
-
-   private:
-    friend class WorkerPool;
-    explicit TaskHandle(Task* t) : task_(t) {}
-    Task* task_ = nullptr;
-  };
-
-  // Schedules fn to run on an idle worker (one ticket: local deque when
-  // called from a worker, injection queue otherwise). The closure runs at
-  // most once; if no worker picks it up, TaskHandle::Wait() runs it
-  // inline.
-  TaskHandle Submit(std::function<void()> fn);
-
-  // True while the calling thread is executing a job of this pool.
-  bool OnWorkerThread() const;
-
   // Cumulative deque steals across the pool's lifetime (tickets taken from
   // another worker's local deque; injection-queue pickups don't count).
   std::uint64_t steal_count() const {
@@ -121,6 +79,8 @@ class WorkerPool {
   }
 
  private:
+  struct Task;
+
   // Bounded Chase-Lev-style deque of task tickets. The owning worker
   // pushes and pops at the bottom; thieves take from the top. All slot
   // accesses are atomic (a thief may read a slot it then fails to claim),
@@ -190,8 +150,9 @@ class WorkerPool {
   // for workers, injection queue otherwise) and wakes sleepers.
   void PublishTickets(Task* task, int count);
   // Pops and releases completed-task tickets from the bottom of `d`,
-  // stopping at the first live one. Owner only; keeps a worker's deque
-  // from accumulating stale tickets across many nested Runs.
+  // stopping at the first live one (a fan-out of this worker that
+  // encloses the current job). Owner only; keeps a worker's deque from
+  // accumulating stale tickets across many nested Runs.
   void CollectStaleTickets(Deque& d);
   // Takes one ticket: own deque, then injection queue, then steal.
   Task* FindWork(int self, bool* stolen);

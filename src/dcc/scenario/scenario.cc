@@ -164,9 +164,9 @@ std::vector<RunReport> RunSweep(const ScenarioSpec& spec) {
   // One sized-once pool for the whole process: sweeps and the engine's
   // sharded rounds draw from the same threads instead of constructing and
   // tearing down a private pool per call. With more jobs than workers the
-  // sweep occupies the pool and each run's engine executes serially
-  // (nested Run calls go inline); a single-job "sweep" leaves the pool to
-  // the engine.
+  // sweep occupies the pool, and each run's engine publishes its shard
+  // tickets on its own worker's deque, where workers freed by the sweep's
+  // tail steal them; a single-job "sweep" leaves the pool to the engine.
   parallel::WorkerPool::Shared().Run(jobs.size(), run_job, spec.threads);
   return out;
 }

@@ -38,9 +38,10 @@ RunReport RunScenarioOnNetwork(const ScenarioSpec& spec, std::uint64_t seed,
 // (0 = the pool's full parallelism). Every run builds its own
 // Network/Exec, so the result is independent of the thread count and
 // equal to serial execution; reports come back in grid order
-// (value-major, then seed). Engines inside a pool-occupying sweep run
-// their rounds serially (nested fan-outs go inline); a single-job sweep
-// leaves the pool to the engine's shards.
+// (value-major, then seed). Engines inside a pool-occupying sweep still
+// dispatch their rounds: the shard tickets go on the running worker's own
+// deque, and workers freed by the sweep's tail steal them; a single-job
+// sweep leaves the pool to the engine's shards.
 std::vector<RunReport> RunSweep(const ScenarioSpec& spec);
 
 }  // namespace dcc::scenario

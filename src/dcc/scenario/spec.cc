@@ -149,9 +149,6 @@ ScenarioSpec ScenarioSpec::FromArgs(const std::vector<std::string>& args) {
       if (!(spec.engine.cell > 0.0)) {
         throw InvalidArgument("--cell: tile side must be positive");
       }
-    } else if (key == "--grid-threshold") {
-      spec.engine.grid_threshold =
-          static_cast<std::size_t>(ParseUint64(val, key));
     } else if (key == "--rounds") {
       spec.max_rounds = ParseInt64(val, key);
     } else if (key == "--faults") {
@@ -228,10 +225,6 @@ std::vector<std::string> ScenarioSpec::ToArgs() const {
     args.push_back("--engine=grid");
   }
   if (engine.cell != 0.0) args.push_back("--cell=" + JsonNumber(engine.cell));
-  if (engine.grid_threshold != sinr::Engine::Options{}.grid_threshold) {
-    args.push_back("--grid-threshold=" +
-                   std::to_string(engine.grid_threshold));
-  }
   if (max_rounds != 0) args.push_back("--rounds=" + std::to_string(max_rounds));
   if (faults != 0) args.push_back("--faults=" + std::to_string(faults));
   if (threads != 0) args.push_back("--threads=" + std::to_string(threads));

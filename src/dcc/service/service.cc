@@ -74,7 +74,7 @@ std::string TopologyCacheKey(const scenario::ScenarioSpec& spec,
 
 Service::Service(Options opts)
     : opts_(std::move(opts)),
-      admission_(parallel::WorkerPool::Shared(), opts_.queue_capacity),
+      admission_(opts_.queue_capacity),
       topology_cache_(opts_.topology_cache),
       result_cache_(opts_.result_cache) {
   DCC_REQUIRE(!opts_.socket_path.empty(), "service: socket_path required");

@@ -38,13 +38,13 @@
 //
 // Execution path of a run request:
 //   result cache (CanonicalKey(spec)+seed -> serialized report; a hit
-//   answers with ZERO engine rounds) -> bounded AdmissionQueue onto
-//   WorkerPool::Shared() (backpressure blocks the connection thread, and
-//   engines inside a request shard their rounds on the same pool, so
-//   service traffic, sweeps, and shards share one set of threads) ->
-//   topology cache (TopologyCacheKey -> generated sinr::Network, shared
-//   read-only across runs; single-flight, so simultaneous requests for
-//   one topology batch onto one build) -> RunScenarioOnNetwork.
+//   answers with ZERO engine rounds) -> bounded AdmissionQueue (at
+//   capacity, backpressure blocks the connection thread; an admitted run
+//   executes on that thread, and its engine shards rounds on
+//   WorkerPool::Shared(), the pool sweeps use too) -> topology cache
+//   (TopologyCacheKey -> generated sinr::Network, shared read-only across
+//   runs; single-flight, so simultaneous requests for one topology batch
+//   onto one build) -> RunScenarioOnNetwork.
 //
 // Drain (SIGTERM/SIGINT in dccd, or Drain() embedded): stop accepting
 // connections, shut down reads so no new frames arrive, let every

@@ -50,7 +50,6 @@ int Exec::RunRound(const std::vector<std::size_t>& candidates,
     }
   }
   ++round_;
-  max_tx_ = std::max(max_tx_, static_cast<int>(tx_.size()));
   if (tx_.empty()) {
     if (observer_) observer_(round_ - 1, tx_, {});
     return 0;
@@ -74,35 +73,6 @@ int Exec::RunRound(const std::vector<std::size_t>& candidates,
   }
   for (const std::size_t i : tx_) is_tx_[i] = 0;
   return static_cast<int>(tx_.size());
-}
-
-Round Runner::Run(std::vector<NodeProtocol*> protocols, Round max_rounds) {
-  DCC_REQUIRE(protocols.size() == exec_.net().size(),
-              "Runner: one protocol per node");
-  std::vector<std::size_t> all(protocols.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  Round executed = 0;
-  while (executed < max_rounds) {
-    bool all_done = true;
-    for (const auto* p : protocols) {
-      if (p != nullptr && !p->Done()) {
-        all_done = false;
-        break;
-      }
-    }
-    if (all_done) break;
-    const Round r = exec_.rounds();
-    exec_.RunRound(
-        all,
-        [&](std::size_t i) -> std::optional<Message> {
-          return protocols[i] ? protocols[i]->OnRound(r) : std::nullopt;
-        },
-        [&](std::size_t i, const Message& m) {
-          if (protocols[i]) protocols[i]->OnHear(r, m);
-        });
-    ++executed;
-  }
-  return executed;
 }
 
 }  // namespace dcc::sim

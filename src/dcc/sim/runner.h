@@ -54,9 +54,6 @@ class Exec {
   const sinr::Network& net() const { return *net_; }
   sinr::Engine& engine() { return engine_; }
 
-  // Max transmitters observed in any single round (diagnostics).
-  int max_concurrent_tx() const { return max_tx_; }
-
   // Optional per-round observer (round, transmitter indices, receptions);
   // used by test oracles and benches, never by protocol logic.
   using Observer = std::function<void(Round, const std::vector<std::size_t>&,
@@ -83,7 +80,6 @@ class Exec {
   const sinr::Network* net_;
   sinr::Engine engine_;
   Round round_ = 0;
-  int max_tx_ = 0;
   // scratch, reused across rounds (RunRound is allocation-free after the
   // first few rounds warm these up)
   std::vector<std::size_t> tx_;
@@ -96,33 +92,6 @@ class Exec {
   std::vector<std::size_t> background_;
   Message background_msg_;
   std::span<const char> active_;  // empty = all nodes on
-};
-
-// --- Per-node protocol interface (used by baselines and examples). ---
-class NodeProtocol {
- public:
-  virtual ~NodeProtocol() = default;
-  // Transmit decision for global round r; nullopt = listen.
-  virtual std::optional<Message> OnRound(Round r) = 0;
-  virtual void OnHear(Round r, const Message& m) = 0;
-  // A protocol may declare itself finished; Runner stops when all are.
-  virtual bool Done() const { return false; }
-};
-
-class Runner {
- public:
-  explicit Runner(const sinr::Network& net,
-                  sinr::Engine::Options engine_options = {})
-      : exec_(net, engine_options) {}
-
-  // Runs protocols (one per node index, non-null) until all Done() or
-  // max_rounds elapse. Returns rounds executed.
-  Round Run(std::vector<NodeProtocol*> protocols, Round max_rounds);
-
-  Exec& exec() { return exec_; }
-
- private:
-  Exec exec_;
 };
 
 }  // namespace dcc::sim

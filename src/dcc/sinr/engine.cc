@@ -185,16 +185,6 @@ Engine::Options Engine::Options::FromEnv() {
     }
     opts.threads = static_cast<int>(v);
   }
-  if (const char* grain = std::getenv("DCC_ENGINE_MIN_SHARD");
-      grain && *grain != '\0') {
-    const std::int64_t v = ParseInt64(grain, "DCC_ENGINE_MIN_SHARD");
-    if (v < 1 || v > 1048576) {
-      throw InvalidArgument("DCC_ENGINE_MIN_SHARD: listener grain '" +
-                            std::string(grain) +
-                            "' must be in [1, 1048576]");
-    }
-    opts.min_listeners_per_shard = static_cast<std::size_t>(v);
-  }
   return opts;
 }
 
@@ -208,7 +198,8 @@ Engine::Engine(const Network& net, Options options)
       mode_ = Mode::kGrid;
       break;
     case Mode::kAuto:
-      mode_ = net.size() > options_.grid_threshold ? Mode::kGrid : Mode::kExact;
+      mode_ = net.size() > Network::kGainMatrixLimit ? Mode::kGrid
+                                                      : Mode::kExact;
       break;
   }
   DCC_REQUIRE(options_.threads >= 0, "Engine: threads must be >= 0");
@@ -802,31 +793,6 @@ void Engine::StepGrid(std::span<const std::size_t> transmitters,
   }
 
   for (const std::size_t v : transmitters) prologue_.is_tx[v] = 0;
-}
-
-double Engine::Sinr(std::size_t v, std::size_t u,
-                    const std::vector<std::size_t>& transmitters) const {
-  const Network& net = *net_;
-  double interference = 0.0;
-  bool v_transmits = false;
-  for (const std::size_t w : transmitters) {
-    if (w == v) {
-      v_transmits = true;
-      continue;
-    }
-    interference += net.Gain(w, u);
-  }
-  DCC_REQUIRE(v_transmits, "Sinr: v must be in the transmitter set");
-  return net.Gain(v, u) / (net.params().noise + interference);
-}
-
-double Engine::InterferenceAt(
-    std::size_t u, const std::vector<std::size_t>& transmitters) const {
-  double total = 0.0;
-  for (const std::size_t w : transmitters) {
-    if (w != u) total += net_->Gain(w, u);
-  }
-  return total;
 }
 
 }  // namespace dcc::sinr

@@ -21,7 +21,7 @@
 //    from cancellation in the interference subtraction, which affects both
 //    modes equally).
 // kAuto picks kExact while the network still carries its dense gain matrix
-// and kGrid above that size threshold.
+// (n <= Network::kGainMatrixLimit) and kGrid above that size.
 //
 // --- Parallel sharded rounds (Options::threads) ---
 // Either strategy can run one round across K shards on the process-wide
@@ -92,8 +92,6 @@ class Engine {
     Mode mode = Mode::kAuto;
     // Grid tile side; 0 picks a density-based default (~64 nodes/tile).
     double cell = 0.0;
-    // kAuto switches to kGrid for networks larger than this.
-    std::size_t grid_threshold = Network::kGainMatrixLimit;
     // Spatial-index coverage area for dynamic networks: positions may move
     // anywhere inside this box without outgrowing the index. Defaults to
     // the bounding box of the construction-time positions (static runs).
@@ -110,7 +108,8 @@ class Engine {
     // listeners runs serially even when threads > 1 (counted in
     // Stats::parallel_small_rounds). Must be >= 1; raising it trades
     // parallel coverage of small rounds for less dispatch overhead —
-    // bench_parallel_rounds --sweep_grain measures the trade.
+    // bench_parallel_rounds --sweep_grain measures the trade. Not in the
+    // flag grammar or the environment: only that sweep sets it.
     std::size_t min_listeners_per_shard = kMinListenersPerShard;
     // Grid mode descends the far-field tile pyramid (sinr/farfield.h) only
     // for rounds whose transmitters occupy at least this many tiles; below
@@ -130,10 +129,9 @@ class Engine {
 
     // Options overridden from the environment (the bench/ regenerators;
     // dcc_run takes its engine options from flags only):
-    //   DCC_ENGINE_MODE      = exact | grid | auto (default auto)
-    //   DCC_ENGINE_CELL      = <tile side>     (default: engine heuristic)
-    //   DCC_ENGINE_THREADS   = <shard count, 0=hw> (default: 1, serial)
-    //   DCC_ENGINE_MIN_SHARD = <listener grain> (default: 8)
+    //   DCC_ENGINE_MODE    = exact | grid | auto (default auto)
+    //   DCC_ENGINE_CELL    = <tile side>     (default: engine heuristic)
+    //   DCC_ENGINE_THREADS = <shard count, 0=hw> (default: 1, serial)
     // Throws InvalidArgument on any unrecognized or malformed value — a
     // typo must not silently fall back to the default strategy.
     static Options FromEnv();
@@ -160,14 +158,6 @@ class Engine {
   void StepInto(std::span<const std::size_t> transmitters,
                 std::span<const std::size_t> listeners,
                 std::vector<Reception>& out) const;
-
-  // SINR of transmitter `v` at listener `u` under transmitter set T.
-  double Sinr(std::size_t v, std::size_t u,
-              const std::vector<std::size_t>& transmitters) const;
-
-  // Total interference power at `u` from `transmitters` (no noise term).
-  double InterferenceAt(std::size_t u,
-                        const std::vector<std::size_t>& transmitters) const;
 
   const Network& net() const { return *net_; }
 
@@ -196,10 +186,6 @@ class Engine {
   // Restores node i at its current network position (churn join; pair with
   // Network::SetPosition for the respawn point).
   void IndexInsert(std::size_t i);
-
-  // Live points in the index (== net().size() minus erased nodes); 0 in
-  // exact mode, where no index exists.
-  std::size_t IndexSize() const { return grid_ ? grid_->point_count() : 0; }
 
   // Cumulative counters (diagnostics for benches).
   struct Stats {

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "dcc/cluster/validate.h"
+#include "dcc/common/math_util.h"
 #include "dcc/workload/generators.h"
 
 namespace dcc::cluster {
@@ -104,24 +109,50 @@ TEST(ClusteringTest, DeterministicAcrossRuns) {
 }
 
 TEST(ClusteringTest, RoundsScaleWithGammaTimesLogN) {
-  // Theorem 1 shape: rounds/Gamma stays within a logN-ish band as density
-  // grows (coarse shape check, not a constant-factor assertion).
+  // Theorem 1: Clustering takes O(Gamma * log N * log* N) rounds, N the ID
+  // space. Each point asserts rounds <= kMaxRatio * Gamma * log2 N * log* N.
+  // Fitted at N = 2^12 (log2 N * log* N = 48) on this test's own points:
+  // rounds / bound was 296-473 on the growing-density set and 352-554 on
+  // the constant-density set (seed means 444-519); kMaxRatio allows 1.5x
+  // the largest, 554.
+  constexpr double kMaxRatio = 831.0;
   const auto params = TestParams();
-  std::vector<double> per_gamma;
-  for (const int n : {48, 96, 192}) {
-    auto pts = workload::UniformSquare(n, 4.0, 29);
-    const auto net = workload::MakeNetwork(pts, params, 31);
+  const double log_terms = std::log2(static_cast<double>(params.id_space)) *
+                           LogStar(static_cast<double>(params.id_space));
+  const auto ratio = [&](int n, double side, std::uint64_t points_seed,
+                         std::uint64_t net_seed, std::uint64_t algo_seed) {
+    auto pts = workload::UniformSquare(n, side, points_seed);
+    const auto net = workload::MakeNetwork(pts, params, net_seed);
     const auto prof = Profile::Practical(params.id_space);
     const auto all = AllIndices(net);
-    const int gamma = SubsetDensity(net, all);
+    const int gamma = std::max(1, SubsetDensity(net, all));
     sim::Exec ex(net);
-    const auto res = BuildClustering(ex, prof, all, gamma, 9);
-    EXPECT_EQ(res.unassigned, 0u);
-    per_gamma.push_back(static_cast<double>(res.rounds) /
-                        std::max(1, gamma));
+    const auto res = BuildClustering(ex, prof, all, gamma, algo_seed);
+    EXPECT_EQ(res.unassigned, 0u) << "n=" << n;
+    const double r = static_cast<double>(res.rounds) / (gamma * log_terms);
+    EXPECT_LE(r, kMaxRatio) << "n=" << n << " side=" << side
+                            << " gamma=" << gamma << " rounds=" << res.rounds;
+    return r;
+  };
+
+  // Growing density: quadrupling n on a fixed square raises Gamma (18, 29
+  // and 54 here).
+  for (const int n : {48, 96, 192}) ratio(n, 4.0, 29, 31, 9);
+
+  // Constant density (side = sqrt(n) / 2, Gamma 17-20): the ratio must not
+  // drift with n. Single seeds spread too widely for this (352-527 at
+  // n = 64), so compare means over three seeds; at the fit they were 451,
+  // 444 and 519 for n = 32, 64 and 128.
+  std::vector<double> mean_ratio;
+  for (const int n : {32, 64, 128}) {
+    double sum = 0.0;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      sum += ratio(n, 0.5 * std::sqrt(static_cast<double>(n)), seed,
+                   seed + 100, seed);
+    }
+    mean_ratio.push_back(sum / 3.0);
   }
-  // Quadrupling density shouldn't blow rounds/Gamma by more than ~6x.
-  EXPECT_LT(per_gamma.back(), 6.0 * per_gamma.front() + 1e4);
+  EXPECT_LE(mean_ratio.back(), 1.5 * mean_ratio.front());
 }
 
 class ClusteringSweep

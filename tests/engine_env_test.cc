@@ -1,6 +1,6 @@
 // Engine::Options::FromEnv — strict parsing of DCC_ENGINE_MODE /
-// DCC_ENGINE_CELL / DCC_ENGINE_THREADS / DCC_ENGINE_MIN_SHARD. Typos must
-// reject, not silently fall back.
+// DCC_ENGINE_CELL / DCC_ENGINE_THREADS. Typos must reject, not silently
+// fall back.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -16,7 +16,6 @@ class EngineEnvTest : public ::testing::Test {
     unsetenv("DCC_ENGINE_MODE");
     unsetenv("DCC_ENGINE_CELL");
     unsetenv("DCC_ENGINE_THREADS");
-    unsetenv("DCC_ENGINE_MIN_SHARD");
   }
 };
 
@@ -69,29 +68,10 @@ TEST_F(EngineEnvTest, RejectsMalformedThreads) {
   EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
 }
 
-TEST_F(EngineEnvTest, ParsesMinShard) {
-  setenv("DCC_ENGINE_MIN_SHARD", "64", 1);
-  EXPECT_EQ(Engine::Options::FromEnv().min_listeners_per_shard, 64);
-  setenv("DCC_ENGINE_MIN_SHARD", "1", 1);
-  EXPECT_EQ(Engine::Options::FromEnv().min_listeners_per_shard, 1);
-}
-
-TEST_F(EngineEnvTest, RejectsMalformedMinShard) {
-  setenv("DCC_ENGINE_MIN_SHARD", "lots", 1);
-  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-  setenv("DCC_ENGINE_MIN_SHARD", "0", 1);  // grain of 0 would always shard
-  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-  setenv("DCC_ENGINE_MIN_SHARD", "-8", 1);
-  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-  setenv("DCC_ENGINE_MIN_SHARD", "2000000", 1);  // above the sanity cap
-  EXPECT_THROW(Engine::Options::FromEnv(), InvalidArgument);
-}
-
 TEST_F(EngineEnvTest, EmptyValuesMeanUnset) {
   setenv("DCC_ENGINE_MODE", "", 1);
   setenv("DCC_ENGINE_CELL", "", 1);
   setenv("DCC_ENGINE_THREADS", "", 1);
-  setenv("DCC_ENGINE_MIN_SHARD", "", 1);
   const auto opts = Engine::Options::FromEnv();
   EXPECT_EQ(opts.mode, Engine::Mode::kAuto);
   EXPECT_EQ(opts.cell, 0.0);

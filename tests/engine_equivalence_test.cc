@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <ostream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "dcc/sinr/propagation.h"
@@ -18,9 +22,6 @@
 namespace dcc::sinr {
 namespace {
 
-// gtest names each instance by the raw bytes of its Scenario, so every
-// field is 8 bytes wide: padding bytes are indeterminate and would make
-// the test names differ from one build (or run) to the next.
 struct Scenario {
   std::int64_t n;
   double side;
@@ -28,7 +29,23 @@ struct Scenario {
   std::int64_t tx_period;  // every tx_period-th node transmits
   double cell;             // grid tile size; 0 = auto
 };
-static_assert(sizeof(Scenario) == 5 * 8, "Scenario must have no padding");
+
+// Names each instance by its fields, e.g.
+// RandomNetworks/EngineEquivalence.GridReproducesExactReceptions/
+// n200_side14_shadow0p5_period2_cell0 in ctest, so the names are stable
+// and selectable with -R ('p' stands for the decimal point).
+void PrintTo(const Scenario& sc, std::ostream* os) {
+  const auto num = [](double v) {
+    std::ostringstream out;
+    out << v;
+    std::string s = out.str();
+    std::replace(s.begin(), s.end(), '.', 'p');
+    return s;
+  };
+  *os << "n" << sc.n << "_side" << num(sc.side) << "_shadow"
+      << num(sc.shadowing_spread) << "_period" << sc.tx_period << "_cell"
+      << num(sc.cell);
+}
 
 void SplitTxListeners(std::size_t n, std::int64_t period,
                       std::vector<std::size_t>& tx,

@@ -33,7 +33,11 @@ TEST(EngineTest, SinrMatchesHandComputation) {
   const double sig = p.power / std::pow(0.5, p.alpha);
   const double intf = p.power / std::pow(1.5, p.alpha);
   const double want = sig / (p.noise + intf);
-  EXPECT_NEAR(eng.Sinr(0, 2, {0, 1}), want, 1e-12);
+  const auto recs = eng.Step({0, 1}, {2});
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].listener, 2u);
+  EXPECT_EQ(recs[0].sender, 0u);
+  EXPECT_NEAR(recs[0].sinr, want, 1e-12);
 }
 
 TEST(EngineTest, CollisionBlocksEquidistantListeners) {
@@ -93,13 +97,6 @@ TEST(EngineTest, InterferenceAccumulates) {
   EXPECT_TRUE(eng.Step(tx, {1}).empty());
 }
 
-TEST(EngineTest, InterferenceAtMatchesSum) {
-  const Network net = LineNetwork(4, 0.5);
-  const Engine eng(net);
-  const double want = net.Gain(0, 3) + net.Gain(1, 3) + net.Gain(2, 3);
-  EXPECT_NEAR(eng.InterferenceAt(3, {0, 1, 2}), want, 1e-12);
-}
-
 TEST(EngineTest, StatsAccumulate) {
   const Network net = LineNetwork(4, 0.5);
   Engine eng(net);
@@ -110,12 +107,6 @@ TEST(EngineTest, StatsAccumulate) {
   EXPECT_GT(eng.stats().receptions, 0);
   eng.ResetStats();
   EXPECT_EQ(eng.stats().rounds, 0);
-}
-
-TEST(EngineTest, SinrRequiresSenderInSet) {
-  const Network net = LineNetwork(3, 0.5);
-  const Engine eng(net);
-  EXPECT_THROW(eng.Sinr(0, 1, {2}), InvalidArgument);
 }
 
 }  // namespace

@@ -102,32 +102,7 @@ TEST(ExecTest, ObserverSeesRounds) {
   EXPECT_EQ(calls, 2);
 }
 
-// A tiny NodeProtocol: node 0 counts down then transmits once; others
-// finish when they hear it.
-class PingProtocol final : public NodeProtocol {
- public:
-  PingProtocol(bool sender, NodeId id) : sender_(sender), id_(id) {}
-  std::optional<Message> OnRound(Round r) override {
-    if (sender_ && r == 3 && !sent_) {
-      sent_ = true;
-      done_ = true;
-      Message m;
-      m.src = id_;
-      return m;
-    }
-    return std::nullopt;
-  }
-  void OnHear(Round, const Message&) override { done_ = true; }
-  bool Done() const override { return done_; }
-
- private:
-  bool sender_;
-  NodeId id_;
-  bool sent_ = false;
-  bool done_ = false;
-};
-
-TEST(RunnerTest, OutOfRangeCandidateRejected) {
+TEST(ExecTest, OutOfRangeCandidateRejected) {
   const auto net = LineNetwork(4, 0.5);
   Exec ex(net);
   const Exec::Decide transmit = [](std::size_t) {
@@ -139,24 +114,6 @@ TEST(RunnerTest, OutOfRangeCandidateRejected) {
   // The rejected round left no transmitter behind.
   EXPECT_EQ(ex.RunRound({1}, transmit, ignore), 1);
   EXPECT_EQ(ex.rounds(), 1);
-}
-
-TEST(RunnerTest, StopsWhenAllDone) {
-  const auto net = LineNetwork(3, 0.5);
-  Runner runner(net);
-  PingProtocol p0(true, net.id(0)), p1(false, net.id(1)), p2(false, net.id(2));
-  const Round r = runner.Run({&p0, &p1, &p2}, 100);
-  EXPECT_LE(r, 6);
-  EXPECT_TRUE(p1.Done());
-  EXPECT_TRUE(p2.Done());
-}
-
-TEST(RunnerTest, RespectsMaxRounds) {
-  const auto net = LineNetwork(2, 0.5);
-  Runner runner(net);
-  PingProtocol p0(false, net.id(0)), p1(false, net.id(1));  // never done
-  const Round r = runner.Run({&p0, &p1}, 25);
-  EXPECT_EQ(r, 25);
 }
 
 }  // namespace

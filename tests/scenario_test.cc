@@ -86,7 +86,6 @@ TEST(ScenarioSpecTest, FullyCustomizedSpecRoundTrips) {
   spec.shadowing.seed = 99;
   spec.engine.mode = sinr::Engine::Mode::kGrid;
   spec.engine.cell = 2.5;
-  spec.engine.grid_threshold = 512;
   spec.max_rounds = 5000;
   spec.faults = 2;
   spec.threads = 3;
@@ -97,7 +96,6 @@ TEST(ScenarioSpecTest, FullyCustomizedSpecRoundTrips) {
   EXPECT_DOUBLE_EQ(parsed.sinr.beta, 2.0);
   EXPECT_DOUBLE_EQ(parsed.sinr.power, 2.0);  // power = noise * beta coupling
   EXPECT_EQ(parsed.engine.mode, sinr::Engine::Mode::kGrid);
-  EXPECT_EQ(parsed.engine.grid_threshold, 512u);
 }
 
 TEST(ScenarioSpecTest, RejectsUnknownOrMalformedFlags) {
@@ -106,10 +104,10 @@ TEST(ScenarioSpecTest, RejectsUnknownOrMalformedFlags) {
   EXPECT_THROW(ScenarioSpec::FromArgs({"--engine=fast"}), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::FromArgs({"--cell=-1"}), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::FromArgs({"--seeds="}), InvalidArgument);
-  // Flags of engine mechanisms that no longer exist are unknown, not
-  // silently ignored.
+  // Flags of engine mechanisms and knobs that no longer exist are
+  // unknown, not silently ignored.
   for (const char* gone : {"--pipeline=on", "--ranks=2", "--prologue-cache=8",
-                           "--farfield=flat"}) {
+                           "--farfield=flat", "--grid-threshold=512"}) {
     try {
       ScenarioSpec::FromArgs({gone});
       ADD_FAILURE() << gone << " was accepted";

@@ -46,7 +46,6 @@ void PrintUsage(std::ostream& os) {
         "  --shadowing=SPREAD[:SEED]  deterministic per-link shadowing (off)\n"
         "  --engine=exact|grid|auto   interference resolution (auto)\n"
         "  --cell=D                   grid tile side (engine heuristic)\n"
-        "  --grid-threshold=N         auto mode's exact->grid cutover (2048)\n"
         "  --rounds=R                 round budget where applicable\n"
         "  --faults=K                 K always-on background jammers (0)\n"
         "  --threads=T                sweep workers AND engine round shards\n"
