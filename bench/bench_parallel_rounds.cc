@@ -5,8 +5,8 @@
 // For each n in {4096, 16384, 65536} (--full extends the ladder to 262144
 // and 1048576) and each transmitter regime — dense (every 8th node
 // transmits, the acceptance-target workload), sparse (every 64th) and
-// dynamic (a mobility + churn epoch loop exercising the incremental index
-// path) — the bench walks a thread ladder {1, 2, 4, ..., hw}: it first
+// dynamic (a mobility + churn epoch loop that re-tiles the grid every
+// epoch) — the bench walks a thread ladder {1, 2, 4, ..., hw}: it first
 // pins the parallel round's receptions bit-identical to threads=1, then
 // times ms/round and reports the speedup over the serial engine.
 //
@@ -136,9 +136,10 @@ void JitterPositions(const std::vector<Vec2>& base, int epoch,
   }
 }
 
-// One full epoch loop: per epoch, move every node, flip the churn slice,
-// then run the round schedule. Appends every reception to `digest` (the
-// cross-config identity witness) and returns ms/round over the whole pass.
+// One full epoch loop: per epoch, move every node and re-tile, drop the
+// churn slice, then run the round schedule. Appends every reception to
+// `digest` (the cross-config identity witness) and returns ms/round over
+// the whole pass.
 double DynamicPass(const Network& base_net, Engine::Options opts,
                    std::vector<Reception>& digest) {
   Network net = base_net;  // mutable copy: mobility rewrites positions
@@ -151,7 +152,6 @@ double DynamicPass(const Network& base_net, Engine::Options opts,
   opts.coverage = box;
   Engine eng(net, opts);
 
-  std::vector<char> active(net.size(), 1);
   std::vector<Vec2> pts;
   std::vector<std::size_t> tx, listeners;
   std::vector<Reception> out;
@@ -160,23 +160,13 @@ double DynamicPass(const Network& base_net, Engine::Options opts,
     JitterPositions(base, e, pts);
     net.SetPositions(pts);
     eng.SyncIndex();
-    // Rotating churn slice: node i is off during epoch e iff
-    // (i + e) % kChurnPeriod == 0.
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const char on =
-          (i + static_cast<std::size_t>(e)) % kChurnPeriod == 0 ? 0 : 1;
-      if (on == active[i]) continue;
-      if (on) {
-        eng.IndexInsert(i);
-      } else {
-        eng.IndexErase(i);
-      }
-      active[i] = on;
-    }
     tx.clear();
     listeners.clear();
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      if (!active[i]) continue;
+    for (std::size_t i = 0; i < net.size(); ++i) {
+      // Rotating churn slice: node i is off during epoch e iff
+      // (i + e) % kChurnPeriod == 0, and an off node neither transmits nor
+      // listens.
+      if ((i + static_cast<std::size_t>(e)) % kChurnPeriod == 0) continue;
       (i % 8 == 0 ? tx : listeners).push_back(i);
     }
     for (int r = 0; r < kRoundsPerEpoch; ++r) {

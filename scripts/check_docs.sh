@@ -20,6 +20,11 @@
 #      src/, tools/, bench/ or CMakeLists.txt, so the docs cannot advertise
 #      a knob the code stopped reading. Prefix mentions such as
 #      DCC_ENGINE_* are skipped.
+#   6. Bench and test names — every bench_<name> those same docs mention
+#      must be bench/bench_<name>.cc, scripts/bench_<name>.py or bench_e2e,
+#      and every <name>_test must be tests/<name>_test.cc, so a deleted
+#      bench or test cannot linger as a bare name (check 2 sees only
+#      paths). Prefix mentions such as bench_fig* are skipped.
 #
 # Usage: scripts/check_docs.sh [path-to-dcc_run]   (default: build/dcc_run;
 # dccd and dcc_load are expected next to it)
@@ -146,9 +151,9 @@ for key in $driver_keys; do
 done
 
 # --- 5. DCC_ environment names vs the code -----------------------------------
-ENV_DOCS=("${DOCS[@]}")
+DOCS_AND_SKILLS=("${DOCS[@]}")
 for skill in "$ROOT"/.[!.]*/skills/*/SKILL.md; do
-  [ -f "$skill" ] && ENV_DOCS+=("$skill")
+  [ -f "$skill" ] && DOCS_AND_SKILLS+=("$skill")
 done
 while IFS=: read -r doc name; do
   # A trailing '*' or '_' marks a prefix mention, not a variable.
@@ -158,7 +163,20 @@ while IFS=: read -r doc name; do
   grep -rqwF -- "$name" "$ROOT/src" "$ROOT/tools" "$ROOT/bench" \
       "$ROOT/CMakeLists.txt" ||
     err "$(basename "$doc"): mentions $name, which nothing in src/, tools/, bench/ or CMakeLists.txt names"
-done < <(grep -oHE 'DCC_[A-Z0-9_]+[*]?' "${ENV_DOCS[@]}" | sort -u)
+done < <(grep -oHE 'DCC_[A-Z0-9_]+[*]?' "${DOCS_AND_SKILLS[@]}" | sort -u)
+
+# --- 6. bench and test names vs the tree -------------------------------------
+while IFS=: read -r doc name; do
+  case "$name" in
+    *'*' | bench_e2e) continue ;;
+  esac
+  [ -e "$ROOT/bench/$name.cc" ] || [ -e "$ROOT/scripts/$name.py" ] ||
+    err "$(basename "$doc"): mentions $name, which is neither bench/$name.cc nor scripts/$name.py"
+done < <(grep -oHP '(?<!\w)bench_\w*\*?' "${DOCS_AND_SKILLS[@]}" | sort -u)
+while IFS=: read -r doc name; do
+  [ -e "$ROOT/tests/$name.cc" ] ||
+    err "$(basename "$doc"): mentions $name, which is not tests/$name.cc"
+done < <(grep -oHP '\w+_test(?![\w*])' "${DOCS_AND_SKILLS[@]}" | sort -u)
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "dcc/common/types.h"
 
@@ -25,6 +26,15 @@ std::int64_t ParseInt64(const std::string& text, const std::string& what) {
     Fail(what, text, "an integer");
   }
   return v;
+}
+
+int ParseInt(const std::string& text, const std::string& what) {
+  const std::int64_t v = ParseInt64(text, what);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    Fail(what, text, "an integer in int range");
+  }
+  return static_cast<int>(v);
 }
 
 std::uint64_t ParseUint64(const std::string& text, const std::string& what) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "dcc/common/types.h"
@@ -43,7 +44,7 @@ void SpatialGrid::InitTiles(std::span<const Vec2> pts, const Box& coverage) {
   lo_x_ = coverage.lo.x;
   lo_y_ = coverage.lo.y;
   // Guard against a cell far smaller than the point extent (e.g. a typo'd
-  // engine option): the per-tile arrays would dwarf the point set.
+  // engine option): the tiling would dwarf the point set.
   const std::int64_t max_tiles = std::min<std::int64_t>(
       std::max<std::int64_t>(1024, 64 * static_cast<std::int64_t>(pts.size())),
       std::numeric_limits<int>::max());
@@ -59,55 +60,17 @@ void SpatialGrid::InitTiles(std::span<const Vec2> pts, const Box& coverage) {
               "SpatialGrid: cell too small for the point extent");
   nx_ = static_cast<int>(nx);
   ny_ = static_cast<int>(ny);
+  tile_of_point_.resize(pts.size());
+  Retile(pts);
+}
 
-  const std::size_t n = pts.size();
-  tile_of_point_.resize(n);
-  slot_of_point_.resize(n);
-  buckets_.resize(static_cast<std::size_t>(tile_count()));
-  // Counting pass so every bucket is allocated exactly once.
-  std::vector<std::size_t> count(buckets_.size(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
+void SpatialGrid::Retile(std::span<const Vec2> pts) {
+  DCC_REQUIRE(pts.size() == tile_of_point_.size(),
+              "SpatialGrid::Retile: point count changed");
+  for (std::size_t i = 0; i < pts.size(); ++i) {
     CheckCovered(pts[i]);
-    const int t = TileAt(pts[i]);
-    tile_of_point_[i] = t;
-    ++count[static_cast<std::size_t>(t)];
+    tile_of_point_[i] = TileAt(pts[i]);
   }
-  for (std::size_t t = 0; t < buckets_.size(); ++t) {
-    if (count[t] == 0) continue;
-    buckets_[t].reserve(count[t]);
-    occupied_.push_back(static_cast<int>(t));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& bucket = buckets_[static_cast<std::size_t>(tile_of_point_[i])];
-    slot_of_point_[i] = static_cast<std::uint32_t>(bucket.size());
-    bucket.push_back(i);
-  }
-  live_count_ = n;
-}
-
-const std::vector<int>& SpatialGrid::occupied() const {
-  if (occupied_dirty_) {
-    std::sort(occupied_.begin(), occupied_.end());
-    occupied_.erase(std::unique(occupied_.begin(), occupied_.end()),
-                    occupied_.end());
-    std::erase_if(occupied_, [&](int t) {
-      return buckets_[static_cast<std::size_t>(t)].empty();
-    });
-    occupied_dirty_ = false;
-  }
-  return occupied_;
-}
-
-void SpatialGrid::Insert(std::size_t i, Vec2 p) {
-  DCC_REQUIRE(i >= tile_of_point_.size() || tile_of_point_[i] == kErased,
-              "SpatialGrid::Insert: slot already live");
-  CheckCovered(p);
-  if (i >= tile_of_point_.size()) {
-    tile_of_point_.resize(i + 1, kErased);
-    slot_of_point_.resize(i + 1, 0);
-  }
-  PushToTile(i, TileAt(p));
-  ++live_count_;
 }
 
 double SpatialGrid::DistLoSq(Vec2 p, int tile) const {

@@ -3,8 +3,8 @@
 // Churn is modeled as *activity*, not allocation: every node keeps its
 // slot, id and gain-matrix row for the whole run, and the process toggles
 // an active mask. That keeps the simulator allocation-free across epochs —
-// a leave is an O(1) SpatialGrid::Erase, a join an O(1) Insert plus a
-// Respawn from the mobility model — while protocol code simply never sees
+// a leave only clears the node's bit, a join sets it and takes a Respawn
+// position from the mobility model — while protocol code simply never sees
 // inactive nodes in its member set.
 //
 // Per epoch of length dt, each active node leaves with probability

@@ -11,7 +11,8 @@
 // Conventions:
 //  * Positions are confined to the model's world Box. Models reflect or
 //    re-target at the boundary; they never emit a position outside it, so
-//    a SpatialGrid built with the world as its coverage box stays sound.
+//    a SpatialGrid tiled over the world box can re-tile every epoch's
+//    positions (SpatialGrid::Retile rejects a point outside its coverage).
 //  * All randomness is seed-deterministic (Xoshiro256ss per model): the
 //    same seed replays the same trajectories on any host.
 //  * Node count is fixed; churn (ChurnProcess, churn.h) toggles *activity*.

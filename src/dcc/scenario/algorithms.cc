@@ -61,8 +61,7 @@ int MaxPhases(const RunContext& ctx, RunReport& rep) {
   const int d = ctx.net.Diameter();
   rep.metrics.Set("diameter", d);
   rep.metrics.Set("connected", ctx.net.Connected() ? 1 : 0);
-  return static_cast<int>(
-      ctx.params.GetInt("max_phases", std::max(d, 0) + 3));
+  return ctx.params.GetInt32("max_phases", std::max(d, 0) + 3);
 }
 
 RunReport RunClustering(RunContext& ctx) {
@@ -201,8 +200,7 @@ RunReport RunTdmaGlobal(RunContext& ctx) {
   const int d = ctx.net.Diameter();
   rep.metrics.Set("diameter", d);
   rep.metrics.Set("connected", ctx.net.Connected() ? 1 : 0);
-  const auto max_sweeps = static_cast<int>(
-      ctx.params.GetInt("max_sweeps", std::max(d, 0) + 3));
+  const int max_sweeps = ctx.params.GetInt32("max_sweeps", std::max(d, 0) + 3);
   const auto res =
       baselines::TdmaGlobalBroadcast(ctx.ex, SourceMember(ctx), max_sweeps);
   rep.ok = res.complete;
@@ -214,7 +212,7 @@ RunReport RunTdmaGlobal(RunContext& ctx) {
 RunReport RunGridTdma(RunContext& ctx) {
   RunReport rep;
   const auto res = baselines::GridTdmaLocalBroadcast(
-      ctx.ex, ctx.members, static_cast<int>(ctx.params.GetInt("s", 6)));
+      ctx.ex, ctx.members, ctx.params.GetInt32("s", 6));
   rep.ok = res.covered;
   rep.metrics.Set("rounds", static_cast<double>(res.rounds));
   rep.metrics.Set("cell_colors", res.cell_colors);
@@ -244,8 +242,7 @@ RunReport RunRandLocalKnown(RunContext& ctx) {
 
 RunReport RunRandLocalUnknown(RunContext& ctx) {
   RunReport rep;
-  const auto max_delta = static_cast<int>(
-      ctx.params.GetInt("max_delta", 2 * std::int64_t{ctx.gamma}));
+  const int max_delta = ctx.params.GetInt32("max_delta", 2 * ctx.gamma);
   const auto res = baselines::RandLocalBroadcastUnknown(
       ctx.ex, ctx.members, max_delta, ctx.params.GetDouble("c_prob", 1.0),
       ctx.params.GetDouble("c_len", 24.0), CoinSeed(ctx));

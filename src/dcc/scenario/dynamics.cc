@@ -56,7 +56,7 @@ MobilityRegistry& BuildMobilityModels() {
       [](const ParamMap& p, const Box& world, std::uint64_t seed) {
         mobility::ReferencePointGroup::Config cfg;
         cfg.world = world;
-        cfg.group_size = static_cast<int>(p.GetInt("group", 8));
+        cfg.group_size = p.GetInt32("group", 8);
         cfg.vmax = p.GetDouble("speed", 1.0);
         cfg.vmin = p.GetDouble("vmin", std::min(0.1, cfg.vmax));
         cfg.pause = p.GetDouble("pause", 0.0);
@@ -103,7 +103,7 @@ RunReport RunDynamicScenario(const ScenarioSpec& spec, std::uint64_t seed) {
     topo_params.CheckAllConsumed("topology '" + spec.topology + "'");
 
     const std::string model_name = dyn.GetString("model", "waypoint");
-    const auto epochs = static_cast<int>(dyn.GetInt("epochs", 8));
+    const int epochs = dyn.GetInt32("epochs", 8);
     const double epoch_len = dyn.GetDouble("epoch_len", 1.0);
     const double churn_rate = dyn.GetDouble("churn", 0.0);
     const double join_rate = dyn.GetDouble("join", churn_rate);
@@ -145,8 +145,8 @@ RunReport RunDynamicScenario(const ScenarioSpec& spec, std::uint64_t seed) {
     members.reserve(n);
 
     model->Init(pos);
-    // Off nodes must not listen (and, erased from the spatial index, must
-    // not reach the engine at all).
+    // Off nodes must not transmit or listen; they keep their last position
+    // and grid tile, which no round reads.
     ex.SetActivityMask(active);
     const auto prof = cluster::Profile::Practical(spec.sinr.id_space);
     const std::uint64_t nonce = spec.nonce.value_or(seed + 2);
@@ -165,8 +165,6 @@ RunReport RunDynamicScenario(const ScenarioSpec& spec, std::uint64_t seed) {
         for (const std::size_t i : delta.joined) pos[i] = model->Respawn(i);
         net.SetPositions(pos);
         ex.engine().SyncIndex();
-        for (const std::size_t i : delta.left) ex.engine().IndexErase(i);
-        for (const std::size_t i : delta.joined) ex.engine().IndexInsert(i);
       }
 
       members.clear();

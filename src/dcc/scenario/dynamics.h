@@ -2,10 +2,11 @@
 //
 // A dynamic run executes `epochs` epochs of `epoch_len` simulated time
 // each. Epoch 0 clusters the freshly generated topology; every later epoch
-// (1) advances the mobility model in place on the Network (incremental
-// SpatialGrid maintenance — no index rebuild), (2) applies the churn
-// process (leave = SpatialGrid::Erase, join = Respawn + Insert), and
-// (3) re-runs clustering over the active member set, validating the
+// (1) advances the mobility model and (2) applies the churn process (a
+// leave clears the node's activity bit, a join sets it and respawns the
+// node), then writes the positions to the Network in place and re-tiles
+// the grid engine's SpatialGrid (Engine::SyncIndex), and (3) re-runs
+// clustering over the active member set, validating the
 // geometric postconditions against the *current* positions and measuring
 // how much of the previous epoch's cluster structure survived.
 //

@@ -63,6 +63,12 @@ std::int64_t ParamMap::GetInt(const std::string& key,
   return ParseInt64(*v, "parameter '" + key + "'");
 }
 
+int ParamMap::GetInt32(const std::string& key, int fallback) const {
+  const std::string* v = Find(key);
+  if (!v) return fallback;
+  return ParseInt(*v, "parameter '" + key + "'");
+}
+
 double ParamMap::GetDouble(const std::string& key, double fallback) const {
   const std::string* v = Find(key);
   if (!v) return fallback;

@@ -28,6 +28,9 @@ class ParamMap {
   // Typed getters: absent keys return `fallback`; malformed values throw
   // InvalidArgument. Reads mark the key consumed.
   std::int64_t GetInt(const std::string& key, std::int64_t fallback) const;
+  // GetInt for int-typed parameters: a value outside int's range throws
+  // (naming the key) instead of wrapping.
+  int GetInt32(const std::string& key, int fallback) const;
   double GetDouble(const std::string& key, double fallback) const;
   std::string GetString(const std::string& key,
                         const std::string& fallback) const;

@@ -151,11 +151,14 @@ ScenarioSpec ScenarioSpec::FromArgs(const std::vector<std::string>& args) {
       }
     } else if (key == "--rounds") {
       spec.max_rounds = ParseInt64(val, key);
+      if (spec.max_rounds < 0) {
+        throw InvalidArgument("--rounds: must be >= 0 (0 = default budget)");
+      }
     } else if (key == "--faults") {
-      spec.faults = static_cast<int>(ParseInt64(val, key));
+      spec.faults = ParseInt(val, key);
       if (spec.faults < 0) throw InvalidArgument("--faults: must be >= 0");
     } else if (key == "--threads") {
-      spec.threads = static_cast<int>(ParseInt64(val, key));
+      spec.threads = ParseInt(val, key);
       // Same bounds as DCC_ENGINE_THREADS: the value becomes the engine's
       // shard count, and grid-mode scratch scales with shards x tiles — an
       // absurd value must fail validation, not allocation.

@@ -10,24 +10,23 @@ void RegisterBuiltinTopologies(TopologyRegistry& reg) {
   reg.Register(
       "uniform",
       [](const ParamMap& p, const sinr::Params&, std::uint64_t seed) {
-        return workload::UniformSquare(
-            static_cast<int>(p.GetInt("n", 128)), p.GetDouble("side", 5.0),
-            seed);
+        return workload::UniformSquare(p.GetInt32("n", 128),
+                                       p.GetDouble("side", 5.0), seed);
       },
       "n=128,side=5 — n points uniform in a side x side square");
   reg.Register(
       "connected_uniform",
       [](const ParamMap& p, const sinr::Params& sp, std::uint64_t seed) {
-        return workload::ConnectedUniform(
-            static_cast<int>(p.GetInt("n", 96)), p.GetDouble("side", 4.0), sp,
-            seed, static_cast<int>(p.GetInt("max_tries", 64)));
+        return workload::ConnectedUniform(p.GetInt32("n", 96),
+                                          p.GetDouble("side", 4.0), sp, seed,
+                                          p.GetInt32("max_tries", 64));
       },
       "n=96,side=4,max_tries=64 — uniform square resampled until connected");
   reg.Register(
       "blob_chain",
       [](const ParamMap& p, const sinr::Params&, std::uint64_t seed) {
-        return workload::BlobChain(static_cast<int>(p.GetInt("blobs", 6)),
-                                   static_cast<int>(p.GetInt("per_blob", 10)),
+        return workload::BlobChain(p.GetInt32("blobs", 6),
+                                   p.GetInt32("per_blob", 10),
                                    p.GetDouble("sigma", 0.3),
                                    p.GetDouble("spacing", 1.2), seed);
       },
@@ -36,32 +35,30 @@ void RegisterBuiltinTopologies(TopologyRegistry& reg) {
   reg.Register(
       "grid",
       [](const ParamMap& p, const sinr::Params&, std::uint64_t) {
-        return workload::Grid(static_cast<int>(p.GetInt("rows", 8)),
-                              static_cast<int>(p.GetInt("cols", 8)),
+        return workload::Grid(p.GetInt32("rows", 8), p.GetInt32("cols", 8),
                               p.GetDouble("pitch", 0.5));
       },
       "rows=8,cols=8,pitch=0.5 — regular grid (seed-independent)");
   reg.Register(
       "line",
       [](const ParamMap& p, const sinr::Params&, std::uint64_t seed) {
-        return workload::Line(static_cast<int>(p.GetInt("n", 32)),
-                              p.GetDouble("pitch", 0.5), seed);
+        return workload::Line(p.GetInt32("n", 32), p.GetDouble("pitch", 0.5),
+                              seed);
       },
       "n=32,pitch=0.5 — jittered line (max-diameter regime)");
   reg.Register(
       "ring",
       [](const ParamMap& p, const sinr::Params&, std::uint64_t) {
-        return workload::Ring(static_cast<int>(p.GetInt("n", 32)),
-                              p.GetDouble("radius", 2.5));
+        return workload::Ring(p.GetInt32("n", 32), p.GetDouble("radius", 2.5));
       },
       "n=32,radius=2.5 — ring (seed-independent)");
   reg.Register(
       "corridor",
       [](const ParamMap& p, const sinr::Params&, std::uint64_t seed) {
-        return workload::Corridor(static_cast<int>(p.GetInt("n", 128)),
+        return workload::Corridor(p.GetInt32("n", 128),
                                   p.GetDouble("length", 12.0),
                                   p.GetDouble("width", 3.0),
-                                  static_cast<int>(p.GetInt("holes", 3)),
+                                  p.GetInt32("holes", 3),
                                   p.GetDouble("hole_side", 1.5), seed);
       },
       "n=128,length=12,width=3,holes=3,hole_side=1.5 — corridor with "
@@ -69,10 +66,10 @@ void RegisterBuiltinTopologies(TopologyRegistry& reg) {
   reg.Register(
       "two_scale",
       [](const ParamMap& p, const sinr::Params&, std::uint64_t seed) {
-        return workload::TwoScale(static_cast<int>(p.GetInt("n_sparse", 96)),
+        return workload::TwoScale(p.GetInt32("n_sparse", 96),
                                   p.GetDouble("side", 6.0),
-                                  static_cast<int>(p.GetInt("hotspots", 3)),
-                                  static_cast<int>(p.GetInt("n_dense", 24)),
+                                  p.GetInt32("hotspots", 3),
+                                  p.GetInt32("n_dense", 24),
                                   p.GetDouble("sigma", 0.25), seed);
       },
       "n_sparse=96,side=6,hotspots=3,n_dense=24,sigma=0.25 — sparse "
@@ -80,8 +77,7 @@ void RegisterBuiltinTopologies(TopologyRegistry& reg) {
   reg.Register(
       "star",
       [](const ParamMap& p, const sinr::Params&, std::uint64_t) {
-        return workload::Star(static_cast<int>(p.GetInt("arms", 5)),
-                              static_cast<int>(p.GetInt("per_arm", 6)),
+        return workload::Star(p.GetInt32("arms", 5), p.GetInt32("per_arm", 6),
                               p.GetDouble("pitch", 0.5));
       },
       "arms=5,per_arm=6,pitch=0.5 — hub with rays (seed-independent)");

@@ -69,9 +69,9 @@ class Exec {
 
   // Churn (dynamic networks): nodes with mask[i] == 0 are *off* — they
   // neither transmit (candidates and background transmitters are filtered)
-  // nor listen, exactly as if powered down, and they may be absent from
-  // the engine's spatial index. The mask must outlive the rounds run under
-  // it; an empty span restores the everyone-on default. Protocol code
+  // nor listen, exactly as if powered down, so no round reads their
+  // position or grid tile. The mask must outlive the rounds run under it;
+  // an empty span restores the everyone-on default. Protocol code
   // stays unaware: departed nodes simply drop out of the member sets the
   // scenario layer passes in.
   void SetActivityMask(std::span<const char> mask);

@@ -239,21 +239,7 @@ void Engine::EnsureScratch(int shards) const {
 }
 
 void Engine::SyncIndex() {
-  if (!grid_) return;
-  const auto& pos = net_->positions();
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    if (grid_->Contains(i)) grid_->Move(i, pos[i]);
-  }
-}
-
-void Engine::IndexErase(std::size_t i) {
-  if (!grid_) return;
-  grid_->Erase(i);
-}
-
-void Engine::IndexInsert(std::size_t i) {
-  if (!grid_) return;
-  grid_->Insert(i, net_->position(i));
+  if (grid_) grid_->Retile(net_->positions());
 }
 
 std::vector<Reception> Engine::Step(

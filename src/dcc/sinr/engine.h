@@ -169,23 +169,11 @@ class Engine {
   // shared pool's parallelism).
   int threads() const { return threads_; }
 
-  // --- Dynamic networks: spatial-index maintenance. ---
-  // The grid built at construction tracks the network's positions; after
-  // the network mutates (Network::SetPositions / churn), reconcile the
-  // index before the next Step. All three are O(changed points) bucket
-  // updates — never a rebuild — and no-ops in exact mode.
-
-  // Re-tiles every indexed point whose position changed tiles. Call after
-  // a bulk Network::SetPositions.
+  // Dynamic networks: after Network::SetPositions, re-tiles every node at
+  // its new position before the next Step (O(n), no allocation; a no-op in
+  // exact mode). The tiling is fixed at construction, so every position
+  // must stay inside Options::coverage.
   void SyncIndex();
-
-  // Removes node i from the index (churn leave). Until re-inserted, i must
-  // not appear as a transmitter or listener in grid-mode Steps.
-  void IndexErase(std::size_t i);
-
-  // Restores node i at its current network position (churn join; pair with
-  // Network::SetPosition for the respawn point).
-  void IndexInsert(std::size_t i);
 
   // Cumulative counters (diagnostics for benches).
   struct Stats {

@@ -48,8 +48,8 @@ namespace dcc::sinr {
 class FarFieldPyramid {
  public:
   // Binds the pyramid to a grid's tile geometry (idempotent while the
-  // shape is unchanged; SpatialGrid never re-tiles after construction, so
-  // one Reset per engine lifetime is the steady state).
+  // shape is unchanged; a SpatialGrid's shape never changes after
+  // construction, so one Reset per engine lifetime is the steady state).
   void Reset(const SpatialGrid& grid);
 
   // Rebuilds the counts from one round's occupied transmitter tiles

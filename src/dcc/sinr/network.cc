@@ -65,20 +65,6 @@ void Network::SetPositions(std::span<const Vec2> pts) {
   }
 }
 
-void Network::SetPosition(std::size_t i, Vec2 p) {
-  DCC_REQUIRE(i < pos_.size(), "SetPosition: bad node index");
-  pos_[i] = p;
-  comm_graph_.clear();
-  const std::size_t n = pos_.size();
-  if (!gain_.empty()) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double g = ComputeGain(i, j);
-      gain_[i * n + j] = g;
-      gain_[j * n + i] = g;
-    }
-  }
-}
-
 std::size_t Network::IndexOf(NodeId id) const {
   const auto it = index_of_.find(id);
   DCC_REQUIRE(it != index_of_.end(), "Network::IndexOf: unknown id");

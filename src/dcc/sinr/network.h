@@ -50,16 +50,11 @@ class Network {
   // --- Dynamic topologies: in-place position updates. ---
   // Mobility mutates positions between protocol epochs; node count and ids
   // are fixed (churn is an *activity* notion layered above — see
-  // scenario/dynamics.h). Both calls refresh the dense gain matrix where
-  // present and invalidate the lazy communication graph.
-
-  // Replaces every position; pts.size() must equal size(). O(n^2) while the
-  // dense gain matrix is live (n <= kGainMatrixLimit), O(n) beyond.
+  // scenario/dynamics.h). Replaces every position; pts.size() must equal
+  // size(). Refreshes the dense gain matrix where present (O(n^2) while it
+  // is live, n <= kGainMatrixLimit; O(n) beyond) and invalidates the lazy
+  // communication graph.
   void SetPositions(std::span<const Vec2> pts);
-
-  // Moves one node (churn respawns). O(n) with the dense gain matrix
-  // (refreshes row and column i), O(1) beyond.
-  void SetPosition(std::size_t i, Vec2 p);
 
   const Params& params() const { return params_; }
   const std::vector<Vec2>& positions() const { return pos_; }

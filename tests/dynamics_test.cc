@@ -52,8 +52,8 @@ TEST(DynamicsTest, EveryEpochProducesAValidClustering) {
 
 TEST(DynamicsTest, GridEngineMatchesExactOnMovingNetwork) {
   // The same dynamic scenario under both interference strategies: the
-  // incrementally maintained spatial index must reproduce the exact
-  // engine's protocol execution epoch for epoch, metric for metric.
+  // grid engine, re-tiled every epoch, must reproduce the exact engine's
+  // protocol execution epoch for epoch, metric for metric.
   auto spec = SmallDynamicSpec();
   spec.dynamics.Set("model", "walk");
   spec.engine.mode = sinr::Engine::Mode::kExact;

@@ -288,20 +288,16 @@ TEST(FarFieldEngineTest, MobilityChurnStaysIdentical) {
       pos[i].y = std::min(
           side, std::max(0.0, pos[i].y + 0.6 * (rng.NextDouble() - 0.5)));
     }
-    net.SetPositions(pos);
-    for (Engine* e : {&ref, &a, &b}) e->SyncIndex();
     for (int i = 0; i < n; ++i) {
       if (active[i] && rng.NextBelow(20) == 0) {
         active[i] = 0;
-        for (Engine* e : {&ref, &a, &b}) e->IndexErase(i);
       } else if (!active[i] && rng.NextBelow(4) == 0) {
-        const Vec2 p{side * rng.NextDouble(), side * rng.NextDouble()};
-        pos[i] = p;
-        net.SetPosition(i, p);
+        pos[i] = {side * rng.NextDouble(), side * rng.NextDouble()};
         active[i] = 1;
-        for (Engine* e : {&ref, &a, &b}) e->IndexInsert(i);
       }
     }
+    net.SetPositions(pos);
+    for (Engine* e : {&ref, &a, &b}) e->SyncIndex();
     tx.clear();
     listeners.clear();
     for (int i = 0; i < n; ++i) {

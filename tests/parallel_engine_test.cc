@@ -265,8 +265,7 @@ TEST(ParallelEngineTest, MovingChurningNetworkStaysIdentical) {
   base.coverage = Box{{0.0, 0.0}, {side, side}};
   Engine::Options par_opts = base;
   par_opts.threads = 3;
-  // Non-const: index maintenance (SyncIndex / IndexErase / IndexInsert)
-  // mutates the engines' grids.
+  // Non-const: SyncIndex re-tiles the engines' grids.
   Engine serial(net, base);
   Engine par(net, par_opts);
 
@@ -284,24 +283,18 @@ TEST(ParallelEngineTest, MovingChurningNetworkStaysIdentical) {
       pos[i].y = std::min(side, std::max(0.0, pos[i].y +
                                                   0.6 * (rng.NextDouble() - 0.5)));
     }
-    net.SetPositions(pos);
-    serial.SyncIndex();
-    par.SyncIndex();
     // Churn: ~5% leave, previously-left nodes rejoin at fresh positions.
     for (int i = 0; i < n; ++i) {
       if (active[i] && rng.NextBelow(20) == 0) {
         active[i] = 0;
-        serial.IndexErase(i);
-        par.IndexErase(i);
       } else if (!active[i] && rng.NextBelow(4) == 0) {
-        const Vec2 p{side * rng.NextDouble(), side * rng.NextDouble()};
-        pos[i] = p;
-        net.SetPosition(i, p);
+        pos[i] = {side * rng.NextDouble(), side * rng.NextDouble()};
         active[i] = 1;
-        serial.IndexInsert(i);
-        par.IndexInsert(i);
       }
     }
+    net.SetPositions(pos);
+    serial.SyncIndex();
+    par.SyncIndex();
     tx.clear();
     listeners.clear();
     for (int i = 0; i < n; ++i) {

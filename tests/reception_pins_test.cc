@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "dcc/scenario/scenario.h"
@@ -99,6 +100,29 @@ TEST(ReceptionPinsTest, ClusteringGridEngine) {
 TEST(ReceptionPinsTest, GlobalBroadcast) {
   ExpectPinned("connected_uniform:n=64,side=3.54", "global_broadcast", "auto",
                {686138, 51868, 76063, 655497, 0x4822c28536a7e2b6ull});
+}
+
+// A dynamic run: mobility and churn between epochs move nodes across grid
+// tiles and in and out of the rounds, on a sharded grid engine. Pins the
+// totals, the prologue counter and a hash of the whole report's bytes.
+TEST(ReceptionPinsTest, DynamicWalkWithChurn) {
+  const ScenarioSpec spec = ScenarioSpec::FromArgs(
+      {"--topology=uniform:n=32,side=3.5",
+       "--dynamics=model=walk,epochs=4,churn=0.3,side=3.5", "--engine=grid",
+       "--cell=1.0", "--threads=2", "--id-space=4096"});
+  const RunReport rep = RunScenario(spec, /*seed=*/1);
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_EQ(rep.metrics.Get("rounds_total"), 1237716);
+  EXPECT_EQ(rep.metrics.Get("joined_total"), 5);
+  EXPECT_EQ(rep.metrics.Get("left_total"), 16);
+  EXPECT_EQ(rep.parallel.tile_states_computed, 2849849);
+  std::ostringstream json;
+  rep.PrintJson(json);
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+  for (const char c : json.str()) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  EXPECT_EQ(h, 0x0a33536a04f80dedull) << json.str();
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace dcc::scenario {
 namespace {
@@ -104,6 +106,19 @@ TEST(ScenarioSpecTest, RejectsUnknownOrMalformedFlags) {
   EXPECT_THROW(ScenarioSpec::FromArgs({"--engine=fast"}), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::FromArgs({"--cell=-1"}), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::FromArgs({"--seeds="}), InvalidArgument);
+  // Integers past int's range are rejected, not wrapped, and a round
+  // budget cannot be negative (0 still means the default budget).
+  for (const std::string bad :
+       {"--faults=4294967297", "--threads=4294967298", "--rounds=-5"}) {
+    try {
+      ScenarioSpec::FromArgs({bad});
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(bad.substr(0, bad.find('='))),
+                std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
   // Flags of engine mechanisms and knobs that no longer exist are
   // unknown, not silently ignored.
   for (const char* gone : {"--pipeline=on", "--ranks=2", "--prologue-cache=8",
@@ -185,6 +200,23 @@ TEST(RunScenarioTest, UnknownTopologyParameterFailsTheRun) {
   const RunReport rep = RunScenario(spec, 1);
   EXPECT_FALSE(rep.ok);
   EXPECT_NE(rep.error.find("sid"), std::string::npos);
+}
+
+TEST(RunScenarioTest, OversizedIntegerParametersFailTheRun) {
+  // A topology, algorithm or dynamics parameter past int's range fails the
+  // run naming its key; wrapped, rows=4294967298 would build a 2-row grid.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"--topology=grid:rows=4294967298,cols=2"}, "'rows'"},
+       {{"--topology=uniform:n=16,side=2", "--algo=grid_tdma:s=4294967299"},
+        "'s'"},
+       {{"--topology=uniform:n=16,side=2",
+         "--dynamics=model=walk,epochs=4294967298,side=2"},
+        "'epochs'"}};
+  for (const auto& [args, key] : cases) {
+    const RunReport rep = RunScenario(ScenarioSpec::FromArgs(args), 1);
+    EXPECT_FALSE(rep.ok) << args.back();
+    EXPECT_NE(rep.error.find(key), std::string::npos) << rep.error;
+  }
 }
 
 TEST(RunScenarioTest, FaultInjectionExcludesJammersFromMembers) {

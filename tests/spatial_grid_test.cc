@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "dcc/common/rng.h"
@@ -20,45 +20,16 @@ std::vector<Vec2> RandomPoints(int n, double side, std::uint64_t seed) {
   return pts;
 }
 
-TEST(SpatialGridTest, MembersPartitionThePointSet) {
-  const auto pts = RandomPoints(200, 10.0, 1);
-  const SpatialGrid grid(pts, 1.5);
-  std::vector<char> seen(pts.size(), 0);
-  std::size_t total = 0;
-  for (int t = 0; t < grid.tile_count(); ++t) {
-    for (const std::size_t i : grid.Members(t)) {
-      EXPECT_EQ(grid.TileOfPoint(i), t);
-      EXPECT_FALSE(seen[i]);
-      seen[i] = 1;
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, pts.size());
-}
-
-TEST(SpatialGridTest, OccupiedListsExactlyNonEmptyTiles) {
-  const auto pts = RandomPoints(64, 8.0, 2);
-  const SpatialGrid grid(pts, 2.0);
-  std::vector<int> expect;
-  for (int t = 0; t < grid.tile_count(); ++t) {
-    if (!grid.Members(t).empty()) expect.push_back(t);
-  }
-  EXPECT_EQ(grid.occupied(), expect);
-}
-
 TEST(SpatialGridTest, PointToTileBoundsAreSound) {
   const auto pts = RandomPoints(300, 12.0, 3);
   const SpatialGrid grid(pts, 1.0);
   const auto probes = RandomPoints(20, 14.0, 4);
   for (const Vec2 p : probes) {
-    for (const int t : grid.occupied()) {
-      const double lo = grid.DistLo(p, t);
-      const double hi = grid.DistHi(p, t);
-      for (const std::size_t i : grid.Members(t)) {
-        const double d = Dist(p, pts[i]);
-        EXPECT_LE(lo, d + 1e-12);
-        EXPECT_GE(hi, d - 1e-12);
-      }
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      const int t = grid.TileOfPoint(i);
+      const double d2 = Dist2(p, pts[i]);
+      EXPECT_LE(grid.DistLoSq(p, t), d2 + 1e-12);
+      EXPECT_GE(grid.DistHiSq(p, t), d2 - 1e-12);
     }
   }
 }
@@ -66,32 +37,29 @@ TEST(SpatialGridTest, PointToTileBoundsAreSound) {
 TEST(SpatialGridTest, TileToTileBoundsAreSound) {
   const auto pts = RandomPoints(300, 12.0, 5);
   const SpatialGrid grid(pts, 1.3);
-  for (const int a : grid.occupied()) {
-    for (const int b : grid.occupied()) {
-      const double lo = grid.TileDistLo(a, b);
-      const double hi = grid.TileDistHi(a, b);
-      for (const std::size_t i : grid.Members(a)) {
-        for (const std::size_t j : grid.Members(b)) {
-          const double d = Dist(pts[i], pts[j]);
-          EXPECT_LE(lo, d + 1e-12);
-          EXPECT_GE(hi, d - 1e-12);
-        }
-      }
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const int a = grid.TileOfPoint(i);
+    for (std::size_t j = 0; j < pts.size(); ++j) {
+      const int b = grid.TileOfPoint(j);
+      const double d2 = Dist2(pts[i], pts[j]);
+      EXPECT_LE(grid.TileDistLoSq(a, b), d2 + 1e-12);
+      EXPECT_GE(grid.TileDistHiSq(a, b), d2 - 1e-12);
     }
   }
 }
 
 TEST(SpatialGridTest, DegenerateSets) {
-  // Empty set: one tile, no members.
+  // Empty set: one tile.
   const SpatialGrid empty(std::span<const Vec2>{}, 1.0);
   EXPECT_EQ(empty.tile_count(), 1);
-  EXPECT_TRUE(empty.occupied().empty());
 
   // Co-located points land in the same tile.
   std::vector<Vec2> same(5, Vec2{3.0, -2.0});
   const SpatialGrid grid(same, 0.7);
   EXPECT_EQ(grid.tile_count(), 1);
-  EXPECT_EQ(grid.Members(0).size(), 5u);
+  for (std::size_t i = 0; i < same.size(); ++i) {
+    EXPECT_EQ(grid.TileOfPoint(i), 0);
+  }
 
   // Collinear points: a 1-row grid.
   std::vector<Vec2> line;
@@ -106,108 +74,36 @@ TEST(SpatialGridTest, RejectsNonPositiveCell) {
   EXPECT_THROW(SpatialGrid(pts, 0.0), InvalidArgument);
 }
 
-// --- Incremental maintenance (dynamic networks). ---
+// --- Re-tiling (dynamic networks). ---
 
-// Structural equivalence of two grids over the same index space: same live
-// set, same tile per live point, identical member sets per tile and
-// identical occupied lists.
-void ExpectEquivalent(const SpatialGrid& a, const SpatialGrid& b) {
-  ASSERT_EQ(a.tile_count(), b.tile_count());
-  ASSERT_EQ(a.point_count(), b.point_count());
-  const std::size_t bound = std::max(a.index_bound(), b.index_bound());
-  for (std::size_t i = 0; i < bound; ++i) {
-    ASSERT_EQ(a.Contains(i), b.Contains(i)) << "slot " << i;
-    if (a.Contains(i)) {
-      EXPECT_EQ(a.TileOfPoint(i), b.TileOfPoint(i)) << "slot " << i;
-    }
-  }
-  for (int t = 0; t < a.tile_count(); ++t) {
-    std::vector<std::size_t> ma(a.Members(t).begin(), a.Members(t).end());
-    std::vector<std::size_t> mb(b.Members(t).begin(), b.Members(t).end());
-    std::sort(ma.begin(), ma.end());
-    std::sort(mb.begin(), mb.end());
-    EXPECT_EQ(ma, mb) << "tile " << t;
-  }
-  EXPECT_EQ(a.occupied(), b.occupied());
-}
-
-TEST(SpatialGridIncrementalTest, RandomizedOpsMatchFreshBuild) {
+TEST(SpatialGridTest, RetiledGridEqualsAFreshBuild) {
   const double side = 9.0;
   const Box world{{0.0, 0.0}, {side, side}};
-  auto pts = RandomPoints(160, side, 10);
-  SpatialGrid grid(pts, 1.7, world);
-
-  Xoshiro256ss rng(11);
-  std::vector<char> live(pts.size(), 1);
-  for (int op = 0; op < 4000; ++op) {
-    const auto i = static_cast<std::size_t>(rng.NextBelow(pts.size()));
-    const int kind = static_cast<int>(rng.NextBelow(4));
-    if (kind == 3 && live[i]) {
-      grid.Erase(i);
-      live[i] = 0;
-    } else {
-      const Vec2 p{side * rng.NextDouble(), side * rng.NextDouble()};
-      pts[i] = p;
-      if (live[i]) {
-        grid.Move(i, p);
-      } else {
-        grid.Insert(i, p);
-        live[i] = 1;
-      }
+  SpatialGrid grid(RandomPoints(160, side, 10), 1.7, world);
+  for (std::uint64_t epoch = 0; epoch < 5; ++epoch) {
+    const auto pts = RandomPoints(160, side, 11 + epoch);
+    grid.Retile(pts);
+    const SpatialGrid fresh(pts, 1.7, world);
+    ASSERT_EQ(grid.tile_count(), fresh.tile_count());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      EXPECT_EQ(grid.TileOfPoint(i), fresh.TileOfPoint(i))
+          << "epoch " << epoch << " point " << i;
     }
-    if (op % 500 != 499) continue;
-    // A fresh build over the same positions with the same slots erased must
-    // be indistinguishable from the incrementally maintained grid.
-    SpatialGrid fresh(pts, 1.7, world);
-    for (std::size_t j = 0; j < live.size(); ++j) {
-      if (!live[j]) fresh.Erase(j);
-    }
-    ExpectEquivalent(grid, fresh);
   }
 }
 
-TEST(SpatialGridIncrementalTest, InsertExtendsTheIndexSpace) {
+TEST(SpatialGridTest, RetileRejectsUncoveredPointsAndCountChanges) {
   const Box world{{0.0, 0.0}, {4.0, 4.0}};
-  const auto pts = RandomPoints(5, 4.0, 12);
+  auto pts = RandomPoints(6, 4.0, 13);
   SpatialGrid grid(pts, 1.0, world);
-  EXPECT_FALSE(grid.Contains(9));
-  grid.Insert(9, {3.5, 3.5});  // slots 5..8 stay erased
-  EXPECT_TRUE(grid.Contains(9));
-  EXPECT_FALSE(grid.Contains(7));
-  EXPECT_EQ(grid.point_count(), 6u);
-  EXPECT_EQ(grid.TileOfPoint(9), grid.TileAt({3.5, 3.5}));
-}
-
-TEST(SpatialGridIncrementalTest, RejectsInvalidOps) {
-  const Box world{{0.0, 0.0}, {4.0, 4.0}};
-  const auto pts = RandomPoints(6, 4.0, 13);
-  SpatialGrid grid(pts, 1.0, world);
-  EXPECT_THROW(grid.Move(0, {17.0, 1.0}), InvalidArgument);  // outside coverage
-  EXPECT_THROW(grid.Insert(0, {1.0, 1.0}), InvalidArgument);  // already live
-  grid.Erase(0);
-  EXPECT_THROW(grid.Erase(0), InvalidArgument);         // already erased
-  EXPECT_THROW(grid.Move(0, {1.0, 1.0}), InvalidArgument);  // erased slot
-  // Coverage-box constructor rejects points outside the box.
-  EXPECT_THROW(SpatialGrid(pts, 1.0, Box{{0.0, 0.0}, {0.5, 0.5}}),
+  pts[2] = {17.0, 1.0};  // outside the coverage box
+  EXPECT_THROW(grid.Retile(pts), InvalidArgument);
+  EXPECT_THROW(grid.Retile(RandomPoints(7, 4.0, 14)), InvalidArgument);
+  EXPECT_THROW(grid.Retile(RandomPoints(5, 4.0, 15)), InvalidArgument);
+  // The coverage-box constructor rejects points outside the box too.
+  EXPECT_THROW(SpatialGrid(RandomPoints(6, 4.0, 13), 1.0,
+                           Box{{0.0, 0.0}, {0.5, 0.5}}),
                InvalidArgument);
-}
-
-TEST(SpatialGridIncrementalTest, OccupiedStaysExactUnderMutation) {
-  const Box world{{0.0, 0.0}, {6.0, 6.0}};
-  auto pts = RandomPoints(12, 6.0, 14);
-  SpatialGrid grid(pts, 2.0, world);
-  // Collapse everything into one corner tile, then fan back out.
-  for (std::size_t i = 0; i < pts.size(); ++i) grid.Move(i, {0.1, 0.1});
-  EXPECT_EQ(grid.occupied(), std::vector<int>{0});
-  Xoshiro256ss rng(15);
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    grid.Move(i, {6.0 * rng.NextDouble(), 6.0 * rng.NextDouble()});
-  }
-  std::vector<int> expect;
-  for (int t = 0; t < grid.tile_count(); ++t) {
-    if (!grid.Members(t).empty()) expect.push_back(t);
-  }
-  EXPECT_EQ(grid.occupied(), expect);
 }
 
 }  // namespace
