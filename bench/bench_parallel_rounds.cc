@@ -136,8 +136,9 @@ void JitterPositions(const std::vector<Vec2>& base, int epoch,
   }
 }
 
-// One full epoch loop: per epoch, move every node and re-tile, drop the
-// churn slice, then run the round schedule. Appends every reception to
+// One full epoch loop: per epoch, move every node (the engine re-tiles its
+// grid and rebuilds its reach on the epoch's first round), drop the churn
+// slice, then run the round schedule. Appends every reception to
 // `digest` (the cross-config identity witness) and returns ms/round over
 // the whole pass.
 double DynamicPass(const Network& base_net, Engine::Options opts,
@@ -159,7 +160,6 @@ double DynamicPass(const Network& base_net, Engine::Options opts,
   for (int e = 0; e < kEpochs; ++e) {
     JitterPositions(base, e, pts);
     net.SetPositions(pts);
-    eng.SyncIndex();
     tx.clear();
     listeners.clear();
     for (std::size_t i = 0; i < net.size(); ++i) {

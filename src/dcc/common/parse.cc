@@ -56,6 +56,8 @@ double ParseDouble(const std::string& text, const std::string& what) {
   if (text.empty() || end == text.c_str() || *end != '\0') {
     Fail(what, text, "a number");
   }
+  // strtod accepts "inf", "infinity" and "nan"; no parameter means either.
+  if (!std::isfinite(v)) Fail(what, text, "a finite number");
   // ERANGE also covers harmless underflow-to-zero; only magnitude overflow
   // is a lie about the value.
   if (errno == ERANGE && std::abs(v) == HUGE_VAL) {

@@ -1,8 +1,8 @@
 // Strict whole-string numeric parsing, shared by every layer that turns
 // user text into numbers (scenario specs, ParamMap getters, engine env
-// knobs). Rejects empty strings, trailing characters, sign mismatches and
-// overflow with InvalidArgument — a typo must fail loudly, never silently
-// become a different value.
+// knobs). Rejects empty strings, trailing characters, sign mismatches,
+// overflow and non-finite doubles (inf, nan) with InvalidArgument — a typo
+// must fail loudly, never silently become a different value.
 #pragma once
 
 #include <cstdint>

@@ -163,8 +163,7 @@ RunReport RunDynamicScenario(const ScenarioSpec& spec, std::uint64_t seed) {
         model->Step(epoch_len, pos, active);
         churn.Step(epoch_len, active, delta);
         for (const std::size_t i : delta.joined) pos[i] = model->Respawn(i);
-        net.SetPositions(pos);
-        ex.engine().SyncIndex();
+        net.SetPositions(pos);  // the engine follows on its next round
       }
 
       members.clear();

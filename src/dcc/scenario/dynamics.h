@@ -4,9 +4,9 @@
 // each. Epoch 0 clusters the freshly generated topology; every later epoch
 // (1) advances the mobility model and (2) applies the churn process (a
 // leave clears the node's activity bit, a join sets it and respawns the
-// node), then writes the positions to the Network in place and re-tiles
-// the grid engine's SpatialGrid (Engine::SyncIndex), and (3) re-runs
-// clustering over the active member set, validating the
+// node), then writes the positions to the Network in place (the engine
+// re-tiles its grid and rebuilds its reception reach on its next round),
+// and (3) re-runs clustering over the active member set, validating the
 // geometric postconditions against the *current* positions and measuring
 // how much of the previous epoch's cluster structure survived.
 //

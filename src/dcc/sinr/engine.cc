@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <typeinfo>
 
@@ -31,6 +32,19 @@ constexpr double kPruneSlack = 1e-9;
 // the scalar libm kernel: the reception *set* is then host-invariant even
 // though far-from-threshold SINR values may differ in their last bits.
 constexpr double kThresholdRecheck = 1e-12;
+
+// Relative margin between the gain at the reach radius and the reception
+// threshold beta * noise (engine.h, "Reception reach"): orders of
+// magnitude above the rounding of any gain, SINR or prune bound.
+constexpr double kReachMargin = 1e-6;
+
+// Memory cap of the reach CSR: max(64 n, 2^22) entries of 4 bytes. The
+// floor keeps the reach at every density up to n = 2048 (at most n^2
+// entries), where dense few-transmitter rounds skip the most listeners; a
+// larger network denser than 64 nodes per reach gets no reach, and its
+// rounds resolve every listener.
+constexpr std::size_t kReachEntriesPerNode = 64;
+constexpr std::size_t kMinReachEntries = std::size_t{1} << 22;
 
 // Fallback listeners are resolved in chunks of this many per far-field
 // sweep: the lanes are independent accumulators, so the sweep vectorizes
@@ -151,6 +165,27 @@ double AutoCell(const Network& net, const std::optional<Box>& coverage) {
                   std::sqrt(64.0 * area / static_cast<double>(net.size())));
 }
 
+// The reach radius: the smallest r, to bisection precision, with
+// MaxGain(r) < beta * noise * (1 - kReachMargin). MaxGain(r) bounds every
+// link of length >= r and every model's envelope is non-increasing, so no
+// such link can carry a reception. Infinity when the envelope never drops
+// below the threshold.
+double ReachRadius(const PropagationModel& model, const Params& params) {
+  const double threshold = params.beta * params.noise * (1.0 - kReachMargin);
+  double hi = 1.0;
+  while (!(model.MaxGain(hi) < threshold)) {
+    if (hi > 1e300) return std::numeric_limits<double>::infinity();
+    hi *= 2.0;
+  }
+  double lo = 0.0;  // MaxGain(hi) < threshold holds throughout
+  for (int i = 0; i < 200; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (!(mid > lo && mid < hi)) break;
+    (model.MaxGain(mid) < threshold ? hi : lo) = mid;
+  }
+  return hi;
+}
+
 }  // namespace
 
 Engine::Options Engine::Options::FromEnv() {
@@ -231,6 +266,16 @@ Engine::Engine(const Network& net, Options options)
     pyramid_.Reset(*grid_);
   }
   EnsureScratch(1);
+
+  reach_radius_ = ReachRadius(net.propagation(), net.params());
+  // A grid round may skip only listeners its stage 1 prunes, which needs
+  // every tile it bounds (at distance > near_radius_) beyond the reach.
+  if (grid_ && reach_radius_ > near_radius_) {
+    reach_radius_ = std::numeric_limits<double>::infinity();
+  }
+  reach_.mark.assign(net.size(), 0);
+  positions_version_ = net.positions_version();
+  BuildReach();
 }
 
 void Engine::EnsureScratch(int shards) const {
@@ -238,8 +283,88 @@ void Engine::EnsureScratch(int shards) const {
   scratch_.resize(static_cast<std::size_t>(shards));
 }
 
-void Engine::SyncIndex() {
+void Engine::FollowPositions() const {
   if (grid_) grid_->Retile(net_->positions());
+  BuildReach();
+  positions_version_ = net_->positions_version();
+}
+
+void Engine::BuildReach() const {
+  ReceptionReach& R = reach_;
+  const std::vector<Vec2>& pos = net_->positions();
+  const std::size_t n = pos.size();
+  const double r2 = reach_radius_ * reach_radius_;
+  R.on = false;
+  if (n == 0 || !std::isfinite(r2)) return;
+  const Box box = BoundingBox(pos);
+  const double wx = box.hi.x - box.lo.x;
+  const double wy = box.hi.y - box.lo.y;
+  const double diag2 = wx * wx + wy * wy;
+  if (!std::isfinite(diag2) || r2 >= diag2) return;  // nothing to skip
+
+  // Cells of side >= r hold a node's reach in its 3x3 block; the other two
+  // terms keep the cell count under 3n + 1.
+  const double nd = static_cast<double>(n);
+  const double side = std::max(
+      {reach_radius_, std::sqrt(wx * wy / nd), std::max(wx, wy) / nd});
+  const std::size_t nx = static_cast<std::size_t>(wx / side) + 1;
+  const std::size_t ny = static_cast<std::size_t>(wy / side) + 1;
+  const auto axis = [&](double v, double lo, std::size_t cells) {
+    return std::min(cells - 1, static_cast<std::size_t>((v - lo) / side));
+  };
+  // Counting sort by cell (ascending index within a cell), so each row of
+  // a 3x3 block is one contiguous range of by_cell.
+  R.cell_start.assign(nx * ny + 1, 0);
+  R.cell_of.resize(n);
+  R.by_cell.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t c =
+        axis(pos[i].y, box.lo.y, ny) * nx + axis(pos[i].x, box.lo.x, nx);
+    R.cell_of[i] = static_cast<std::uint32_t>(c);
+    ++R.cell_start[c];
+  }
+  for (std::size_t c = 1; c < R.cell_start.size(); ++c) {
+    R.cell_start[c] += R.cell_start[c - 1];
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    R.by_cell[--R.cell_start[R.cell_of[i]]] = static_cast<std::uint32_t>(i);
+  }
+
+  const std::size_t cap = std::max(kReachEntriesPerNode * n, kMinReachEntries);
+  R.start.resize(n + 1);
+  R.members.clear();
+  for (std::size_t u = 0; u < n; ++u) {
+    R.start[u] = R.members.size();
+    const std::size_t cx = R.cell_of[u] % nx;
+    const std::size_t cy = R.cell_of[u] / nx;
+    const std::size_t x0 = cx == 0 ? 0 : cx - 1;
+    const std::size_t x1 = std::min(cx + 1, nx - 1);
+    for (std::size_t y = cy == 0 ? 0 : cy - 1; y <= std::min(cy + 1, ny - 1);
+         ++y) {
+      for (std::size_t k = R.cell_start[y * nx + x0];
+           k < R.cell_start[y * nx + x1 + 1]; ++k) {
+        const std::uint32_t w = R.by_cell[k];
+        if (Dist2(pos[u], pos[w]) <= r2) R.members.push_back(w);
+      }
+    }
+    if (R.members.size() > cap) return;
+  }
+  R.start[n] = R.members.size();
+  R.on = true;
+}
+
+void Engine::StampReach(std::span<const std::size_t> transmitters) const {
+  ReceptionReach& R = reach_;
+  if (!R.on) return;
+  if (++R.stamp == 0) {  // wrapped: no stale mark may equal the new stamp
+    std::fill(R.mark.begin(), R.mark.end(), 0);
+    R.stamp = 1;
+  }
+  for (const std::size_t v : transmitters) {
+    for (std::size_t k = R.start[v]; k < R.start[v + 1]; ++k) {
+      R.mark[R.members[k]] = R.stamp;
+    }
+  }
 }
 
 std::vector<Reception> Engine::Step(
@@ -264,6 +389,8 @@ void Engine::StepInto(std::span<const std::size_t> transmitters,
   stats_.transmissions += static_cast<std::int64_t>(transmitters.size());
   out.clear();
   if (transmitters.empty() || listeners.empty()) return;
+  if (net_->positions_version() != positions_version_) FollowPositions();
+  StampReach(transmitters);
   const int shards = ShardsFor(listeners.size());
   if (mode_ == Mode::kGrid) {
     StepGrid(transmitters, listeners, shards, out);
@@ -463,8 +590,11 @@ void Engine::RunShards(int shards, std::size_t n_listen, const Resolve& resolve,
 void Engine::StepExact(std::span<const std::size_t> transmitters,
                        std::span<const std::size_t> listeners, int shards,
                        std::vector<Reception>& out) const {
+  // A listener out of reach cannot receive. A transmitter is in its own
+  // reach, so ResolveExact still checks that no transmitter listens.
   if (shards == 1) {
     for (const std::size_t u : listeners) {
+      if (!InReach(u)) continue;
       if (auto r = ResolveExact(u, transmitters)) out.push_back(*r);
     }
     return;
@@ -474,6 +604,7 @@ void Engine::StepExact(std::span<const std::size_t> transmitters,
       [&](std::size_t lo, std::size_t hi, RoundScratch& s) {
         s.pending.clear();
         for (std::size_t ord = lo; ord < hi; ++ord) {
+          if (!InReach(listeners[ord])) continue;
           if (auto r = ResolveExact(listeners[ord], transmitters)) {
             s.pending.emplace_back(static_cast<std::uint32_t>(ord), *r);
           }
@@ -640,6 +771,10 @@ void Engine::StepGridRange(const RoundPrologue& P,
                                        : ordinals[k];
     const std::size_t u = listeners[ordinal];
     DCC_CHECK(!P.is_tx[u]);  // a transmitter cannot listen
+    if (!InReach(u)) {  // stage 1 would prune it (engine.h)
+      ++s.pruned;
+      continue;
+    }
     const Vec2 pu = net.position(u);
     const auto tile_u = static_cast<std::size_t>(grid.TileOfPoint(u));
 

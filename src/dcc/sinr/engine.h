@@ -5,9 +5,10 @@
 // at a given listener, so reception resolves to "the strongest transmitter,
 // if its SINR clears beta" — the engine computes exactly that.
 //
-// Two interference resolution strategies:
-//  * kExact — brute force O(|T|) per listener. The semantic reference and
-//    test oracle.
+// Two interference resolution strategies, both resolving only the
+// listeners within some transmitter's reception reach (below):
+//  * kExact — brute force O(|T|) per listener within reach. The semantic
+//    reference and test oracle.
 //  * kGrid — a uniform spatial index (common/spatial_grid.h) buckets the
 //    round's transmitters into tiles. Near-field tiles are scanned exactly;
 //    mid- and far-field tiles contribute conservative interference bounds
@@ -22,6 +23,32 @@
 //    modes equally).
 // kAuto picks kExact while the network still carries its dense gain matrix
 // (n <= Network::kGainMatrixLimit) and kGrid above that size.
+//
+// --- Reception reach ---
+// Every reception has a gain of at least beta * noise (SINR <= gain /
+// noise), so no listener farther than the reach radius r from every
+// transmitter can receive: r is the smallest distance (to bisection
+// precision) with PropagationModel::MaxGain(r) < beta * noise * (1 - 1e-6),
+// about 1 at the paper's P = N * beta. Each engine keeps, for every node,
+// the nodes within r of it (itself included) as a CSR, and each round
+// stamps its transmitters' reach into a per-node mark; an unmarked
+// listener is skipped without a gain evaluation, after the
+// transmitter-cannot-listen check. The skip is invisible outside timing:
+// the 1e-6 margin dwarfs the rounding of every gain and bound, so such a
+// listener never clears beta in kExact, and in kGrid, where r must not
+// exceed the near radius (>= 2) for the reach to be used, its stage-1
+// bounds already prune it, so it is counted in Stats::grid_pruned as
+// before. The reach is not built when r covers the whole network or the
+// CSR would exceed max(64 n, 2^22) entries (never for n <= 2048); every
+// listener is then resolved.
+//
+// --- Moving nodes ---
+// Engines follow Network::SetPositions by themselves: the first StepInto
+// after a move (Network::positions_version() changed) re-tiles the grid
+// and rebuilds the reach, so no engine, exact or grid, resolves a round
+// against stale positions. The tiling is fixed at construction, so every
+// position must stay inside Options::coverage (StepInto throws
+// InvalidArgument otherwise).
 //
 // --- Parallel sharded rounds (Options::threads) ---
 // Either strategy can run one round across K shards on the process-wide
@@ -169,12 +196,6 @@ class Engine {
   // shared pool's parallelism).
   int threads() const { return threads_; }
 
-  // Dynamic networks: after Network::SetPositions, re-tiles every node at
-  // its new position before the next Step (O(n), no allocation; a no-op in
-  // exact mode). The tiling is fixed at construction, so every position
-  // must stay inside Options::coverage.
-  void SyncIndex();
-
   // Cumulative counters (diagnostics for benches).
   struct Stats {
     std::int64_t rounds = 0;
@@ -262,6 +283,37 @@ class Engine {
     std::int64_t exact_fallbacks = 0;
   };
 
+  // The reception reach (see "Reception reach" above): the nodes within
+  // reach_radius_ of every node as a CSR, rebuilt for every new set of
+  // positions, and the per-node stamp of the current round's transmitters'
+  // reach.
+  struct ReceptionReach {
+    bool on = false;  // false: no reach, every listener is resolved
+    std::vector<std::size_t> start;      // CSR offsets per node (n + 1)
+    std::vector<std::uint32_t> members;  // the nodes within reach, by node
+    std::vector<std::uint32_t> mark;     // == stamp: in reach this round
+    std::uint32_t stamp = 0;
+    // Build scratch: the nodes counting-sorted by cell.
+    std::vector<std::uint32_t> cell_of;
+    std::vector<std::uint32_t> cell_start;
+    std::vector<std::uint32_t> by_cell;
+  };
+
+  // Re-tiles the grid and rebuilds the reach for the network's current
+  // positions (the first StepInto after a SetPositions calls it).
+  void FollowPositions() const;
+  // Rebuilds reach_ from the current positions: a counting sort into cells
+  // of side >= reach_radius_, then each node's 3x3 block of cells filtered
+  // by distance. Leaves reach_.on false when no listener could be skipped
+  // or the CSR would outgrow its cap.
+  void BuildReach() const;
+  // Stamps every transmitter's reach into reach_.mark for this round.
+  void StampReach(std::span<const std::size_t> transmitters) const;
+  // Whether some transmitter of the stamped round might reach `u`.
+  bool InReach(std::size_t u) const {
+    return !reach_.on || reach_.mark[u] == reach_.stamp;
+  }
+
   // The dispatch decision both modes share: the number of shards a round
   // of `n_listen` listeners runs on (1 = serial). A parallel engine's round
   // under the listener grain is counted in Stats::parallel_small_rounds.
@@ -327,8 +379,15 @@ class Engine {
   parallel::WorkerPool* pool_ = nullptr;  // set iff threads_ > 1
   mutable Stats stats_;
 
+  // --- Reception reach (both modes). ---
+  // Infinity when unused: the envelope never drops below the threshold, or
+  // (kGrid) r exceeds near_radius_.
+  double reach_radius_ = 0.0;
+  mutable std::uint64_t positions_version_ = 0;  // the indexed positions
+  mutable ReceptionReach reach_;
+
   // --- Grid-mode state (unused in kExact). ---
-  std::optional<SpatialGrid> grid_;
+  mutable std::optional<SpatialGrid> grid_;  // re-tiled by FollowPositions
   double near_radius_ = 0.0;  // exact-scan distance
   double far_start_ = 0.0;    // beyond this, tiles share per-listener-tile bounds
   // Set iff the network's model is exactly PathLossModel: the grid hot

@@ -52,6 +52,7 @@ void Network::SetPositions(std::span<const Vec2> pts) {
   DCC_REQUIRE(pts.size() == pos_.size(),
               "SetPositions: size mismatch (node count is fixed)");
   std::copy(pts.begin(), pts.end(), pos_.begin());
+  ++positions_version_;
   comm_graph_.clear();
   const std::size_t n = pos_.size();
   if (!gain_.empty()) {

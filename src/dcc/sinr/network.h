@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -52,9 +53,13 @@ class Network {
   // are fixed (churn is an *activity* notion layered above — see
   // scenario/dynamics.h). Replaces every position; pts.size() must equal
   // size(). Refreshes the dense gain matrix where present (O(n^2) while it
-  // is live, n <= kGainMatrixLimit; O(n) beyond) and invalidates the lazy
-  // communication graph.
+  // is live, n <= kGainMatrixLimit; O(n) beyond), invalidates the lazy
+  // communication graph and bumps positions_version().
   void SetPositions(std::span<const Vec2> pts);
+
+  // Counts SetPositions calls: an engine compares it with the version it
+  // last indexed and follows the move before its next round.
+  std::uint64_t positions_version() const { return positions_version_; }
 
   const Params& params() const { return params_; }
   const std::vector<Vec2>& positions() const { return pos_; }
@@ -109,6 +114,7 @@ class Network {
   double ComputeGain(std::size_t i, std::size_t j) const;
 
   std::vector<Vec2> pos_;
+  std::uint64_t positions_version_ = 0;
   std::vector<NodeId> ids_;
   Params params_;
   std::shared_ptr<const PropagationModel> model_;

@@ -5,6 +5,10 @@
 namespace dcc::sinr {
 
 void Params::Validate() const {
+  DCC_REQUIRE(std::isfinite(alpha) && std::isfinite(beta) &&
+                  std::isfinite(noise) && std::isfinite(eps) &&
+                  std::isfinite(power),
+              "SINR: alpha, beta, noise, eps and power must be finite");
   DCC_REQUIRE(alpha > 2.0, "SINR: alpha must be > 2");
   DCC_REQUIRE(beta > 1.0, "SINR: beta must be > 1");
   DCC_REQUIRE(noise > 0.0, "SINR: noise must be > 0");

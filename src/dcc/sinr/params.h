@@ -32,8 +32,9 @@ struct Params {
   // The paper assumes N = n^{O(1)}.
   std::int64_t id_space = 1 << 16;
 
-  // Validates ranges and the P = N*beta coupling (within tolerance when
-  // `strict_range` is set). Throws InvalidArgument on violation.
+  // Validates that every field is finite and in its range and that the
+  // communication radius (range - eps) is positive. Throws InvalidArgument
+  // on violation.
   void Validate() const;
 
   // Range of a lone transmitter: (P / (noise*beta))^{1/alpha}.

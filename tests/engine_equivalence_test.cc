@@ -1,8 +1,10 @@
 // Grid-indexed Engine::Step must reproduce the exact-mode oracle: same
 // receptions (listener, sender) with the same SINR values, on randomized
 // networks with and without shadowing, across transmitter densities and
-// forced tile sizes. Also pins down that Engine::Stats counters survived
-// the layered-engine refactor.
+// forced tile sizes. Both modes skip listeners beyond every transmitter's
+// reception reach, so both are also checked against a test-local brute
+// force that resolves every listener from Network::Gain. Also pins down
+// that Engine::Stats counters survived the layered-engine refactor.
 #include "dcc/sinr/engine.h"
 
 #include <gtest/gtest.h>
@@ -11,9 +13,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dcc/sinr/propagation.h"
@@ -28,6 +32,7 @@ struct Scenario {
   double shadowing_spread;
   std::int64_t tx_period;  // every tx_period-th node transmits
   double cell;             // grid tile size; 0 = auto
+  double power = 0.0;      // transmission power; 0 = noise * beta (range 1)
 };
 
 // Names each instance by its fields, e.g.
@@ -45,6 +50,7 @@ void PrintTo(const Scenario& sc, std::ostream* os) {
   *os << "n" << sc.n << "_side" << num(sc.side) << "_shadow"
       << num(sc.shadowing_spread) << "_period" << sc.tx_period << "_cell"
       << num(sc.cell);
+  if (sc.power != 0.0) *os << "_power" << num(sc.power);
 }
 
 void SplitTxListeners(std::size_t n, std::int64_t period,
@@ -81,12 +87,59 @@ void ExpectSameReceptions(const std::vector<Reception>& exact,
   }
 }
 
+// The independent oracle: every listener resolved from Network::Gain over
+// every transmitter with ResolveExact's arithmetic, with no reach and no
+// spatial index.
+std::vector<Reception> BruteForce(const Network& net,
+                                  const std::vector<std::size_t>& tx,
+                                  const std::vector<std::size_t>& listeners) {
+  std::vector<Reception> out;
+  for (const std::size_t u : listeners) {
+    double total = 0.0;
+    double best = -1.0;
+    std::size_t best_tx = 0;
+    for (const std::size_t v : tx) {
+      const double g = net.Gain(v, u);
+      total += g;
+      if (g > best) {
+        best = g;
+        best_tx = v;
+      }
+    }
+    const double interference = total - best;
+    const double sinr = best / (net.params().noise + interference);
+    if (sinr >= net.params().beta) out.push_back(Reception{u, best_tx, sinr});
+  }
+  return out;
+}
+
+// Checks one round of an exact and a grid engine against the brute force:
+// the exact engine bit for bit (same arithmetic, same order), the grid
+// engine within ExpectSameReceptions' tolerance (so grid also matches
+// exact within it).
+void ExpectMatchesBruteForce(const Engine& exact, const Engine& grid,
+                             const std::vector<std::size_t>& tx,
+                             const std::vector<std::size_t>& listeners,
+                             const std::string& label) {
+  const std::vector<Reception> want = BruteForce(exact.net(), tx, listeners);
+  const std::vector<Reception> got = exact.Step(tx, listeners);
+  ASSERT_EQ(want.size(), got.size()) << label << " exact";
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(want[k].listener, got[k].listener) << label << " k=" << k;
+    EXPECT_EQ(want[k].sender, got[k].sender) << label << " k=" << k;
+    EXPECT_EQ(want[k].sinr, got[k].sinr) << label << " k=" << k;
+  }
+  ExpectSameReceptions(want, grid.Step(tx, listeners), tx.size(),
+                       label + " grid");
+}
+
 class EngineEquivalence : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(EngineEquivalence, GridReproducesExactReceptions) {
   const Scenario sc = GetParam();
   Params params = Params::Default();
   params.id_space = 1 << 16;
+  if (sc.power != 0.0) params.power = sc.power;
   auto pts = workload::UniformSquare(static_cast<int>(sc.n), sc.side,
                                     /*seed=*/17 + sc.n);
   std::vector<NodeId> ids(pts.size());
@@ -105,13 +158,11 @@ TEST_P(EngineEquivalence, GridReproducesExactReceptions) {
   SplitTxListeners(net.size(), sc.tx_period, tx, listeners);
   const auto label = ::testing::PrintToString(sc.n) + "/" +
                      ::testing::PrintToString(sc.tx_period);
-  ExpectSameReceptions(exact.Step(tx, listeners), grid.Step(tx, listeners),
-                       tx.size(), label);
+  ExpectMatchesBruteForce(exact, grid, tx, listeners, label);
 
   // And on a second, sparser round with the same engines (scratch reuse).
   SplitTxListeners(net.size(), 4 * sc.tx_period, tx, listeners);
-  ExpectSameReceptions(exact.Step(tx, listeners), grid.Step(tx, listeners),
-                       tx.size(), label + " round2");
+  ExpectMatchesBruteForce(exact, grid, tx, listeners, label + " round2");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -124,7 +175,10 @@ INSTANTIATE_TEST_SUITE_P(
         // Shadowed gains widen the envelope bounds; both densities.
         Scenario{200, 14.0, 0.5, 2, 0.0}, Scenario{200, 14.0, 0.25, 8, 1.5},
         // Dense network (clustered interference) and a sparse one.
-        Scenario{300, 8.0, 0.0, 4, 0.0}, Scenario{100, 40.0, 0.0, 4, 2.0}));
+        Scenario{300, 8.0, 0.0, 4, 0.0}, Scenario{100, 40.0, 0.0, 4, 2.0},
+        // Power above noise * beta: transmission range (3.3 / 1.5)^(1/3)
+        // ~ 1.3, so the reach is not the unit disk.
+        Scenario{200, 14.0, 0.0, 4, 0.0, 3.3}));
 
 TEST(EngineEquivalenceTest, LargeNetworkBeyondGainMatrix) {
   // Above Network::kGainMatrixLimit gains are computed on the fly and
@@ -141,8 +195,7 @@ TEST(EngineEquivalenceTest, LargeNetworkBeyondGainMatrix) {
 
   std::vector<std::size_t> tx, listeners;
   SplitTxListeners(net.size(), 8, tx, listeners);
-  ExpectSameReceptions(exact.Step(tx, listeners),
-                       automatic.Step(tx, listeners), tx.size(), "large");
+  ExpectMatchesBruteForce(exact, automatic, tx, listeners, "large");
 }
 
 TEST(EngineEquivalenceTest, TheoryModelEquivalence) {
@@ -159,8 +212,48 @@ TEST(EngineEquivalenceTest, TheoryModelEquivalence) {
   const Engine grid(net, {.mode = Engine::Mode::kGrid, .cell = 1.0});
   std::vector<std::size_t> tx, listeners;
   SplitTxListeners(net.size(), 4, tx, listeners);
-  ExpectSameReceptions(exact.Step(tx, listeners), grid.Step(tx, listeners),
-                       tx.size(), "theory");
+  ExpectMatchesBruteForce(exact, grid, tx, listeners, "theory");
+}
+
+TEST(EngineEquivalenceTest, ReachKeepsEveryReceivableListener) {
+  // Four transmitters 10 apart, each ringed by listeners at distances
+  // 0.80, 0.81, ..., 1.40, which spans the edge of reception under the
+  // paper's range, a larger power (range ~1.3), shadowed gains (up to
+  // 1.5x, range ~1.14) and the truncated theory model: a reach even 2%
+  // short drops receptions the brute force keeps.
+  std::vector<Vec2> pts;
+  std::vector<std::size_t> tx, listeners;
+  for (const Vec2 c : {Vec2{0, 0}, Vec2{10, 0}, Vec2{0, 10}, Vec2{10, 10}}) {
+    tx.push_back(pts.size());
+    pts.push_back(c);
+    for (int k = 0; k <= 60; ++k) {
+      const double d = 0.8 + 0.01 * k;
+      const double angle = 2.39996 * k;  // golden angle: spread around c
+      listeners.push_back(pts.size());
+      pts.push_back({c.x + d * std::cos(angle), c.y + d * std::sin(angle)});
+    }
+  }
+  std::vector<NodeId> ids(pts.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<NodeId>(i + 1);
+  Params strong = Params::Default();
+  strong.power = 3.3;
+  const Params def = Params::Default();
+  const std::vector<std::pair<std::string, Network>> nets = {
+      {"default", Network(pts, ids, def)},
+      {"power3.3", Network(pts, ids, strong)},
+      {"shadowed", Network(pts, ids, def, Shadowing{0.5, 11})},
+      {"theory", Network(pts, ids, def, std::make_shared<TheoryModel>(def))}};
+  for (const auto& [label, net] : nets) {
+    const Engine exact(net, {.mode = Engine::Mode::kExact});
+    const Engine grid(net, {.mode = Engine::Mode::kGrid, .cell = 1.0});
+    ExpectMatchesBruteForce(exact, grid, tx, listeners, label);
+    // Not vacuous: some reception lands in the outer 5% of the range.
+    const double range = net.params().TransmissionRange();
+    const auto recs = BruteForce(net, tx, listeners);
+    EXPECT_TRUE(std::any_of(recs.begin(), recs.end(), [&](const Reception& r) {
+      return net.Distance(r.sender, r.listener) > 0.95 * range;
+    })) << label;
+  }
 }
 
 TEST(EngineEquivalenceTest, StepIntoMatchesStepAndReusesBuffer) {
@@ -223,16 +316,19 @@ TEST(EngineEquivalenceTest, StatsCountersSurviveRefactor) {
 }
 
 TEST(EngineEquivalenceTest, ExactModeHasIdenticalLegacyBehavior) {
-  // The deterministic boundary case from engine_test must hold in grid mode
-  // too: a lone transmitter is received at distance exactly 1 (SINR == beta)
-  // and not at 1.01.
+  // The deterministic boundary case from engine_test must hold in both
+  // modes, each skipping listeners beyond the reception reach: a lone
+  // transmitter is received at distance exactly 1 (SINR == beta) and not
+  // at 1.01.
   std::vector<Vec2> pts{{0, 0}, {0.5, 0}, {1.0, 0}, {1.01, 0}};
   const Network net = Network::WithSequentialIds(pts, Params::Default());
-  const Engine grid(net, {.mode = Engine::Mode::kGrid, .cell = 0.5});
-  const auto recs = grid.Step({0}, {1, 2, 3});
-  ASSERT_EQ(recs.size(), 2u);
-  EXPECT_EQ(recs[0].listener, 1u);
-  EXPECT_EQ(recs[1].listener, 2u);
+  for (const auto mode : {Engine::Mode::kExact, Engine::Mode::kGrid}) {
+    const Engine eng(net, {.mode = mode, .cell = 0.5});
+    const auto recs = eng.Step({0}, {1, 2, 3});
+    ASSERT_EQ(recs.size(), 2u);
+    EXPECT_EQ(recs[0].listener, 1u);
+    EXPECT_EQ(recs[1].listener, 2u);
+  }
 }
 
 }  // namespace

@@ -271,9 +271,9 @@ TEST(FarFieldEngineTest, MobilityChurnStaysIdentical) {
   pyr.pyramid_min_occupied = 0;  // force the descent on this fixture
   Engine::Options pyr4 = pyr;
   pyr4.threads = 4;
-  Engine ref(net, flat);
-  Engine a(net, pyr);
-  Engine b(net, pyr4);
+  const Engine ref(net, flat);
+  const Engine a(net, pyr);
+  const Engine b(net, pyr4);
 
   Xoshiro256ss rng(4242);
   std::vector<char> active(n, 1);
@@ -297,7 +297,6 @@ TEST(FarFieldEngineTest, MobilityChurnStaysIdentical) {
       }
     }
     net.SetPositions(pos);
-    for (Engine* e : {&ref, &a, &b}) e->SyncIndex();
     tx.clear();
     listeners.clear();
     for (int i = 0; i < n; ++i) {
@@ -305,7 +304,7 @@ TEST(FarFieldEngineTest, MobilityChurnStaysIdentical) {
       (i % 5 == epoch % 5 ? tx : listeners).push_back(i);
     }
     ref.StepInto(tx, listeners, want);
-    for (Engine* e : {&a, &b}) {
+    for (const Engine* e : {&a, &b}) {
       e->StepInto(tx, listeners, got);
       ExpectBitIdentical(want, got, "epoch " + std::to_string(epoch));
     }

@@ -265,9 +265,10 @@ TEST(ParallelEngineTest, MovingChurningNetworkStaysIdentical) {
   base.coverage = Box{{0.0, 0.0}, {side, side}};
   Engine::Options par_opts = base;
   par_opts.threads = 3;
-  // Non-const: SyncIndex re-tiles the engines' grids.
-  Engine serial(net, base);
-  Engine par(net, par_opts);
+  // Both engines follow SetPositions on their own: each re-tiles its grid
+  // on the first step after a move.
+  const Engine serial(net, base);
+  const Engine par(net, par_opts);
 
   Xoshiro256ss rng(777);
   std::vector<char> active(n, 1);
@@ -293,8 +294,6 @@ TEST(ParallelEngineTest, MovingChurningNetworkStaysIdentical) {
       }
     }
     net.SetPositions(pos);
-    serial.SyncIndex();
-    par.SyncIndex();
     tx.clear();
     listeners.clear();
     for (int i = 0; i < n; ++i) {

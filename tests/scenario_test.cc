@@ -106,10 +106,12 @@ TEST(ScenarioSpecTest, RejectsUnknownOrMalformedFlags) {
   EXPECT_THROW(ScenarioSpec::FromArgs({"--engine=fast"}), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::FromArgs({"--cell=-1"}), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::FromArgs({"--seeds="}), InvalidArgument);
-  // Integers past int's range are rejected, not wrapped, and a round
-  // budget cannot be negative (0 still means the default budget).
+  // Integers past int's range are rejected, not wrapped, a round budget
+  // cannot be negative (0 still means the default budget), and no number
+  // may be infinite or NaN.
   for (const std::string bad :
-       {"--faults=4294967297", "--threads=4294967298", "--rounds=-5"}) {
+       {"--faults=4294967297", "--threads=4294967298", "--rounds=-5",
+        "--power=inf", "--alpha=inf", "--cell=inf", "--noise=nan"}) {
     try {
       ScenarioSpec::FromArgs({bad});
       ADD_FAILURE() << bad << " was accepted";
@@ -217,6 +219,16 @@ TEST(RunScenarioTest, OversizedIntegerParametersFailTheRun) {
     EXPECT_FALSE(rep.ok) << args.back();
     EXPECT_NE(rep.error.find(key), std::string::npos) << rep.error;
   }
+}
+
+TEST(RunScenarioTest, NonFiniteParametersFailTheRun) {
+  // An infinite side used to report ok with 0 rounds and every node its
+  // own cluster; now the parameter is rejected, naming its key.
+  const RunReport rep = RunScenario(
+      ScenarioSpec::FromArgs({"--topology=uniform:n=24,side=inf"}), 1);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_NE(rep.error.find("'side'"), std::string::npos) << rep.error;
+  EXPECT_NE(rep.error.find("finite"), std::string::npos) << rep.error;
 }
 
 TEST(RunScenarioTest, FaultInjectionExcludesJammersFromMembers) {
