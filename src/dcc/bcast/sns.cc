@@ -11,7 +11,7 @@ Round RunSns(sim::Exec& ex, const cluster::Profile& prof,
   const Round start = ex.rounds();
   const auto sns = prof.MakeSns(ex.net().params().id_space, nonce);
   sim::ExecuteSchedule(
-      ex, *sns, parts,
+      ex, sim::Tabulate(*sns, parts), parts,
       [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
         auto m = make_msg(parts[p].index);
         if (m && m->src == kNoNode) m->src = ex.net().id(parts[p].index);

@@ -71,7 +71,7 @@ ClusteringResult BuildClustering(sim::Exec& ex, const Profile& prof,
     // cluster broadcast it; children listen for their recorded parent.
     for (const ExchangeStage& stage : lev.sp.stages) {
       sim::ExecuteSchedule(
-          ex, *stage.schedule, stage.participants,
+          ex, stage.table, stage.participants,
           [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
             const std::size_t idx = stage.participants[p].index;
             if (res.cluster_of[idx] == kNoCluster) return std::nullopt;

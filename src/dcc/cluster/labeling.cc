@@ -56,7 +56,7 @@ LabelingResult ImperfectLabeling(sim::Exec& ex, const Profile& prof,
     // Dedupe: a parent may hear the same child in several rounds.
     std::unordered_map<NodeId, std::vector<NodeId>> seen;  // parent -> childs
     sim::ExecuteSchedule(
-        ex, *stage.schedule, stage.participants,
+        ex, stage.table, stage.participants,
         [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
           const std::size_t idx = stage.participants[p].index;
           const NodeId id = net.id(idx);
@@ -117,7 +117,7 @@ LabelingResult ImperfectLabeling(sim::Exec& ex, const Profile& prof,
     const ExchangeStage& stage = forest.stages[static_cast<std::size_t>(s)];
     for (int rep = 0; rep < prof.label_reps; ++rep) {
       sim::ExecuteSchedule(
-          ex, *stage.schedule, stage.participants,
+          ex, stage.table, stage.participants,
           [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
             const std::size_t idx = stage.participants[p].index;
             const NodeId me = net.id(idx);

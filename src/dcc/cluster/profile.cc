@@ -85,6 +85,7 @@ std::int64_t Profile::WcssLen(std::int64_t N) const {
 }
 
 std::int64_t Profile::SnsLen(std::int64_t N) const {
+  if (sns_use_prime_ssf) return sel::Ssf::Construct(N, sns_k).size();
   if (sns_len > 0) return sns_len;
   const double lnN = std::log(static_cast<double>(std::max<std::int64_t>(N, 2)));
   const double k = sns_k;

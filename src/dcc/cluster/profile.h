@@ -74,6 +74,8 @@ struct Profile {
 
   std::int64_t WssLen(std::int64_t N) const;
   std::int64_t WcssLen(std::int64_t N) const;
+  // The length of MakeSns(N, ·): the prime ssf's size when
+  // sns_use_prime_ssf, the seeded length otherwise.
   std::int64_t SnsLen(std::int64_t N) const;
 };
 

@@ -17,8 +17,9 @@ ProximityResult BuildProximityGraph(sim::Exec& ex, const Profile& prof,
                                     bool clustered, std::uint64_t nonce) {
   const std::int64_t N = ex.net().params().id_space;
   ProximityResult res;
-  res.schedule = clustered ? prof.MakeWcss(N, nonce) : prof.MakeWss(N, nonce);
-  const sim::Schedule& S = *res.schedule;
+  res.table = sim::Tabulate(
+      clustered ? *prof.MakeWcss(N, nonce) : *prof.MakeWss(N, nonce), parts);
+  const sim::TransmitTable& S = res.table;
   const Round start = ex.rounds();
 
   const std::size_t np = parts.size();
@@ -70,7 +71,7 @@ ProximityResult BuildProximityGraph(sim::Exec& ex, const Profile& prof,
       bool keep = true;
       for (const auto& [t, u] : heard[p]) {
         if (u == w) continue;
-        if (S.Transmits(t, parts[w].id, parts[w].cluster)) {
+        if (S.Selects(t, w)) {
           keep = false;
           break;
         }

@@ -13,15 +13,16 @@
 //                        j-th candidate <v, u>; mutual candidates become
 //                        edges.
 //
-// The returned adjacency uses positions into `parts`. The schedule is
-// returned so callers can replay it: every reception along an H-edge that
-// happened in the exchange phase recurs in any replay whose transmitter
-// sets are subsets of the exchange-phase ones (the SINR "subset argument":
-// removing interferers can only help the strongest sender).
+// S is tabulated once over `parts`; the exchange, the filter and the kappa
+// confirmations all read that table. The returned adjacency uses positions
+// into `parts`. The table is returned so callers can replay S: every
+// reception along an H-edge that happened in the exchange phase recurs in
+// any replay whose transmitter sets are subsets of the exchange-phase ones
+// (the SINR "subset argument": removing interferers can only help the
+// strongest sender).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "dcc/cluster/profile.h"
@@ -33,7 +34,7 @@ namespace dcc::cluster {
 struct ProximityResult {
   // adj[p] = positions (into parts) of p's H-neighbors; degree <= kappa.
   std::vector<std::vector<std::size_t>> adj;
-  std::shared_ptr<const sim::Schedule> schedule;
+  sim::TransmitTable table;  // S over `parts`
   Round rounds = 0;
 };
 

@@ -52,13 +52,16 @@ RadiusReductionStats RadiusReduction(sim::Exec& ex, const Profile& prof,
       core_parts.push_back(sim::Participant{idx, net.id(idx), kNoCluster});
     }
 
+    // One SNS per iteration, tabulated over the core for the hello exchange
+    // and every MIS replay.
     const auto sns = prof.MakeSns(N, it_nonce);
+    const sim::TransmitTable core_sns = sim::Tabulate(*sns, core_parts);
 
     // 2) Hello exchange over SNS: core nodes learn the core nodes they can
     //    hear — the graph G of Alg. 5 line 5.
     std::vector<std::vector<std::size_t>> g_adj(core_parts.size());
     sim::ExecuteSchedule(
-        ex, *sns, core_parts,
+        ex, core_sns, core_parts,
         [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
           sim::Message m;
           m.src = core_parts[p].id;
@@ -83,7 +86,7 @@ RadiusReductionStats RadiusReduction(sim::Exec& ex, const Profile& prof,
       std::vector<std::vector<std::pair<NodeId, mis::MisState>>> inbox(
           core_parts.size());
       sim::ExecuteSchedule(
-          ex, *sns, core_parts,
+          ex, core_sns, core_parts,
           [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
             sim::Message m;
             m.src = core_parts[p].id;
@@ -115,7 +118,7 @@ RadiusReductionStats RadiusReduction(sim::Exec& ex, const Profile& prof,
     if (centers.empty()) continue;  // nothing decided; try next iteration
     std::unordered_set<std::size_t> x_set(X.begin(), X.end());
     sim::ExecuteSchedule(
-        ex, *sns, centers,
+        ex, sim::Tabulate(*sns, centers), centers,
         [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
           sim::Message m;
           m.src = centers[p].id;

@@ -16,15 +16,16 @@ constexpr std::int32_t kInYMsg = 112;
 constexpr std::int32_t kParentClaimMsg = 113;
 constexpr std::int32_t kColorMsg = 114;
 
-// Replays `stage.schedule` once over the stage participants; `payload(p)`
-// produces the message for participant position p (nullopt = silent).
-// Receptions are filtered to participants and delivered as positions.
+// Replays the stage's transmit table once over its participants;
+// `payload(p)` produces the message for participant position p (nullopt =
+// silent). Receptions are filtered to participants and delivered as
+// positions.
 void ReplayOnce(
     sim::Exec& ex, const ExchangeStage& stage,
     const std::function<std::optional<sim::Message>(std::size_t)>& payload,
     const std::function<void(std::size_t, const sim::Message&)>& on_hear) {
   sim::ExecuteSchedule(
-      ex, *stage.schedule, stage.participants,
+      ex, stage.table, stage.participants,
       [&](std::size_t p, std::int64_t) { return payload(p); },
       [&](std::size_t, std::size_t p, const sim::Message& m, std::int64_t) {
         if (p != sim::kNotParticipant) on_hear(p, m);
@@ -63,9 +64,9 @@ SparsifyResult Sparsify(sim::Exec& ex, const Profile& prof,
         HashCombine(nonce, static_cast<std::uint64_t>(iter));
     ProximityResult prox =
         BuildProximityGraph(ex, prof, parts, clustered, stage_nonce);
-    const ExchangeStage stage{prox.schedule, parts};
     const int stage_index = static_cast<int>(res.stages.size());
-    res.stages.push_back(stage);
+    res.stages.push_back(ExchangeStage{std::move(prox.table), parts});
+    const ExchangeStage& stage = res.stages.back();
 
     const std::size_t np = parts.size();
 

@@ -6,12 +6,11 @@
 // nodes with Y-neighbors to parents, and retires both children and parents
 // from the active set. It returns Active ∪ Prnts — a 3/4-density
 // sparsification for clustered sets — together with the *exchange stages*
-// (schedule + participant snapshots) later replayed for tree communication
-// (labeling, cluster inheritance).
+// (transmit table + participant snapshot) later replayed for tree
+// communication (labeling, cluster inheritance).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -21,10 +20,11 @@
 
 namespace dcc::cluster {
 
-// One proximity-exchange stage: enough to replay the schedule with the
-// exact participant snapshot and reproduce every H-edge delivery.
+// One proximity-exchange stage: the exchange schedule's transmit table
+// over the exact participant snapshot, enough to replay it and reproduce
+// every H-edge delivery.
 struct ExchangeStage {
-  std::shared_ptr<const sim::Schedule> schedule;
+  sim::TransmitTable table;
   std::vector<sim::Participant> participants;
 };
 

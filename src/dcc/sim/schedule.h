@@ -4,13 +4,19 @@
 // (resp. (v, phi) in S_i).
 //
 // `Schedule` is the common interface; concrete schedules wrap the selector
-// structures. `ExecuteSchedule` runs a schedule over an Exec for a
-// participant set — the workhorse of every algorithm in the library.
+// structures. `Tabulate` evaluates a schedule once over a participant set
+// into a `TransmitTable`, and `ExecuteSchedule` runs that table over an
+// Exec — the workhorse of every algorithm in the library. The protocols
+// replay one exchange stage many times (confirmations, labeling,
+// inheritance, MIS rounds), so each replay reads the table instead of
+// asking the selector again.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dcc/sel/ssf.h"
@@ -78,20 +84,50 @@ struct Participant {
 // The position `hear` reports for a listener outside the participant set.
 inline constexpr std::size_t kNotParticipant = static_cast<std::size_t>(-1);
 
-// Runs `sched` from its first to last round on `ex`, one Exec round per
-// local round (empty rounds included). Each local round t evaluates
-// `sched.Transmits(t, id, cluster)` once per participant; the scheduled
-// participants, in `parts` order, are the round's candidates.
+// One schedule evaluated over one participant list: for every local round t,
+// the positions (into that list) of the participants the schedule selects,
+// in ascending order. A CSR; built by `Tabulate`.
+class TransmitTable {
+ public:
+  std::int64_t rounds() const {
+    return static_cast<std::int64_t>(offsets_.size()) - 1;
+  }
+  std::size_t participants() const { return participants_; }
+
+  // The positions selected in local round t, t in [0, rounds()).
+  std::span<const std::uint32_t> Selected(std::int64_t t) const;
+  // Does local round t select position p?
+  bool Selects(std::int64_t t, std::size_t p) const;
+
+ private:
+  friend TransmitTable Tabulate(const Schedule& sched,
+                                const std::vector<Participant>& parts);
+
+  std::size_t participants_ = 0;
+  std::vector<std::size_t> offsets_{0};  // rounds() + 1 entries
+  std::vector<std::uint32_t> positions_;
+};
+
+// Evaluates `sched.Transmits(t, id, cluster)` once per local round and
+// participant. At most 2^32 - 1 participants (InvalidArgument otherwise).
+TransmitTable Tabulate(const Schedule& sched,
+                       const std::vector<Participant>& parts);
+
+// Runs `table` from its first to last round on `ex`, one Exec round per
+// local round (empty rounds included); the participants the table selects
+// in round t, in `parts` order, are that round's candidates.
 //  * `make_msg(p, t)` produces the message of scheduled participant
 //    `parts[p]` (nullopt = stay silent); it is never called for an
 //    unscheduled participant.
 //  * `hear(listener, p, msg, t)` fires per reception at any listening node
 //    of the network: `listener` is its node index, `p` its position in
 //    `parts` or kNotParticipant.
-// Participant indices must be distinct and below `ex.net().size()`
-// (InvalidArgument otherwise). Nothing is allocated per local round.
+// `table` must be tabulated over `parts`; a table for a different
+// participant count is rejected. Participant indices must be distinct and
+// below `ex.net().size()`. Violations throw InvalidArgument before any
+// round runs. Nothing is allocated per local round.
 void ExecuteSchedule(
-    Exec& ex, const Schedule& sched, const std::vector<Participant>& parts,
+    Exec& ex, const TransmitTable& table, const std::vector<Participant>& parts,
     const std::function<std::optional<Message>(std::size_t, std::int64_t)>&
         make_msg,
     const std::function<void(std::size_t, std::size_t, const Message&,

@@ -99,6 +99,19 @@ TEST(SnsTest, LengthIsLogarithmicInIdSpace) {
   EXPECT_LT(len24, 3 * len12);
 }
 
+// SnsLen is what leader election charges for an empty probe, so it must be
+// the length of the schedule MakeSns builds in either mode.
+TEST(SnsTest, LengthMatchesTheBuiltSchedule) {
+  for (const bool prime : {false, true}) {
+    auto prof = cluster::Profile::Practical(1 << 16);
+    prof.sns_use_prime_ssf = prime;
+    for (const std::int64_t N : {1ll << 12, 1ll << 16}) {
+      EXPECT_EQ(prof.SnsLen(N), prof.MakeSns(N, 7)->size())
+          << "prime ssf " << prime << ", N " << N;
+    }
+  }
+}
+
 class SnsDensitySweep : public ::testing::TestWithParam<std::tuple<int, int>> {
 };
 
