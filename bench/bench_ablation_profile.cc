@@ -1,8 +1,8 @@
 // Ablation: which profile constants actually carry the clustering
-// pipeline, end to end. DESIGN.md §4.3 claims the calibrated practical
-// profile is safe because the validators gate it — this bench shows the
-// cliff: sweep one constant at a time, run full Clustering, and report
-// validity + rounds.
+// pipeline, end to end. docs/PAPER_MAP.md ("Deviations from the paper")
+// claims the calibrated practical profile is safe because the validators
+// gate it — this bench shows the cliff: sweep one constant at a time, run
+// full Clustering, and report validity + rounds.
 //
 // Expected: validity holds from the default down to a visible knee
 // (wss too short -> proximity misses close pairs -> sparsification stalls
@@ -35,7 +35,7 @@ Outcome RunOnce(const sinr::Network& net, const cluster::Profile& prof,
 
 void Run() {
   bench::Banner("Profile ablation (end-to-end Clustering)",
-                "DESIGN.md §4.3 calibration evidence",
+                "calibrated-profile evidence (docs/PAPER_MAP.md)",
                 "validity cliff as constants shrink; rounds ~linear in the "
                 "selector lengths above it");
 

@@ -1,10 +1,13 @@
-// MIS substrate ablation — the paper's [34] stand-in (DESIGN.md §4.2).
+// MIS substrate ablation — the paper's [34] stand-in (docs/PAPER_MAP.md,
+// "Deviations from the paper").
 //
 // Reports LOCAL-round counts of the Linial pipeline (log*-shaped in the id
 // space, plus the O(Delta^2)-color MIS sweep) and of the capped
 // local-minima MIS (fast path used inside the sparsifier), on random
-// bounded-degree graphs. Expected: Linial reduction rounds flat (log*),
-// local-minima rounds small and flat; both outputs independent+maximal.
+// bounded-degree graphs. The LocalGraph runners drive the same loops the
+// protocols run, over mis::GraphRound. Expected: Linial reduction rounds
+// flat (log*), local-minima rounds small and flat; both outputs
+// independent+maximal.
 #include <iostream>
 
 #include "dcc/common/rng.h"

@@ -86,7 +86,7 @@ void Run() {
   std::cout << "\n(theory kappa explodes because alpha-2 appears in the "
                "far-field exponent: worst-case interference bounds are "
                "astronomically conservative; validators certify the "
-               "practical values instead — DESIGN.md §4.3)\n";
+               "practical values instead — docs/PAPER_MAP.md)\n";
 }
 
 }  // namespace

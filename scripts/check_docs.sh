@@ -25,6 +25,10 @@
 #      and every <name>_test must be tests/<name>_test.cc, so a deleted
 #      bench or test cannot linger as a bare name (check 2 sees only
 #      paths). Prefix mentions such as bench_fig* are skipped.
+#   7. Markdown citations in code — every *.md name mentioned in src/,
+#      bench/, tests/, tools/ or examples/ must resolve at the repository
+#      root, under docs/, or beside the file that mentions it, so a comment
+#      cannot send readers to a document that does not exist.
 #
 # Usage: scripts/check_docs.sh [path-to-dcc_run]   (default: build/dcc_run;
 # dccd and dcc_load are expected next to it)
@@ -177,6 +181,15 @@ while IFS=: read -r doc name; do
   [ -e "$ROOT/tests/$name.cc" ] ||
     err "$(basename "$doc"): mentions $name, which is not tests/$name.cc"
 done < <(grep -oHP '\w+_test(?![\w*])' "${DOCS_AND_SKILLS[@]}" | sort -u)
+
+# --- 7. *.md names cited by the code -----------------------------------------
+while IFS=: read -r file name; do
+  name="${name#/}"
+  [ -e "$ROOT/$name" ] || [ -e "$ROOT/docs/$name" ] ||
+    [ -e "$(dirname "$file")/$name" ] ||
+    err "${file#"$ROOT"/}: mentions $name, which is not at the root, under docs/ or beside it"
+done < <(grep -roHE '[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b' "$ROOT/src" "$ROOT/bench" \
+           "$ROOT/tests" "$ROOT/tools" "$ROOT/examples" | sort -u)
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_set>
+
+#include "dcc/sim/coverage.h"
 
 namespace dcc::baselines {
 
@@ -48,13 +49,8 @@ GridTdmaResult GridTdmaLocalBroadcast(sim::Exec& ex,
         std::max(res.max_occupancy, static_cast<int>(nodes.size()));
   }
 
-  // Coverage oracle.
-  const auto& comm = net.CommGraph();
-  std::vector<std::unordered_set<std::size_t>> covered(net.size());
-  ex.SetObserver([&](Round, const std::vector<std::size_t>&,
-                     const std::vector<sinr::Reception>& recs) {
-    for (const auto& r : recs) covered[r.sender].insert(r.listener);
-  });
+  sim::NeighborCoverage cov(net, members);
+  ex.SetObserver(cov.Observer());
 
   const Round start = ex.rounds();
   for (int color = 0; color < s * s; ++color) {
@@ -74,17 +70,7 @@ GridTdmaResult GridTdmaLocalBroadcast(sim::Exec& ex,
     }
   }
   ex.SetObserver(nullptr);
-
-  for (const std::size_t v : members) {
-    bool all = true;
-    for (const std::size_t w : comm[v]) {
-      if (!covered[v].count(w)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) ++res.covered_nodes;
-  }
+  res.covered_nodes = cov.covered();
   res.covered = res.covered_nodes == res.members;
   res.rounds = ex.rounds() - start;
   return res;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "dcc/common/rng.h"
+#include "dcc/sim/coverage.h"
 
 namespace dcc::baselines {
 
@@ -12,8 +12,8 @@ namespace {
 
 constexpr std::int32_t kPayloadMsg = 301;
 
-// Shared driver: runs `rounds` rounds at transmit probability `p(round)`,
-// tracking cumulative neighbor coverage through the observer.
+// Shared driver: runs up to `budget` rounds at transmit probability
+// `p(round)`, stopping once every member is covered.
 RandLocalResult Drive(sim::Exec& ex, const std::vector<std::size_t>& members,
                       Round budget,
                       const std::function<double(Round)>& prob,
@@ -23,42 +23,11 @@ RandLocalResult Drive(sim::Exec& ex, const std::vector<std::size_t>& members,
   res.members = members.size();
   res.rounds_budget = budget;
 
-  const auto& comm = net.CommGraph();
-  std::vector<std::unordered_set<std::size_t>> covered(net.size());
-  std::vector<char> done(net.size(), 0);
-  std::size_t remaining = 0;
-  for (const std::size_t v : members) {
-    if (comm[v].empty()) {
-      done[v] = 1;  // no neighbors: vacuously covered
-    } else {
-      ++remaining;
-    }
-  }
-
+  sim::NeighborCoverage cov(net, members);
+  std::size_t covered = cov.covered();  // members without neighbors
   Xoshiro256ss rng(seed);
   const Round start = ex.rounds();
-  ex.SetObserver([&](Round, const std::vector<std::size_t>&,
-                     const std::vector<sinr::Reception>& recs) {
-    for (const auto& r : recs) {
-      if (done[r.sender]) continue;
-      covered[r.sender].insert(r.listener);
-      if (covered[r.sender].size() >= comm[r.sender].size()) {
-        // check actual neighbor containment
-        bool all = true;
-        for (const std::size_t w : comm[r.sender]) {
-          if (!covered[r.sender].count(w)) {
-            all = false;
-            break;
-          }
-        }
-        if (all) {
-          done[r.sender] = 1;
-          --remaining;
-          res.rounds_to_cover = ex.rounds() - start;
-        }
-      }
-    }
-  });
+  ex.SetObserver(cov.Observer());
 
   for (Round t = 0; t < budget; ++t) {
     const double p = prob(t);
@@ -71,13 +40,14 @@ RandLocalResult Drive(sim::Exec& ex, const std::vector<std::size_t>& members,
           return m;
         },
         [](std::size_t, const sim::Message&) {});
-    if (remaining == 0) break;
+    if (cov.covered() > covered) {
+      covered = cov.covered();
+      res.rounds_to_cover = ex.rounds() - start;
+    }
+    if (covered == members.size()) break;
   }
   ex.SetObserver(nullptr);
-
-  for (const std::size_t v : members) {
-    if (done[v]) ++res.covered_nodes;
-  }
+  res.covered_nodes = covered;
   res.covered = res.covered_nodes == res.members;
   if (!res.covered) res.rounds_to_cover = ex.rounds() - start;
   return res;

@@ -1,7 +1,8 @@
 #include "dcc/baselines/tdma.h"
 
 #include <algorithm>
-#include <unordered_set>
+
+#include "dcc/sim/coverage.h"
 
 namespace dcc::baselines {
 
@@ -13,13 +14,9 @@ TdmaResult TdmaLocalBroadcast(sim::Exec& ex,
                               const std::vector<std::size_t>& members) {
   const sinr::Network& net = ex.net();
   TdmaResult res;
-  const auto& comm = net.CommGraph();
-  std::vector<std::unordered_set<std::size_t>> covered(net.size());
+  sim::NeighborCoverage cov(net, members);
   const Round start = ex.rounds();
-  ex.SetObserver([&](Round, const std::vector<std::size_t>&,
-                     const std::vector<sinr::Reception>& recs) {
-    for (const auto& r : recs) covered[r.sender].insert(r.listener);
-  });
+  ex.SetObserver(cov.Observer());
   const std::int64_t N = net.params().id_space;
   for (std::int64_t slot = 1; slot <= N; ++slot) {
     ex.RunRound(
@@ -33,16 +30,7 @@ TdmaResult TdmaLocalBroadcast(sim::Exec& ex,
         [](std::size_t, const sim::Message&) {});
   }
   ex.SetObserver(nullptr);
-  for (const std::size_t v : members) {
-    bool all = true;
-    for (const std::size_t w : comm[v]) {
-      if (!covered[v].count(w)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) ++res.reached;
-  }
+  res.reached = cov.covered();
   res.complete = res.reached == members.size();
   res.rounds = ex.rounds() - start;
   return res;

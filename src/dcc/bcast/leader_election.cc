@@ -1,7 +1,6 @@
 #include "dcc/bcast/leader_election.h"
 
-#include <algorithm>
-#include <unordered_set>
+#include <set>
 
 #include "dcc/bcast/smsb.h"
 #include "dcc/cluster/clustering.h"
@@ -16,10 +15,11 @@ LeaderElectionResult ElectLeader(sim::Exec& ex, const cluster::Profile& prof,
   LeaderElectionResult res;
   const Round start = ex.rounds();
 
-  // 1) Cluster; centers form the candidate set S (pairwise > 1-eps apart).
+  // 1) Cluster; centers form the candidate set S (pairwise > 1-eps apart),
+  //    kept in ID order so each probe's sources are too.
   cluster::ClusteringResult cl =
       cluster::BuildClustering(ex, prof, members, gamma, nonce);
-  std::unordered_set<ClusterId> center_ids;
+  std::set<ClusterId> center_ids;
   for (const std::size_t idx : members) {
     if (cl.cluster_of[idx] != kNoCluster) center_ids.insert(cl.cluster_of[idx]);
   }
@@ -66,8 +66,7 @@ LeaderElectionResult ElectLeader(sim::Exec& ex, const cluster::Profile& prof,
 
   res.leader = lo;
   // The leader must be one of the centers (the minimum-ID center).
-  NodeId min_center = *std::min_element(center_ids.begin(), center_ids.end());
-  res.agreed = (res.leader == min_center);
+  res.agreed = (res.leader == *center_ids.begin());
   res.rounds = ex.rounds() - start;
   return res;
 }

@@ -1,11 +1,11 @@
 #include "dcc/bcast/local_broadcast.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "dcc/bcast/sns.h"
 #include "dcc/cluster/clustering.h"
 #include "dcc/cluster/labeling.h"
+#include "dcc/sim/coverage.h"
 
 namespace dcc::bcast {
 
@@ -33,41 +33,10 @@ LocalBroadcastResult LocalBroadcast(sim::Exec& ex,
       ex, prof, members, res.cluster_of, gamma, HashCombine(nonce, 0x6001u));
   res.labeling_rounds = lab.rounds;
 
-  // Success oracle: per member, which comm-graph neighbors heard it, and
-  // whether one round covered all of them.
-  const auto& comm = net.CommGraph();
-  std::vector<std::unordered_set<std::size_t>> covered(net.size());
-  std::vector<char> single_round(net.size(), 0);
-  auto observer = [&](Round, const std::vector<std::size_t>& tx,
-                      const std::vector<sinr::Reception>& recs) {
-    // Group receptions by sender.
-    for (const std::size_t v : tx) {
-      std::size_t got = 0;
-      for (const auto& r : recs) {
-        if (r.sender != v) continue;
-        covered[v].insert(r.listener);
-      }
-      // single-round check: every comm neighbor of v received from v now
-      bool all = true;
-      for (const std::size_t w : comm[v]) {
-        bool found = false;
-        for (const auto& r : recs) {
-          if (r.sender == v && r.listener == w) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          all = false;
-          break;
-        }
-        ++got;
-      }
-      if (all) single_round[v] = 1;
-      (void)got;
-    }
-  };
-  ex.SetObserver(observer);
+  // Success oracle over the SNS runs: which comm-graph neighbors heard
+  // each member, cumulatively and within one round.
+  sim::NeighborCoverage cov(net, members);
+  ex.SetObserver(cov.Observer());
 
   // Stage 3: Delta runs of SNS, the l-th by nodes labeled l. The label
   // bound is the clustered density (<= gamma), a public quantity.
@@ -96,17 +65,8 @@ LocalBroadcastResult LocalBroadcast(sim::Exec& ex,
   res.sns_rounds = ex.rounds() - sns_start;
   ex.SetObserver(nullptr);
 
-  for (const std::size_t v : members) {
-    if (single_round[v]) ++res.covered_single_round;
-    bool all = true;
-    for (const std::size_t w : comm[v]) {
-      if (!covered[v].count(w)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) ++res.covered_cumulative;
-  }
+  res.covered_single_round = cov.covered_in_one_round();
+  res.covered_cumulative = cov.covered();
   res.rounds = ex.rounds() - start;
   return res;
 }

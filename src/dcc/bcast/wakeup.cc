@@ -1,7 +1,7 @@
 #include "dcc/bcast/wakeup.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <set>
 
 #include "dcc/bcast/smsb.h"
 #include "dcc/cluster/clustering.h"
@@ -37,10 +37,11 @@ WakeupResult RunWakeup(sim::Exec& ex, const cluster::Profile& prof,
     }
     if (awake.empty()) continue;
 
-    // Cluster the awake set; the centers become the SMSB source set.
+    // Cluster the awake set; the centers, in ID order, become the SMSB
+    // source set (source order is each round's transmitter order).
     cluster::ClusteringResult cl = cluster::BuildClustering(
         ex, prof, awake, gamma, HashCombine(nonce, 0x8000u + epoch));
-    std::unordered_set<ClusterId> centers_ids;
+    std::set<ClusterId> centers_ids;
     for (const std::size_t idx : awake) {
       if (cl.cluster_of[idx] != kNoCluster) centers_ids.insert(cl.cluster_of[idx]);
     }

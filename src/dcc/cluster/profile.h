@@ -14,7 +14,8 @@
 //  * `Practical(N)` uses calibrated values; the geometric validators in
 //    tests/ verify all postconditions (clustering validity, close-pair
 //    coverage, broadcast success) under this profile, so calibration cannot
-//    silently break correctness. See DESIGN.md §4.3.
+//    silently break correctness. See docs/PAPER_MAP.md, "Deviations from
+//    the paper".
 #pragma once
 
 #include <cstdint>
@@ -52,8 +53,12 @@ struct Profile {
 
   // Instrumentation: allow stages to stop once a fixpoint is centrally
   // detected (round counts then measure actual progress; the worst-case
-  // schedule length is reported separately by benches). Never changes any
-  // node's decision — only truncates provably idle stage suffixes.
+  // schedule length is reported separately by benches). Within a stage it
+  // only truncates idle suffixes. It is not a pure truncation overall:
+  // RadiusReduction with early_stop runs until every member is assigned,
+  // for up to 4 * rr_iters iterations, where without it stops after
+  // rr_iters, so early stopping can assign members the fixed budget would
+  // leave unassigned.
   bool early_stop = true;
 
   // Selector seed — fixed, public, part of the algorithm description.

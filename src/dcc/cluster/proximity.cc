@@ -9,6 +9,7 @@ namespace {
 
 constexpr std::int32_t kExchangeMsg = 101;
 constexpr std::int32_t kConfirmMsg = 102;
+constexpr std::int32_t kLocalRoundMsg = 103;
 
 }  // namespace
 
@@ -131,6 +132,37 @@ ProximityResult BuildProximityGraph(sim::Exec& ex, const Profile& prof,
 
   res.rounds = ex.rounds() - start;
   return res;
+}
+
+mis::LocalRound ReplayRound(
+    sim::Exec& ex, const sim::TransmitTable& table,
+    const std::vector<sim::Participant>& parts,
+    const std::vector<std::vector<std::size_t>>* adj) {
+  return [&ex, &table, &parts, adj](const std::vector<std::int64_t>& out,
+                                    mis::Inbox& inbox) {
+    for (auto& in : inbox) in.clear();
+    sim::ExecuteSchedule(
+        ex, table, parts,
+        [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
+          sim::Message m;
+          m.src = parts[p].id;
+          m.cluster = parts[p].cluster;
+          m.kind = kLocalRoundMsg;
+          m.a = out[p];
+          return m;
+        },
+        [&](std::size_t, std::size_t p, const sim::Message& m,
+            std::int64_t) {
+          if (m.kind != kLocalRoundMsg || p == sim::kNotParticipant) return;
+          if (adj && std::none_of((*adj)[p].begin(), (*adj)[p].end(),
+                                  [&](std::size_t w) {
+                                    return parts[w].id == m.src;
+                                  })) {
+            return;
+          }
+          inbox[p].emplace_back(m.src, m.a);
+        });
+  };
 }
 
 }  // namespace dcc::cluster

@@ -19,13 +19,16 @@
 // reception along an H-edge that happened in the exchange phase recurs in
 // any replay whose transmitter sets are subsets of the exchange-phase ones
 // (the SINR "subset argument": removing interferers can only help the
-// strongest sender).
+// strongest sender). A replay in which every participant transmits has
+// exactly the exchange phase's transmitter sets, so it delivers every
+// H-edge in both directions: a ReplayRound over H is a LOCAL round on H.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "dcc/cluster/profile.h"
+#include "dcc/mis/linial.h"
 #include "dcc/sim/runner.h"
 #include "dcc/sim/schedule.h"
 
@@ -43,5 +46,15 @@ struct ProximityResult {
 ProximityResult BuildProximityGraph(sim::Exec& ex, const Profile& prof,
                                     const std::vector<sim::Participant>& parts,
                                     bool clustered, std::uint64_t nonce);
+
+// One LOCAL round (mis::LocalRound) as one replay of `table` over `parts`:
+// participant p transmits the word out[p] in every local round the table
+// selects it, and keeps in inbox[p] the words it hears from participants —
+// from its H-neighbors adj[p] only when `adj` is given. The arguments must
+// outlive the returned round.
+mis::LocalRound ReplayRound(
+    sim::Exec& ex, const sim::TransmitTable& table,
+    const std::vector<sim::Participant>& parts,
+    const std::vector<std::vector<std::size_t>>* adj = nullptr);
 
 }  // namespace dcc::cluster

@@ -6,17 +6,14 @@
 #include <unordered_set>
 
 #include "dcc/cluster/full_sparsify.h"
+#include "dcc/cluster/proximity.h"
 #include "dcc/mis/local_mis.h"
 #include "dcc/obs/trace.h"
 
 namespace dcc::cluster {
 
 namespace {
-
-constexpr std::int32_t kHelloMsg = 131;
-constexpr std::int32_t kMisStateMsg = 132;
 constexpr std::int32_t kNewClusterMsg = 133;
-
 }  // namespace
 
 RadiusReductionStats RadiusReduction(sim::Exec& ex, const Profile& prof,
@@ -31,11 +28,10 @@ RadiusReductionStats RadiusReduction(sim::Exec& ex, const Profile& prof,
 
   std::vector<std::size_t> X = members;  // still-unassigned nodes
   std::unordered_map<std::size_t, ClusterId> newcluster;
-  std::unordered_set<std::size_t> member_set(members.begin(), members.end());
 
+  // Early stopping may run up to 4 * rr_iters iterations (Profile).
   const int hard_cap = prof.early_stop ? 4 * prof.rr_iters : prof.rr_iters;
   for (int it = 0; it < hard_cap && !X.empty(); ++it) {
-    if (!prof.early_stop && it >= prof.rr_iters) break;
     const std::uint64_t it_nonce = HashCombine(nonce, 0x3000u + it);
 
     // 1) Thin X to a constant-density core (keeps >= 1 node per cluster).
@@ -45,75 +41,35 @@ RadiusReductionStats RadiusReduction(sim::Exec& ex, const Profile& prof,
     if (core.empty()) break;
 
     std::vector<sim::Participant> core_parts;
-    core_parts.reserve(core.size());
-    std::unordered_map<NodeId, std::size_t> core_pos_of_id;
+    std::vector<std::int64_t> core_ids;
     for (const std::size_t idx : core) {
-      core_pos_of_id.emplace(net.id(idx), core_parts.size());
       core_parts.push_back(sim::Participant{idx, net.id(idx), kNoCluster});
+      core_ids.push_back(net.id(idx));
     }
 
-    // One SNS per iteration, tabulated over the core for the hello exchange
-    // and every MIS replay.
+    // One SNS per iteration, tabulated over the core; every LOCAL round
+    // below is one replay of it.
     const auto sns = prof.MakeSns(N, it_nonce);
     const sim::TransmitTable core_sns = sim::Tabulate(*sns, core_parts);
+    const mis::LocalRound core_round = ReplayRound(ex, core_sns, core_parts);
 
-    // 2) Hello exchange over SNS: core nodes learn the core nodes they can
-    //    hear — the graph G of Alg. 5 line 5.
-    std::vector<std::vector<std::size_t>> g_adj(core_parts.size());
-    sim::ExecuteSchedule(
-        ex, core_sns, core_parts,
-        [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
-          sim::Message m;
-          m.src = core_parts[p].id;
-          m.kind = kHelloMsg;
-          return m;
-        },
-        [&](std::size_t, std::size_t p, const sim::Message& m,
-            std::int64_t) {
-          if (m.kind != kHelloMsg || p == sim::kNotParticipant) return;
-          g_adj[p].push_back(core_pos_of_id.at(m.src));
-        });
-    for (auto& a : g_adj) {
-      std::sort(a.begin(), a.end());
-      a.erase(std::unique(a.begin(), a.end()), a.end());
-    }
+    // 2) Hello round: each core node learns the core nodes it hears — the
+    //    graph G of Alg. 5 line 5. Every later replay has the same
+    //    transmitter sets, so the MIS rounds deliver exactly along G.
+    mis::Inbox hello(core.size());
+    core_round(std::vector<std::int64_t>(core.size(), 0), hello);
 
-    // 3) MIS of G via local-minima rounds; one SNS replay per LOCAL round.
-    std::vector<mis::MisState> state(core_parts.size(),
-                                     mis::MisState::kUndecided);
-    const int mis_cap = std::max(prof.mis_rounds, 1);
-    for (int r = 0; r < mis_cap; ++r) {
-      std::vector<std::vector<std::pair<NodeId, mis::MisState>>> inbox(
-          core_parts.size());
-      sim::ExecuteSchedule(
-          ex, core_sns, core_parts,
-          [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
-            sim::Message m;
-            m.src = core_parts[p].id;
-            m.kind = kMisStateMsg;
-            m.a = static_cast<std::int64_t>(state[p]);
-            return m;
-          },
-          [&](std::size_t, std::size_t p, const sim::Message& m,
-              std::int64_t) {
-            if (m.kind != kMisStateMsg || p == sim::kNotParticipant) return;
-            inbox[p].emplace_back(m.src, static_cast<mis::MisState>(m.a));
-          });
-      bool changed = false;
-      std::vector<mis::MisState> next(state);
-      for (std::size_t p = 0; p < core_parts.size(); ++p) {
-        next[p] = mis::LocalMinimaStep(core_parts[p].id, state[p], inbox[p]);
-        changed = changed || next[p] != state[p];
-      }
-      state = std::move(next);
-      if (prof.early_stop && !changed) break;
-    }
+    // 3) MIS of G via local-minima rounds.
+    const mis::PartialMisRun mis_run = mis::LocalMinimaMis(
+        core_round, core_ids, std::max(prof.mis_rounds, 1), prof.early_stop);
 
     // 4) Centers broadcast over SNS; unassigned members adopt the first
     //    center they hear (Alg. 5 lines 7-10).
     std::vector<sim::Participant> centers;
     for (std::size_t p = 0; p < core_parts.size(); ++p) {
-      if (state[p] == mis::MisState::kInMis) centers.push_back(core_parts[p]);
+      if (mis_run.state[p] == mis::MisState::kInMis) {
+        centers.push_back(core_parts[p]);
+      }
     }
     if (centers.empty()) continue;  // nothing decided; try next iteration
     std::unordered_set<std::size_t> x_set(X.begin(), X.end());

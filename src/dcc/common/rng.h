@@ -8,7 +8,8 @@
 //     membership predicates: member(round, id, ...) = f(seed, round, id, ...).
 //     All nodes evaluate the same pure function, so the resulting protocol
 //     is deterministic and requires no shared random source — the fixed seed
-//     is part of the algorithm description (see DESIGN.md §4.1).
+//     is part of the algorithm description (docs/PAPER_MAP.md, "Deviations
+//     from the paper").
 #pragma once
 
 #include <cstdint>

@@ -6,8 +6,8 @@
 //   (1) two core transmitters v_i, v_j (i<j) jam every listener beyond j;
 //   (2) t hears only v_{Delta+1}, and only when it transmits alone.
 //
-// Two deliberate deviations from the paper's figures, both documented in
-// DESIGN.md:
+// Two deliberate deviations from the paper's figures, both listed in
+// docs/PAPER_MAP.md under "Deviations from the paper":
 //  * the paper draws gap ratio q = 2 and asserts Fact 2 "for eps small
 //    enough"; the ratio is eps-independent, and blocking at ratio q needs
 //    beta > (q/(q-1))^alpha (worst interferer: v_0), so we expose q and

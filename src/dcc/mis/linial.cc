@@ -37,6 +37,19 @@ bool LocalGraph::IsDominating(const std::vector<bool>& in_set) const {
   return true;
 }
 
+LocalRound GraphRound(const LocalGraph& g,
+                      std::span<const std::int64_t> ids) {
+  return [&g, ids](const std::vector<std::int64_t>& out, Inbox& inbox) {
+    for (std::size_t v = 0; v < g.size(); ++v) {
+      inbox[v].clear();
+      for (const std::size_t u : g.adj[v]) {
+        inbox[v].emplace_back(ids.empty() ? static_cast<NodeId>(u) : ids[u],
+                              out[u]);
+      }
+    }
+  };
+}
+
 namespace {
 
 // Smallest prime q and degree bound t such that q^{t+1} >= m (colors are
@@ -121,31 +134,38 @@ std::int64_t LinialStep(std::int64_t c, std::span<const std::int64_t> neighbors,
   std::abort();
 }
 
+ColoringRun LinialColorReduction(const LocalRound& round,
+                                 std::vector<std::int64_t> colors,
+                                 std::int64_t m0, int delta) {
+  ColoringRun run;
+  run.num_colors = m0;
+  Inbox inbox(colors.size());
+  std::vector<std::int64_t> heard;
+  for (const LinialRound& lr : LinialPlan(m0, delta)) {
+    round(colors, inbox);
+    for (std::size_t v = 0; v < colors.size(); ++v) {
+      heard.clear();
+      for (const auto& [id, c] : inbox[v]) heard.push_back(c);
+      colors[v] = LinialStep(colors[v], heard, lr);
+    }
+    run.num_colors = lr.q * lr.q;
+    ++run.local_rounds;
+  }
+  run.colors = std::move(colors);
+  return run;
+}
+
 ColoringRun LinialColorReduction(const LocalGraph& g,
                                  std::vector<std::int64_t> colors,
                                  std::int64_t m0, int delta) {
   DCC_REQUIRE(colors.size() == g.size(), "colors size mismatch");
-  const auto plan = LinialPlan(m0, delta);
-  ColoringRun run;
-  std::int64_t m = m0;
-  for (const LinialRound& round : plan) {
-    std::vector<std::int64_t> next(colors.size());
-    for (std::size_t v = 0; v < g.size(); ++v) {
-      std::vector<std::int64_t> ncs;
-      ncs.reserve(g.adj[v].size());
-      for (const std::size_t u : g.adj[v]) ncs.push_back(colors[u]);
-      next[v] = LinialStep(colors[v], ncs, round);
-    }
-    colors = std::move(next);
-    m = round.q * round.q;
-    ++run.local_rounds;
-    // Invariant: coloring stays proper.
-    for (std::size_t v = 0; v < g.size(); ++v) {
-      for (const std::size_t u : g.adj[v]) DCC_CHECK(colors[v] != colors[u]);
+  ColoringRun run =
+      LinialColorReduction(GraphRound(g), std::move(colors), m0, delta);
+  for (std::size_t v = 0; v < g.size(); ++v) {
+    for (const std::size_t u : g.adj[v]) {
+      DCC_CHECK(run.colors[v] != run.colors[u]);
     }
   }
-  run.colors = std::move(colors);
-  run.num_colors = m;
   return run;
 }
 
@@ -182,30 +202,49 @@ ColoringRun ReduceColors(const LocalGraph& g, std::vector<std::int64_t> colors,
   return run;
 }
 
+MisRun MisFromColoring(const LocalRound& round,
+                       const std::vector<std::int64_t>& colors,
+                       std::int64_t num_colors, bool stop_when_decided) {
+  const std::size_t n = colors.size();
+  std::vector<MisState> state(n, MisState::kUndecided);
+  std::vector<std::int64_t> out(n);
+  Inbox inbox(n);
+  MisRun run;
+  for (std::int64_t cls = 0; cls < num_colors; ++cls) {
+    for (std::size_t v = 0; v < n; ++v) {
+      out[v] = static_cast<std::int64_t>(state[v]);
+    }
+    round(out, inbox);
+    ++run.local_rounds;
+    bool undecided = false;
+    for (std::size_t v = 0; v < n; ++v) {
+      if (state[v] != MisState::kUndecided) continue;
+      const bool neighbor_in =
+          std::any_of(inbox[v].begin(), inbox[v].end(), [](const auto& m) {
+            return m.second == static_cast<std::int64_t>(MisState::kInMis);
+          });
+      if (neighbor_in) {
+        state[v] = MisState::kDominated;
+      } else if (colors[v] == cls) {
+        state[v] = MisState::kInMis;
+      }
+      undecided = undecided || state[v] == MisState::kUndecided;
+    }
+    if (stop_when_decided && !undecided) break;
+  }
+  run.in_mis.resize(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    run.in_mis[v] = state[v] == MisState::kInMis;
+  }
+  return run;
+}
+
 MisRun MisFromColoring(const LocalGraph& g,
                        const std::vector<std::int64_t>& colors,
                        std::int64_t num_colors) {
   DCC_REQUIRE(colors.size() == g.size(), "colors size mismatch");
-  MisRun run;
-  run.in_mis.assign(g.size(), false);
-  std::vector<bool> decided(g.size(), false);
-  for (std::int64_t cls = 0; cls < num_colors; ++cls) {
-    for (std::size_t v = 0; v < g.size(); ++v) {
-      if (decided[v] || colors[v] != cls) continue;
-      bool neighbor_in = false;
-      for (const std::size_t u : g.adj[v]) {
-        if (run.in_mis[u]) {
-          neighbor_in = true;
-          break;
-        }
-      }
-      if (!neighbor_in) run.in_mis[v] = true;
-      decided[v] = true;
-    }
-    // Domination propagates implicitly: a later-class node checks in_mis.
-    ++run.local_rounds;
-  }
-  return run;
+  return MisFromColoring(GraphRound(g), colors, num_colors,
+                         /*stop_when_decided=*/false);
 }
 
 MisRun LinialMis(const LocalGraph& g, const std::vector<std::int64_t>& ids,

@@ -1,16 +1,21 @@
 // Deterministic LOCAL-model coloring and MIS for bounded-degree graphs —
 // our stand-in for the Schneider–Wattenhofer MIS [34] the paper invokes
-// (DESIGN.md §4.2). On constant-degree graphs the pipeline
+// (docs/PAPER_MAP.md, "Deviations from the paper"). On constant-degree
+// graphs the pipeline
 //   Linial color reduction (log* rounds)  →  MIS from coloring
 // runs in O(log* N) + O(1) LOCAL rounds, matching [34] asymptotically.
 //
-// Everything here is expressed as *pure per-round step functions* so that
-// SINR protocols can embed them (one LOCAL round = one replay of an
-// exchange schedule), plus whole-graph runners for tests and benches.
+// Every runner here drives its LOCAL rounds through a `LocalRound`
+// callback, so one implementation serves both callers: `GraphRound`
+// delivers along a `LocalGraph`'s edges (tests, benches, the `LocalGraph`
+// overloads), and the SINR protocols pass one exchange-schedule replay per
+// LOCAL round (cluster::ReplayRound).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dcc/common/types.h"
@@ -27,6 +32,25 @@ struct LocalGraph {
   // Every node is in the set or has a neighbor in it.
   bool IsDominating(const std::vector<bool>& in_set) const;
 };
+
+// --- LOCAL rounds -------------------------------------------------------
+
+// A node's standing in an MIS computation; the word the MIS runners send.
+enum class MisState : std::uint8_t { kUndecided, kInMis, kDominated };
+
+// inbox[v]: the (sender id, word) pairs node v received in one LOCAL round.
+using Inbox = std::vector<std::vector<std::pair<NodeId, std::int64_t>>>;
+
+// One LOCAL round: node v sends the word out[v] to its neighbors, and the
+// round refills inbox[v] with what v heard (a neighbor may appear more than
+// once; every runner's decisions are insensitive to order and repeats).
+using LocalRound =
+    std::function<void(const std::vector<std::int64_t>& out, Inbox& inbox)>;
+
+// Delivers along g's edges; sender u is named ids[u], or u when `ids` is
+// empty. `g` and `ids` must outlive the returned round.
+LocalRound GraphRound(const LocalGraph& g,
+                      std::span<const std::int64_t> ids = {});
 
 // --- Linial color reduction -------------------------------------------
 
@@ -48,13 +72,18 @@ std::vector<LinialRound> LinialPlan(std::int64_t m0, int delta);
 std::int64_t LinialStep(std::int64_t c, std::span<const std::int64_t> neighbors,
                         const LinialRound& round);
 
-// Whole-graph runner: reduces initial colors (proper, in [0, m0)) to the
-// final space. Asserts the coloring stays proper after every round.
+// Reduces initial colors (proper, in [0, m0), degree <= delta) to the final
+// space, one LOCAL round per LinialPlan entry. LinialStep asserts each
+// round's incoming coloring is proper; the LocalGraph overload also checks
+// the final one.
 struct ColoringRun {
   std::vector<std::int64_t> colors;
   std::int64_t num_colors = 0;  // final color space bound
   int local_rounds = 0;
 };
+ColoringRun LinialColorReduction(const LocalRound& round,
+                                 std::vector<std::int64_t> colors,
+                                 std::int64_t m0, int delta);
 ColoringRun LinialColorReduction(const LocalGraph& g,
                                  std::vector<std::int64_t> colors,
                                  std::int64_t m0, int delta);
@@ -67,13 +96,18 @@ ColoringRun ReduceColors(const LocalGraph& g, std::vector<std::int64_t> colors,
                          std::int64_t num_colors, std::int64_t target);
 
 // --- MIS from a proper coloring ----------------------------------------
-// Processes color classes 0..K-1 in order: an undecided node whose color
-// equals the current class joins the MIS unless a neighbor already joined;
-// neighbors of MIS nodes become dominated. K LOCAL rounds.
+// Processes color classes 0..K-1, one LOCAL round each, in which every node
+// sends its MisState: an undecided node that hears a neighbor in the MIS
+// becomes dominated, and otherwise joins when its color is the current
+// class. K LOCAL rounds, or fewer with `stop_when_decided` (stop after the
+// first round that leaves no node undecided).
 struct MisRun {
   std::vector<bool> in_mis;
   int local_rounds = 0;
 };
+MisRun MisFromColoring(const LocalRound& round,
+                       const std::vector<std::int64_t>& colors,
+                       std::int64_t num_colors, bool stop_when_decided);
 MisRun MisFromColoring(const LocalGraph& g,
                        const std::vector<std::int64_t>& colors,
                        std::int64_t num_colors);

@@ -1,5 +1,5 @@
-// Capped local-minima MIS: the fast deterministic MIS used inside the
-// sparsification loops (profile option `use_linial_mis = false`).
+// Capped local-minima MIS: the fast deterministic MIS that Sparsify (with
+// `use_linial_mis = false`) and RadiusReduction run.
 //
 // Each round, every undecided node that holds the minimum ID among the
 // undecided nodes of its closed neighborhood joins the MIS; undecided
@@ -12,8 +12,8 @@
 // proximity graphs; worst case is a decreasing-ID path). The sparsification
 // algorithms only need per-dense-area progress, which round 1 already
 // provides (the locally minimal node of the neighborhood joins); see
-// DESIGN.md §4.2 for why this substitution is safe and how validators guard
-// it.
+// docs/PAPER_MAP.md, "Deviations from the paper", for why this substitution
+// is safe and how validators guard it.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,6 @@
 
 namespace dcc::mis {
 
-enum class MisState : std::uint8_t { kUndecided, kInMis, kDominated };
-
 // One node's local-minima round: `id`/`state` are the node's own, and
 // `neighbors` are the (id, state) pairs it heard this round.
 MisState LocalMinimaStep(NodeId id, MisState state,
@@ -39,7 +37,14 @@ struct PartialMisRun {
   bool all_decided = false;
 };
 
-// Whole-graph runner with a round cap.
+// At most `max_rounds` LOCAL rounds, in each of which every node sends its
+// MisState and then takes one LocalMinimaStep; `ids[v]` is node v's id.
+// With `stop_at_fixpoint`, stops after the first round that changes no
+// state.
+PartialMisRun LocalMinimaMis(const LocalRound& round,
+                             const std::vector<std::int64_t>& ids,
+                             int max_rounds, bool stop_at_fixpoint);
+// Over GraphRound(g, ids), stopping at the fixpoint.
 PartialMisRun LocalMinimaMis(const LocalGraph& g,
                              const std::vector<std::int64_t>& ids,
                              int max_rounds);

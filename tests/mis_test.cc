@@ -223,6 +223,70 @@ TEST(LocalMinimaMisTest, IndependenceHoldsEvenWhenCapped) {
   EXPECT_TRUE(g.IsIndependent(in));
 }
 
+// The runners over an explicit LOCAL round, as the SINR protocols call
+// them: GraphRound delivers along the edges, and every runner spends one
+// call of the round per LOCAL round it reports.
+LocalRound CountingRound(const LocalGraph& g,
+                         const std::vector<std::int64_t>& ids, int& calls) {
+  return [round = GraphRound(g, ids), &calls](
+             const std::vector<std::int64_t>& out, Inbox& inbox) {
+    ++calls;
+    round(out, inbox);
+  };
+}
+
+TEST(GraphRoundTest, DeliversEachNeighborsWord) {
+  const LocalGraph g = PathGraph(3);
+  const std::vector<std::int64_t> ids{10, 20, 30};
+  Inbox inbox(3, {{99, 99}});  // stale entries are replaced
+  GraphRound(g, ids)({7, 8, 9}, inbox);
+  using Heard = std::vector<std::pair<NodeId, std::int64_t>>;
+  EXPECT_EQ(inbox[0], (Heard{{20, 8}}));
+  EXPECT_EQ(inbox[1], (Heard{{10, 7}, {30, 9}}));
+  EXPECT_EQ(inbox[2], (Heard{{20, 8}}));
+  GraphRound(g)({7, 8, 9}, inbox);  // no ids: senders named by index
+  EXPECT_EQ(inbox[1], (Heard{{0, 7}, {2, 9}}));
+}
+
+TEST(LocalMinimaMisTest, WithoutStopRunsToTheCap) {
+  const LocalGraph g = RandomBoundedDegreeGraph(200, 4, 5);
+  const auto ids = SequentialIds(200);
+  int calls = 0;
+  const auto stopped =
+      LocalMinimaMis(CountingRound(g, ids, calls), ids, 40, true);
+  EXPECT_EQ(calls, stopped.local_rounds);
+  EXPECT_LT(stopped.local_rounds, 40);
+  calls = 0;
+  const auto full =
+      LocalMinimaMis(CountingRound(g, ids, calls), ids, 40, false);
+  EXPECT_EQ(calls, 40);
+  EXPECT_EQ(full.local_rounds, 40);
+  EXPECT_EQ(full.state, stopped.state);  // the fixpoint is final
+  EXPECT_EQ(full.state, LocalMinimaMis(g, ids, 40).state);
+}
+
+TEST(MisFromColoringTest, StopWhenDecidedKeepsTheSet) {
+  const LocalGraph g = RandomBoundedDegreeGraph(300, 4, 8);
+  const auto ids = SequentialIds(300);
+  std::vector<std::int64_t> colors(ids);
+  for (auto& c : colors) --c;
+  int calls = 0;
+  const auto red = LinialColorReduction(CountingRound(g, ids, calls), colors,
+                                        1 << 12, 4);
+  EXPECT_EQ(calls, red.local_rounds);
+  EXPECT_EQ(red.colors, LinialColorReduction(g, colors, 1 << 12, 4).colors);
+  calls = 0;
+  const auto early = MisFromColoring(CountingRound(g, ids, calls), red.colors,
+                                     red.num_colors, true);
+  EXPECT_EQ(calls, early.local_rounds);
+  EXPECT_LT(early.local_rounds, red.num_colors);
+  const auto full = MisFromColoring(g, red.colors, red.num_colors);
+  EXPECT_EQ(full.local_rounds, red.num_colors);
+  EXPECT_EQ(early.in_mis, full.in_mis);
+  EXPECT_TRUE(g.IsIndependent(full.in_mis));
+  EXPECT_TRUE(g.IsDominating(full.in_mis));
+}
+
 class LocalMinimaSweep : public ::testing::TestWithParam<std::tuple<int, int>> {
 };
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <set>
 #include <tuple>
 
 #include "dcc/cluster/validate.h"
@@ -155,6 +157,74 @@ TEST(ProximityTest, RoundsLogarithmic) {
   const auto b = Build(net, prof, all, one, false, 9);
   // (kappa + 1) schedule executions.
   EXPECT_EQ(b.rounds, (prof.kappa + 1) * prof.WssLen(params.id_space));
+}
+
+// proximity.h's subset argument, on which every LOCAL round over H rests:
+// a replay of the table in which every participant transmits reproduces
+// the exchange phase, so each H-edge (p, w) delivers at least one message
+// from w at p; and ReplayRound over H hears exactly p's H-neighbors.
+void ExpectReplayDeliversEveryEdge(bool clustered, bool jammer) {
+  sinr::Params params = sinr::Params::Default();
+  params.id_space = 1 << 12;
+  const auto net =
+      workload::MakeNetwork(workload::UniformSquare(64, 3.0, 4), params, 5);
+  sim::Exec ex(net);
+  std::vector<std::size_t> members(net.size());
+  std::iota(members.begin(), members.end(), std::size_t{0});
+  if (jammer) {
+    sim::Message jam;
+    jam.kind = -1;
+    ex.SetBackgroundTransmitters({members.front()}, jam);
+    members.erase(members.begin());
+  }
+  std::vector<sim::Participant> parts;
+  for (const std::size_t idx : members) {
+    const ClusterId cl = net.position(idx).x < 1.5 ? 1 : 2;
+    parts.push_back({idx, net.id(idx), clustered ? cl : kNoCluster});
+  }
+  const ProximityResult prox = BuildProximityGraph(
+      ex, Profile::Practical(params.id_space), parts, clustered, 3);
+
+  std::vector<std::set<NodeId>> heard(parts.size());
+  sim::ExecuteSchedule(
+      ex, prox.table, parts,
+      [&](std::size_t p, std::int64_t) -> std::optional<sim::Message> {
+        sim::Message m;
+        m.src = parts[p].id;
+        return m;
+      },
+      [&](std::size_t, std::size_t p, const sim::Message& m, std::int64_t) {
+        if (p != sim::kNotParticipant) heard[p].insert(m.src);
+      });
+  mis::Inbox inbox(parts.size());
+  ReplayRound(ex, prox.table, parts, &prox.adj)(
+      std::vector<std::int64_t>(parts.size(), 0), inbox);
+
+  std::size_t edges = 0;
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    std::set<NodeId> h_ids, local;
+    for (const std::size_t w : prox.adj[p]) {
+      EXPECT_TRUE(heard[p].count(parts[w].id))
+          << "H-edge (" << p << ", " << w << ") not delivered by the replay";
+      h_ids.insert(parts[w].id);
+      ++edges;
+    }
+    for (const auto& [id, word] : inbox[p]) local.insert(id);
+    EXPECT_EQ(local, h_ids) << "participant " << p;
+  }
+  EXPECT_GT(edges, 0u);
+}
+
+TEST(ProximityTest, ReplayDeliversEveryEdgeUnclustered) {
+  ExpectReplayDeliversEveryEdge(/*clustered=*/false, /*jammer=*/false);
+}
+
+TEST(ProximityTest, ReplayDeliversEveryEdgeClustered) {
+  ExpectReplayDeliversEveryEdge(/*clustered=*/true, /*jammer=*/false);
+}
+
+TEST(ProximityTest, ReplayDeliversEveryEdgeWithJammer) {
+  ExpectReplayDeliversEveryEdge(/*clustered=*/false, /*jammer=*/true);
 }
 
 class ProximitySweep

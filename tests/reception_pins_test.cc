@@ -8,10 +8,15 @@
 
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 
+#include "dcc/cluster/clustering.h"
+#include "dcc/cluster/sparsify.h"
+#include "dcc/cluster/validate.h"
 #include "dcc/scenario/scenario.h"
+#include "dcc/workload/generators.h"
 
 namespace dcc::scenario {
 namespace {
@@ -27,6 +32,18 @@ struct Observed {
 void Fold(std::uint64_t& h, std::uint64_t v) {
   h = (h ^ v) * 0x9e3779b97f4a7c15ull;
   h ^= h >> 32;
+}
+
+// Folds every (round, listener, sender) reception into `digest`.
+sim::Exec::Observer DigestObserver(std::uint64_t& digest) {
+  return [&digest](Round r, const std::vector<std::size_t>&,
+                   const std::vector<sinr::Reception>& recs) {
+    for (const sinr::Reception& rec : recs) {
+      Fold(digest, static_cast<std::uint64_t>(r));
+      Fold(digest, rec.listener);
+      Fold(digest, rec.sender);
+    }
+  };
 }
 
 // FNV-1a of a report's JSON bytes.
@@ -49,15 +66,7 @@ class ProbeAlgorithm final : public Algorithm {
 
   RunReport Run(RunContext& ctx) override {
     obs_.digest = 1469598103934665603ull;
-    ctx.ex.SetObserver([&digest = obs_.digest](
-                           Round r, const std::vector<std::size_t>&,
-                           const std::vector<sinr::Reception>& recs) {
-      for (const sinr::Reception& rec : recs) {
-        Fold(digest, static_cast<std::uint64_t>(r));
-        Fold(digest, rec.listener);
-        Fold(digest, rec.sender);
-      }
-    });
+    ctx.ex.SetObserver(DigestObserver(obs_.digest));
     RunReport rep = Algorithms().Get(obs_.algo)()->Run(ctx);
     obs_.stats = ctx.ex.engine().stats();
     return rep;
@@ -158,6 +167,87 @@ TEST(ReceptionPinsTest, WakeupReport) {
 }
 
 TEST(ReceptionPinsTest, SnsReport) { ExpectReportPinned("sns", 0xdaf52916b0511ff6ull); }
+
+// The local broadcast baselines' coverage oracles feed these reports.
+TEST(ReceptionPinsTest, TdmaLocalReport) {
+  ExpectReportPinned("tdma_local", 0x76cf9c8ddf3c035cull);
+}
+
+TEST(ReceptionPinsTest, GridTdmaReport) {
+  ExpectReportPinned("grid_tdma", 0x33bc717fb859202bull);
+}
+
+TEST(ReceptionPinsTest, RandLocalKnownReport) {
+  ExpectReportPinned("rand_local_known", 0x1081d6c3e5faf74dull);
+}
+
+TEST(ReceptionPinsTest, RandLocalUnknownReport) {
+  ExpectReportPinned("rand_local_unknown", 0x8231f74a2e8e8dcdull);
+}
+
+// MIS-path pins: the LOCAL-model MIS loops of Sparsify and RadiusReduction,
+// run directly on an Exec over the theory-mode test network (24 nodes, id
+// space 256), where other tests check only contracts. `run` gets the Exec,
+// the whole node set and its density.
+struct ExecPins {
+  Round rounds;
+  std::int64_t transmissions;
+  std::int64_t receptions;
+  std::uint64_t digest;
+};
+
+template <typename RunFn>
+void ExpectExecPinned(RunFn run, const ExecPins& want) {
+  sinr::Params params = sinr::Params::Default();
+  params.id_space = 256;
+  const sinr::Network net =
+      workload::MakeNetwork(workload::UniformSquare(24, 2.0, 5), params, 3);
+  std::vector<std::size_t> all(net.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  sim::Exec ex(net);
+  std::uint64_t digest = 1469598103934665603ull;
+  ex.SetObserver(DigestObserver(digest));
+  run(ex, all, cluster::SubsetDensity(net, all));
+  EXPECT_EQ(ex.rounds(), want.rounds);
+  EXPECT_EQ(ex.engine().stats().transmissions, want.transmissions);
+  EXPECT_EQ(ex.engine().stats().receptions, want.receptions);
+  EXPECT_EQ(digest, want.digest);
+}
+
+// Linial color reduction, then the color-class sweep and the Y flags.
+void LinialSparsify(bool early_stop, const ExecPins& want) {
+  ExpectExecPinned(
+      [early_stop](sim::Exec& ex, const std::vector<std::size_t>& all,
+                   int gamma) {
+        cluster::Profile prof = cluster::Profile::Practical(256);
+        prof.use_linial_mis = true;
+        prof.early_stop = early_stop;
+        const std::vector<ClusterId> none(ex.net().size(), kNoCluster);
+        cluster::Sparsify(ex, prof, all, none, gamma, /*clustered=*/false, 1);
+      },
+      want);
+}
+
+TEST(ReceptionPinsTest, LinialSparsifyEarlyStop) {
+  LinialSparsify(true, {36380, 43696, 219354, 0x4119c4eaf5ba725dull});
+}
+
+TEST(ReceptionPinsTest, LinialSparsifyFullSweep) {
+  LinialSparsify(false, {928200, 598780, 3338521, 0xd98a93f4969ef9c0ull});
+}
+
+// Without early stopping every local-minima MIS, in the sparsifications
+// and in radius reduction, runs to its round cap; radius reduction's
+// internal sparsifications take the clustered Y path.
+TEST(ReceptionPinsTest, ClusteringFullRoundCaps) {
+  ExpectExecPinned(
+      [](sim::Exec& ex, const std::vector<std::size_t>& all, int gamma) {
+        cluster::Profile prof = cluster::Profile::Practical(256);
+        prof.early_stop = false;
+        cluster::BuildClustering(ex, prof, all, gamma, 1);
+      },
+      {4223260, 568177, 5311112, 0xc5cd0ee5eaac025cull});
+}
 
 }  // namespace
 }  // namespace dcc::scenario

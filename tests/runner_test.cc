@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dcc/sim/coverage.h"
+
 namespace dcc::sim {
 namespace {
 
@@ -114,6 +116,31 @@ TEST(ExecTest, OutOfRangeCandidateRejected) {
   // The rejected round left no transmitter behind.
   EXPECT_EQ(ex.RunRound({1}, transmit, ignore), 1);
   EXPECT_EQ(ex.rounds(), 1);
+}
+
+// Nodes at x = 0, 0.5, 1 and 5 with comm radius 0.8: the comm graph is
+// 0-1, 1-2, and node 3 has no neighbors. Observer calls are fed directly.
+TEST(NeighborCoverageTest, CountsCommNeighborsCumulativelyAndPerRound) {
+  const auto net = sinr::Network::WithSequentialIds(
+      {{0.0, 0.0}, {0.5, 0.0}, {1.0, 0.0}, {5.0, 0.0}},
+      sinr::Params::Default());
+  NeighborCoverage cov(net, {0, 1, 3});  // node 2 is not a member
+  EXPECT_EQ(cov.covered(), 1u);          // node 3, vacuously
+  const Exec::Observer observe = cov.Observer();
+
+  observe(0, {1}, {{0, 1, 2.0}});  // 1 reaches 0 of {0, 2}
+  observe(1, {1}, {{2, 1, 2.0}});  // ... then 2: covered, never in one round
+  EXPECT_EQ(cov.covered(), 2u);
+  EXPECT_EQ(cov.covered_in_one_round(), 0u);
+
+  observe(2, {0}, {{1, 0, 2.0}, {2, 0, 2.0}});  // 2 is beyond comm range
+  observe(3, {2}, {{1, 2, 2.0}});               // a non-member never counts
+  EXPECT_EQ(cov.covered(), 3u);
+  EXPECT_EQ(cov.covered_in_one_round(), 1u);  // node 0 in round 2
+
+  observe(4, {3}, {});  // an isolated member covers itself in one round
+  EXPECT_EQ(cov.covered(), 3u);
+  EXPECT_EQ(cov.covered_in_one_round(), 2u);
 }
 
 }  // namespace
