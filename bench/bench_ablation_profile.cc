@@ -21,11 +21,11 @@ struct Outcome {
 };
 
 Outcome RunOnce(const sinr::Network& net, const cluster::Profile& prof,
-                std::uint64_t nonce) {
+                std::uint64_t nonce, const sinr::Engine::Options& engine) {
   std::vector<std::size_t> all(net.size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
   const int gamma = cluster::SubsetDensity(net, all);
-  sim::Exec ex(net, bench::EngineOptionsFromEnv());
+  sim::Exec ex(net, engine);
   const auto res = cluster::BuildClustering(ex, prof, all, gamma, nonce);
   const auto chk = cluster::CheckClustering(net, all, res.cluster_of);
   return {res.unassigned == 0 &&
@@ -33,7 +33,7 @@ Outcome RunOnce(const sinr::Network& net, const cluster::Profile& prof,
           res.rounds, res.unassigned};
 }
 
-void Run() {
+void Run(const sinr::Engine::Options& engine) {
   bench::Banner("Profile ablation (end-to-end Clustering)",
                 "calibrated-profile evidence (docs/PAPER_MAP.md)",
                 "validity cliff as constants shrink; rounds ~linear in the "
@@ -54,7 +54,7 @@ void Run() {
   for (const double c : {0.05, 0.1, 0.2, 0.35, 0.7, 1.4}) {
     auto prof = cluster::Profile::Practical(params.id_space);
     prof.wss_c = c;
-    const auto out = RunOnce(net, prof, 1);
+    const auto out = RunOnce(net, prof, 1, engine);
     tw.AddRow({Table::Num(c), Table::Num(prof.WssLen(params.id_space)),
                out.valid ? "yes" : "NO",
                Table::Num(static_cast<std::int64_t>(out.unassigned)),
@@ -67,7 +67,7 @@ void Run() {
   for (const int k : {2, 3, 5, 8}) {
     auto prof = cluster::Profile::Practical(params.id_space);
     prof.kappa = k;
-    const auto out = RunOnce(net, prof, 2);
+    const auto out = RunOnce(net, prof, 2, engine);
     tk.AddRow({Table::Num(std::int64_t{k}), out.valid ? "yes" : "NO",
                Table::Num(static_cast<std::int64_t>(out.unassigned)),
                Table::Num(out.rounds)});
@@ -79,7 +79,7 @@ void Run() {
   for (const int k : {3, 5, 8, 12}) {
     auto prof = cluster::Profile::Practical(params.id_space);
     prof.sns_k = k;
-    const auto out = RunOnce(net, prof, 3);
+    const auto out = RunOnce(net, prof, 3, engine);
     ts.AddRow({Table::Num(std::int64_t{k}), out.valid ? "yes" : "NO",
                Table::Num(static_cast<std::int64_t>(out.unassigned)),
                Table::Num(out.rounds)});
@@ -91,7 +91,7 @@ void Run() {
   for (const int r : {1, 2, 4, 10, 20}) {
     auto prof = cluster::Profile::Practical(params.id_space);
     prof.mis_rounds = r;
-    const auto out = RunOnce(net, prof, 4);
+    const auto out = RunOnce(net, prof, 4, engine);
     tmr.AddRow({Table::Num(std::int64_t{r}), out.valid ? "yes" : "NO",
                 Table::Num(static_cast<std::int64_t>(out.unassigned)),
                 Table::Num(out.rounds)});
@@ -111,7 +111,7 @@ void Run() {
     auto prof = cluster::Profile::Practical(params.id_space);
     prof.wss_c = c;
     prof.kappa = k;
-    const auto out = RunOnce(dense_net, prof, 5);
+    const auto out = RunOnce(dense_net, prof, 5, engine);
     th.AddRow({Table::Num(c), Table::Num(std::int64_t{k}),
                out.valid ? "yes" : "NO",
                Table::Num(static_cast<std::int64_t>(out.unassigned)),
@@ -125,7 +125,7 @@ void Run() {
 }  // namespace
 }  // namespace dcc
 
-int main() {
-  dcc::Run();
+int main(int argc, char** argv) {
+  dcc::Run(dcc::bench::EngineOptionsFromArgs(argc, argv));
   return 0;
 }

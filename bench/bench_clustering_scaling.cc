@@ -14,15 +14,15 @@
 namespace dcc {
 namespace {
 
-scenario::ScenarioSpec BaseSpec() {
+scenario::ScenarioSpec BaseSpec(const sinr::Engine::Options& engine) {
   scenario::ScenarioSpec spec;
   spec.algo = "clustering";
   spec.sinr.id_space = 1 << 12;
-  spec.engine = sinr::Engine::Options::FromEnv();
+  spec.engine = engine;
   return spec;
 }
 
-void Run() {
+void Run(const sinr::Engine::Options& engine) {
   bench::Banner("Clustering scaling (Theorem 1)",
                 "Jurdzinski et al., PODC'18, Theorem 1",
                 "rounds/Gamma flat-ish across the Gamma sweep; rounds ~log N "
@@ -32,7 +32,7 @@ void Run() {
   {
     Table t({"n", "Gamma", "rounds", "rounds/Gamma", "clusters", "valid"});
     for (const int n : {48, 96, 192, 288, 384}) {
-      scenario::ScenarioSpec spec = BaseSpec();
+      scenario::ScenarioSpec spec = BaseSpec(engine);
       spec.topology_params.Set("n", std::to_string(n));
       spec.topology_params.Set("side", "5.0");
       spec.id_seed = static_cast<std::uint64_t>(3 + n);
@@ -55,7 +55,7 @@ void Run() {
   {
     Table t({"N", "rounds", "rounds/lnN", "valid"});
     for (const int logN : {10, 14, 18, 22}) {
-      scenario::ScenarioSpec spec = BaseSpec();
+      scenario::ScenarioSpec spec = BaseSpec(engine);
       spec.sinr.id_space = std::int64_t{1} << logN;
       spec.topology_params.Set("n", "128");
       spec.topology_params.Set("side", "4.5");
@@ -74,7 +74,7 @@ void Run() {
 }  // namespace
 }  // namespace dcc
 
-int main() {
-  dcc::Run();
+int main(int argc, char** argv) {
+  dcc::Run(dcc::bench::EngineOptionsFromArgs(argc, argv));
   return 0;
 }

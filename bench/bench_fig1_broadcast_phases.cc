@@ -12,7 +12,7 @@
 namespace dcc {
 namespace {
 
-void Run() {
+void Run(const sinr::Engine::Options& engine) {
   bench::Banner(
       "Figure 1: global broadcast phase trace",
       "Jurdzinski et al., PODC'18, Fig. 1",
@@ -32,7 +32,7 @@ void Run() {
   std::cout << "workload: 7 blobs x 14 nodes, D=" << net.Diameter()
             << " Delta=" << net.Density() << "\n\n";
 
-  sim::Exec ex(net, bench::EngineOptionsFromEnv());
+  sim::Exec ex(net, engine);
   const auto sm = bcast::SmsBroadcast(ex, prof, {0}, net.Density(),
                                       net.Diameter() + 3, 1);
 
@@ -68,7 +68,7 @@ void Run() {
 }  // namespace
 }  // namespace dcc
 
-int main() {
-  dcc::Run();
+int main(int argc, char** argv) {
+  dcc::Run(dcc::bench::EngineOptionsFromArgs(argc, argv));
   return 0;
 }

@@ -11,7 +11,7 @@
 namespace dcc {
 namespace {
 
-void Run() {
+void Run(const sinr::Engine::Options& engine) {
   bench::Banner("Figure 2: proximity graph construction",
                 "Jurdzinski et al., PODC'18, Fig. 2 + Lemma 7",
                 "close-pair coverage 100%, degree <= kappa, rounds flat in "
@@ -35,7 +35,7 @@ void Run() {
     for (const std::size_t idx : all) {
       parts.push_back({idx, net.id(idx), kNoCluster});
     }
-    sim::Exec ex(net, bench::EngineOptionsFromEnv());
+    sim::Exec ex(net, engine);
     const auto prox = cluster::BuildProximityGraph(
         ex, prof, parts, /*clustered=*/false, static_cast<std::uint64_t>(n));
 
@@ -71,7 +71,7 @@ void Run() {
 }  // namespace
 }  // namespace dcc
 
-int main() {
-  dcc::Run();
+int main(int argc, char** argv) {
+  dcc::Run(dcc::bench::EngineOptionsFromArgs(argc, argv));
   return 0;
 }

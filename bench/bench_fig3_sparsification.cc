@@ -11,7 +11,7 @@
 namespace dcc {
 namespace {
 
-void Run() {
+void Run(const sinr::Engine::Options& engine) {
   bench::Banner(
       "Figure 3: sparsification step",
       "Jurdzinski et al., PODC'18, Fig. 3 + Lemmas 8-9",
@@ -39,7 +39,7 @@ void Run() {
     for (std::size_t i = 0; i < net.size(); ++i) {
       cl[i] = net.id((i / per) * per);
     }
-    sim::Exec ex(net, bench::EngineOptionsFromEnv());
+    sim::Exec ex(net, engine);
     const auto r = cluster::Sparsify(ex, prof, all, cl, per, true,
                                      static_cast<std::uint64_t>(clumps));
     tc.AddRow({Table::Num(std::int64_t{clumps}), Table::Num(std::int64_t{per}),
@@ -60,7 +60,7 @@ void Run() {
     const auto net = workload::MakeNetwork(pts, params, 5 + n);
     const auto all = bench::AllIndices(net);
     const int gamma = cluster::SubsetDensity(net, all);
-    sim::Exec ex(net, bench::EngineOptionsFromEnv());
+    sim::Exec ex(net, engine);
     const auto chain = cluster::SparsifyU(ex, prof, all, gamma,
                                           static_cast<std::uint64_t>(n));
     tu.AddRow({Table::Num(std::int64_t{n}), Table::Num(std::int64_t{gamma}),
@@ -76,7 +76,7 @@ void Run() {
 }  // namespace
 }  // namespace dcc
 
-int main() {
-  dcc::Run();
+int main(int argc, char** argv) {
+  dcc::Run(dcc::bench::EngineOptionsFromArgs(argc, argv));
   return 0;
 }

@@ -12,7 +12,7 @@
 namespace dcc {
 namespace {
 
-void Run() {
+void Run(const sinr::Engine::Options& engine) {
   bench::Banner("Figure 4: full sparsification trajectory",
                 "Jurdzinski et al., PODC'18, Fig. 4 + Lemma 10",
                 "per-level max cluster size under Gamma*(3/4)^i (+O(1) floor); "
@@ -35,7 +35,7 @@ void Run() {
   std::vector<ClusterId> cl(net.size());
   for (std::size_t i = 0; i < net.size(); ++i) cl[i] = net.id((i / per) * per);
 
-  sim::Exec ex(net, bench::EngineOptionsFromEnv());
+  sim::Exec ex(net, engine);
   const auto full = cluster::FullSparsify(ex, prof, all, cl, per, 1);
 
   Table t({"level", "size", "max-cluster", "bound=G*(3/4)^i"});
@@ -60,7 +60,7 @@ void Run() {
 }  // namespace
 }  // namespace dcc
 
-int main() {
-  dcc::Run();
+int main(int argc, char** argv) {
+  dcc::Run(dcc::bench::EngineOptionsFromArgs(argc, argv));
   return 0;
 }

@@ -25,7 +25,7 @@
 namespace dcc {
 namespace {
 
-void Run() {
+void Run(const sinr::Engine::Options& engine) {
   bench::Banner("Table 1: local broadcast",
                 "Jurdzinski et al., PODC'18, Table 1",
                 "all rows ~linear in Delta; deterministic (this work) within "
@@ -42,7 +42,7 @@ void Run() {
     spec.topology_params.Set("n", std::to_string(n));
     spec.topology_params.Set("side", "5.0");
     spec.sinr.id_space = 1 << 12;
-    spec.engine = sinr::Engine::Options::FromEnv();
+    spec.engine = engine;
     spec.id_seed = static_cast<std::uint64_t>(7 + n);
     const auto seed = static_cast<std::uint64_t>(1000 + n);
 
@@ -90,7 +90,7 @@ void Run() {
 }  // namespace
 }  // namespace dcc
 
-int main() {
-  dcc::Run();
+int main(int argc, char** argv) {
+  dcc::Run(dcc::bench::EngineOptionsFromArgs(argc, argv));
   return 0;
 }

@@ -35,7 +35,8 @@ struct SweepPoint {
 };
 
 void SweepRows(const std::vector<SweepPoint>& points, double sigma,
-               double spacing, bool by_density, Table& t) {
+               double spacing, bool by_density,
+               const sinr::Engine::Options& engine, Table& t) {
   for (const SweepPoint& pt : points) {
     scenario::ScenarioSpec spec;
     spec.topology = "blob_chain";
@@ -44,7 +45,7 @@ void SweepRows(const std::vector<SweepPoint>& points, double sigma,
     spec.topology_params.Set("sigma", JsonNumber(sigma));
     spec.topology_params.Set("spacing", JsonNumber(spacing));
     spec.sinr.id_space = 1 << 12;
-    spec.engine = sinr::Engine::Options::FromEnv();
+    spec.engine = engine;
     spec.id_seed = pt.id_seed;
 
     scenario::ScenarioSpec det = spec;
@@ -77,7 +78,7 @@ void SweepRows(const std::vector<SweepPoint>& points, double sigma,
   }
 }
 
-void Run() {
+void Run(const sinr::Engine::Options& engine) {
   bench::Banner("Table 2: global broadcast",
                 "Jurdzinski et al., PODC'18, Table 2",
                 "rounds ~linear in D for both; ~linear in Delta only for the "
@@ -92,7 +93,7 @@ void Run() {
                     static_cast<std::uint64_t>(11 + blobs),
                     static_cast<std::uint64_t>(blobs)});
   }
-  SweepRows(diam, 0.3, 1.2, /*by_density=*/false, ta);
+  SweepRows(diam, 0.3, 1.2, /*by_density=*/false, engine, ta);
   ta.Print(std::cout);
 
   std::cout << "\n-- (b) density sweep, fixed hop count --\n";
@@ -104,7 +105,7 @@ void Run() {
                     static_cast<std::uint64_t>(3 + per),
                     static_cast<std::uint64_t>(per)});
   }
-  SweepRows(dens, 0.25, 1.0, /*by_density=*/true, tb);
+  SweepRows(dens, 0.25, 1.0, /*by_density=*/true, engine, tb);
   tb.Print(std::cout);
   std::cout << "\nnotes: the Omega(D Delta^{1-1/alpha}) lower-bound row is "
                "regenerated by bench_fig56/fig7.\n";
@@ -113,7 +114,7 @@ void Run() {
 }  // namespace
 }  // namespace dcc
 
-int main() {
-  dcc::Run();
+int main(int argc, char** argv) {
+  dcc::Run(dcc::bench::EngineOptionsFromArgs(argc, argv));
   return 0;
 }

@@ -64,12 +64,8 @@ SparsifyResult Sparsify(sim::Exec& ex, const Profile& prof,
       // Theory path: Linial color reduction + color-class MIS sweep over H
       // (H's degree is at most kappa). Round counts are
       // O((log* N + Delta_H^2) log N); intended for theory-mode runs.
-      std::vector<std::int64_t> colors(np);
-      for (std::size_t p = 0; p < np; ++p) colors[p] = ids[p] - 1;
-      const mis::ColoringRun col = mis::LinialColorReduction(
-          h_round, std::move(colors), net.params().id_space, prof.kappa);
-      const mis::MisRun run = mis::MisFromColoring(
-          h_round, col.colors, col.num_colors, prof.early_stop);
+      const mis::MisRun run = mis::LinialMis(
+          h_round, ids, net.params().id_space, prof.kappa, prof.early_stop);
       for (std::size_t p = 0; p < np; ++p) in_y[p] = run.in_mis[p];
     } else {
       // Practical path: the capped local-minima MIS over H.

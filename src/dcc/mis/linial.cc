@@ -169,39 +169,6 @@ ColoringRun LinialColorReduction(const LocalGraph& g,
   return run;
 }
 
-ColoringRun ReduceColors(const LocalGraph& g, std::vector<std::int64_t> colors,
-                         std::int64_t num_colors, std::int64_t target) {
-  DCC_REQUIRE(colors.size() == g.size(), "ReduceColors: colors size mismatch");
-  DCC_REQUIRE(target >= g.MaxDegree() + 1,
-              "ReduceColors: target must be >= MaxDegree()+1");
-  ColoringRun run;
-  for (std::int64_t cls = num_colors - 1; cls >= target; --cls) {
-    // All nodes of class `cls` recolor simultaneously; they are pairwise
-    // non-adjacent (proper coloring), so greedy choices cannot clash.
-    for (std::size_t v = 0; v < g.size(); ++v) {
-      if (colors[v] != cls) continue;
-      std::vector<bool> used(static_cast<std::size_t>(target), false);
-      for (const std::size_t u : g.adj[v]) {
-        if (colors[u] < target) used[static_cast<std::size_t>(colors[u])] = true;
-      }
-      for (std::int64_t c = 0; c < target; ++c) {
-        if (!used[static_cast<std::size_t>(c)]) {
-          colors[v] = c;
-          break;
-        }
-      }
-      DCC_CHECK(colors[v] < target);  // degree bound guarantees a free color
-    }
-    ++run.local_rounds;
-    for (std::size_t v = 0; v < g.size(); ++v) {
-      for (const std::size_t u : g.adj[v]) DCC_CHECK(colors[v] != colors[u]);
-    }
-  }
-  run.colors = std::move(colors);
-  run.num_colors = std::min(num_colors, target);
-  return run;
-}
-
 MisRun MisFromColoring(const LocalRound& round,
                        const std::vector<std::int64_t>& colors,
                        std::int64_t num_colors, bool stop_when_decided) {
@@ -247,19 +214,27 @@ MisRun MisFromColoring(const LocalGraph& g,
                          /*stop_when_decided=*/false);
 }
 
-MisRun LinialMis(const LocalGraph& g, const std::vector<std::int64_t>& ids,
-                 std::int64_t id_space) {
+MisRun LinialMis(const LocalRound& round, const std::vector<std::int64_t>& ids,
+                 std::int64_t id_space, int delta, bool stop_when_decided) {
   // IDs are 1-based in [1, id_space]; colors are 0-based.
   std::vector<std::int64_t> colors(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     DCC_REQUIRE(ids[i] >= 1 && ids[i] <= id_space, "LinialMis: id out of range");
     colors[i] = ids[i] - 1;
   }
-  const auto reduced =
-      LinialColorReduction(g, std::move(colors), id_space, g.MaxDegree());
-  MisRun mis = MisFromColoring(g, reduced.colors, reduced.num_colors);
+  const ColoringRun reduced =
+      LinialColorReduction(round, std::move(colors), id_space, delta);
+  MisRun mis = MisFromColoring(round, reduced.colors, reduced.num_colors,
+                               stop_when_decided);
   mis.local_rounds += reduced.local_rounds;
   return mis;
+}
+
+MisRun LinialMis(const LocalGraph& g, const std::vector<std::int64_t>& ids,
+                 std::int64_t id_space) {
+  DCC_REQUIRE(ids.size() == g.size(), "ids size mismatch");
+  return LinialMis(GraphRound(g), ids, id_space, g.MaxDegree(),
+                   /*stop_when_decided=*/false);
 }
 
 }  // namespace dcc::mis

@@ -88,13 +88,6 @@ ColoringRun LinialColorReduction(const LocalGraph& g,
                                  std::vector<std::int64_t> colors,
                                  std::int64_t m0, int delta);
 
-// Reduces a proper coloring from `num_colors` to `target` colors (target
-// must be >= MaxDegree()+1): classes target..num_colors-1 recolor greedily
-// one LOCAL round per class — the standard O(Delta^2) -> Delta+1 tail of
-// the Linial pipeline (Barenboim-Elkin Ch. 3).
-ColoringRun ReduceColors(const LocalGraph& g, std::vector<std::int64_t> colors,
-                         std::int64_t num_colors, std::int64_t target);
-
 // --- MIS from a proper coloring ----------------------------------------
 // Processes color classes 0..K-1, one LOCAL round each, in which every node
 // sends its MisState: an undecided node that hears a neighbor in the MIS
@@ -112,7 +105,12 @@ MisRun MisFromColoring(const LocalGraph& g,
                        const std::vector<std::int64_t>& colors,
                        std::int64_t num_colors);
 
-// Full pipeline: Linial reduction from the ID space, then MIS by colors.
+// Full pipeline: Linial reduction from the ID space (ids[v] in
+// [1, id_space], color ids[v] - 1; degree bound `delta`), then MIS by
+// colors. local_rounds counts both stages.
+MisRun LinialMis(const LocalRound& round, const std::vector<std::int64_t>& ids,
+                 std::int64_t id_space, int delta, bool stop_when_decided);
+// Over GraphRound(g) with delta = g.MaxDegree(), sweeping every class.
 MisRun LinialMis(const LocalGraph& g, const std::vector<std::int64_t>& ids,
                  std::int64_t id_space);
 

@@ -5,6 +5,49 @@
 
 namespace dcc::obs {
 
+namespace {
+
+void WritePreamble(std::ostream& os, std::string_view name,
+                   std::string_view help, const char* type) {
+  os << "# HELP " << name << ' ' << help << "\n# TYPE " << name << ' '
+     << type << '\n';
+}
+
+}  // namespace
+
+void WriteCounterText(std::ostream& os, std::string_view name,
+                      std::string_view help, std::int64_t value) {
+  WritePreamble(os, name, help, "counter");
+  os << name << ' ' << value << '\n';
+}
+
+void WriteGaugeText(std::ostream& os, std::string_view name,
+                    std::string_view help, std::int64_t value) {
+  WritePreamble(os, name, help, "gauge");
+  os << name << ' ' << value << '\n';
+}
+
+void WriteHistogramText(std::ostream& os, std::string_view name,
+                        std::string_view help, const Pow2Histogram& h) {
+  WritePreamble(os, name, help, "histogram");
+  const auto snap = h.SnapshotBuckets();
+  int last = -1;
+  std::int64_t total = 0;
+  for (int i = 0; i < Pow2Histogram::kBuckets; ++i) {
+    total += snap[static_cast<std::size_t>(i)];
+    if (snap[static_cast<std::size_t>(i)] > 0) last = i;
+  }
+  std::int64_t cum = 0;
+  for (int i = 0; i <= last; ++i) {
+    cum += snap[static_cast<std::size_t>(i)];
+    os << name << "_bucket{le=\"" << Pow2Histogram::BucketUpper(i) << "\"} "
+       << cum << '\n';
+  }
+  os << name << "_bucket{le=\"+Inf\"} " << total << '\n'
+     << name << "_sum " << h.sum() << '\n'
+     << name << "_count " << total << '\n';
+}
+
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry registry;
   return registry;
@@ -75,36 +118,16 @@ Pow2Histogram& MetricsRegistry::GetHistogram(std::string_view name,
 void MetricsRegistry::PrintText(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, e] : metrics_) {
-    os << "# HELP " << name << ' ' << e.help << '\n';
     switch (e.kind) {
       case Kind::kCounter:
-        os << "# TYPE " << name << " counter\n"
-           << name << ' ' << e.counter->value() << '\n';
+        WriteCounterText(os, name, e.help, e.counter->value());
         break;
       case Kind::kGauge:
-        os << "# TYPE " << name << " gauge\n"
-           << name << ' ' << e.gauge->value() << '\n';
+        WriteGaugeText(os, name, e.help, e.gauge->value());
         break;
-      case Kind::kHistogram: {
-        os << "# TYPE " << name << " histogram\n";
-        const auto snap = e.histogram->SnapshotBuckets();
-        int last = -1;
-        std::int64_t total = 0;
-        for (int i = 0; i < Pow2Histogram::kBuckets; ++i) {
-          total += snap[static_cast<std::size_t>(i)];
-          if (snap[static_cast<std::size_t>(i)] > 0) last = i;
-        }
-        std::int64_t cum = 0;
-        for (int i = 0; i <= last; ++i) {
-          cum += snap[static_cast<std::size_t>(i)];
-          os << name << "_bucket{le=\"" << Pow2Histogram::BucketUpper(i)
-             << "\"} " << cum << '\n';
-        }
-        os << name << "_bucket{le=\"+Inf\"} " << total << '\n'
-           << name << "_sum " << e.histogram->sum() << '\n'
-           << name << "_count " << total << '\n';
+      case Kind::kHistogram:
+        WriteHistogramText(os, name, e.help, *e.histogram);
         break;
-      }
     }
   }
 }

@@ -39,6 +39,18 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
+// Prometheus text for one metric: the `# HELP` / `# TYPE` preamble, then
+// its samples. A histogram prints cumulative `_bucket{le="..."}` series up
+// to its highest non-empty bucket, then `le="+Inf"`, `_sum` and `_count`.
+// MetricsRegistry::PrintText and the daemon's service metrics both write
+// through these.
+void WriteCounterText(std::ostream& os, std::string_view name,
+                      std::string_view help, std::int64_t value);
+void WriteGaugeText(std::ostream& os, std::string_view name,
+                    std::string_view help, std::int64_t value);
+void WriteHistogramText(std::ostream& os, std::string_view name,
+                        std::string_view help, const Pow2Histogram& h);
+
 // Registry of named metrics. Handles returned by Get* are valid for the
 // life of the process (entries are never removed), which is what lets
 // call sites cache them in statics. Names follow the Prometheus
@@ -52,10 +64,8 @@ class MetricsRegistry {
   Gauge& GetGauge(std::string_view name, std::string_view help);
   Pow2Histogram& GetHistogram(std::string_view name, std::string_view help);
 
-  // Text exposition (Prometheus format): `# HELP` / `# TYPE` preamble per
-  // metric, histograms as cumulative `_bucket{le="..."}` series plus
-  // `_sum` and `_count`. Metrics print in name order, so the output is
-  // stable for a deterministic workload.
+  // Text exposition (Prometheus format, the writers above). Metrics print
+  // in name order, so the output is stable for a deterministic workload.
   void PrintText(std::ostream& os) const;
 
  private:

@@ -159,9 +159,9 @@ ScenarioSpec ScenarioSpec::FromArgs(const std::vector<std::string>& args) {
       if (spec.faults < 0) throw InvalidArgument("--faults: must be >= 0");
     } else if (key == "--threads") {
       spec.threads = ParseInt(val, key);
-      // Same bounds as DCC_ENGINE_THREADS: the value becomes the engine's
-      // shard count, and grid-mode scratch scales with shards x tiles — an
-      // absurd value must fail validation, not allocation.
+      // The value becomes the engine's shard count, and grid-mode scratch
+      // scales with shards x tiles: an absurd value must fail validation,
+      // not allocation.
       if (spec.threads < 0 || spec.threads > 4096) {
         throw InvalidArgument("--threads: shard count '" + val +
                               "' must be in [0, 4096] (0 = hardware)");

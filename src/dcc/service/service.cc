@@ -348,58 +348,34 @@ ServiceStats Service::Snapshot() const {
 
 void Service::PrintMetricsText(std::ostream& os) const {
   const ServiceStats s = Snapshot();
-  const auto counter = [&os](const char* name, const char* help,
-                             std::int64_t v) {
-    os << "# HELP " << name << ' ' << help << "\n# TYPE " << name
-       << " counter\n"
-       << name << ' ' << v << '\n';
-  };
-  const auto gauge = [&os](const char* name, const char* help,
-                           std::int64_t v) {
-    os << "# HELP " << name << ' ' << help << "\n# TYPE " << name
-       << " gauge\n"
-       << name << ' ' << v << '\n';
-  };
-  counter("dcc_service_requests_total", "Frames answered", s.requests);
-  counter("dcc_service_runs_total", "Run ops that produced a report", s.runs);
-  counter("dcc_service_errors_total", "Requests answered with ok=false",
-          s.errors);
-  counter("dcc_service_connections_total", "Connections accepted",
-          s.connections_total);
-  counter("dcc_service_result_cache_hits_total", "Result cache hits",
-          s.result_hits);
-  counter("dcc_service_result_cache_misses_total", "Result cache misses",
-          s.result_misses);
-  counter("dcc_service_topology_cache_hits_total", "Topology cache hits",
-          s.topology_hits);
-  counter("dcc_service_topology_cache_misses_total", "Topology cache misses",
-          s.topology_misses);
-  gauge("dcc_service_connections_active", "Open connections",
-        s.connections_active);
-  gauge("dcc_service_queue_depth", "Admitted runs waiting or running",
-        s.queue_depth);
-  gauge("dcc_service_queue_peak", "Peak admission queue depth", s.queue_peak);
-  gauge("dcc_service_uptime_ms", "Milliseconds since Start", s.uptime_ms);
-
-  const char* hist = "dcc_service_request_latency_us";
-  os << "# HELP " << hist << " Request latency, microseconds\n"
-     << "# TYPE " << hist << " histogram\n";
-  const auto snap = latency_.SnapshotBuckets();
-  int last = -1;
-  std::int64_t total = 0;
-  for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    total += snap[static_cast<std::size_t>(i)];
-    if (snap[static_cast<std::size_t>(i)] > 0) last = i;
-  }
-  std::int64_t cum = 0;
-  for (int i = 0; i <= last; ++i) {
-    cum += snap[static_cast<std::size_t>(i)];
-    os << hist << "_bucket{le=\"" << LatencyHistogram::BucketUpper(i) << "\"} "
-       << cum << '\n';
-  }
-  os << hist << "_bucket{le=\"+Inf\"} " << total << '\n'
-     << hist << "_sum " << latency_.sum() << '\n'
-     << hist << "_count " << total << '\n';
+  using obs::WriteCounterText;
+  using obs::WriteGaugeText;
+  WriteCounterText(os, "dcc_service_requests_total", "Frames answered",
+                   s.requests);
+  WriteCounterText(os, "dcc_service_runs_total",
+                   "Run ops that produced a report", s.runs);
+  WriteCounterText(os, "dcc_service_errors_total",
+                   "Requests answered with ok=false", s.errors);
+  WriteCounterText(os, "dcc_service_connections_total", "Connections accepted",
+                   s.connections_total);
+  WriteCounterText(os, "dcc_service_result_cache_hits_total",
+                   "Result cache hits", s.result_hits);
+  WriteCounterText(os, "dcc_service_result_cache_misses_total",
+                   "Result cache misses", s.result_misses);
+  WriteCounterText(os, "dcc_service_topology_cache_hits_total",
+                   "Topology cache hits", s.topology_hits);
+  WriteCounterText(os, "dcc_service_topology_cache_misses_total",
+                   "Topology cache misses", s.topology_misses);
+  WriteGaugeText(os, "dcc_service_connections_active", "Open connections",
+                 s.connections_active);
+  WriteGaugeText(os, "dcc_service_queue_depth",
+                 "Admitted runs waiting or running", s.queue_depth);
+  WriteGaugeText(os, "dcc_service_queue_peak", "Peak admission queue depth",
+                 s.queue_peak);
+  WriteGaugeText(os, "dcc_service_uptime_ms", "Milliseconds since Start",
+                 s.uptime_ms);
+  obs::WriteHistogramText(os, "dcc_service_request_latency_us",
+                          "Request latency, microseconds", latency_);
 
   obs::MetricsRegistry::Global().PrintText(os);
 }

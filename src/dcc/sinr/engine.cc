@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <string>
 #include <typeinfo>
 
-#include "dcc/common/parse.h"
 #include "dcc/obs/metrics.h"
 #include "dcc/obs/trace.h"
 #include "dcc/parallel/worker_pool.h"
@@ -187,41 +184,6 @@ double ReachRadius(const PropagationModel& model, const Params& params) {
 }
 
 }  // namespace
-
-Engine::Options Engine::Options::FromEnv() {
-  Options opts;
-  if (const char* mode = std::getenv("DCC_ENGINE_MODE")) {
-    const std::string m(mode);
-    if (m == "exact") {
-      opts.mode = Mode::kExact;
-    } else if (m == "grid") {
-      opts.mode = Mode::kGrid;
-    } else if (m != "auto" && !m.empty()) {
-      throw InvalidArgument("DCC_ENGINE_MODE: unknown mode '" + m +
-                            "' (expected exact, grid or auto)");
-    }
-  }
-  if (const char* cell = std::getenv("DCC_ENGINE_CELL");
-      cell && *cell != '\0') {
-    const double v = ParseDouble(cell, "DCC_ENGINE_CELL");
-    if (!(v > 0.0)) {
-      throw InvalidArgument("DCC_ENGINE_CELL: tile side '" +
-                            std::string(cell) + "' must be positive");
-    }
-    opts.cell = v;
-  }
-  if (const char* threads = std::getenv("DCC_ENGINE_THREADS");
-      threads && *threads != '\0') {
-    const std::int64_t v = ParseInt64(threads, "DCC_ENGINE_THREADS");
-    if (v < 0 || v > 4096) {
-      throw InvalidArgument("DCC_ENGINE_THREADS: shard count '" +
-                            std::string(threads) +
-                            "' must be in [0, 4096] (0 = hardware)");
-    }
-    opts.threads = static_cast<int>(v);
-  }
-  return opts;
-}
 
 Engine::Engine(const Network& net, Options options)
     : net_(&net), options_(options) {

@@ -136,7 +136,7 @@ class Engine {
     // Stats::parallel_small_rounds). Must be >= 1; raising it trades
     // parallel coverage of small rounds for less dispatch overhead —
     // bench_parallel_rounds --sweep_grain measures the trade. Not in the
-    // flag grammar or the environment: only that sweep sets it.
+    // flag grammar: only that sweep sets it.
     std::size_t min_listeners_per_shard = kMinListenersPerShard;
     // Grid mode descends the far-field tile pyramid (sinr/farfield.h) only
     // for rounds whose transmitters occupy at least this many tiles; below
@@ -153,15 +153,6 @@ class Engine {
     // flag grammar — tests inject a dedicated pool to pin scheduling
     // behavior without touching the process-wide one.
     parallel::WorkerPool* pool = nullptr;
-
-    // Options overridden from the environment (the bench/ regenerators;
-    // dcc_run takes its engine options from flags only):
-    //   DCC_ENGINE_MODE    = exact | grid | auto (default auto)
-    //   DCC_ENGINE_CELL    = <tile side>     (default: engine heuristic)
-    //   DCC_ENGINE_THREADS = <shard count, 0=hw> (default: 1, serial)
-    // Throws InvalidArgument on any unrecognized or malformed value — a
-    // typo must not silently fall back to the default strategy.
-    static Options FromEnv();
   };
 
   explicit Engine(const Network& net) : Engine(net, Options{}) {}

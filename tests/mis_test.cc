@@ -136,46 +136,6 @@ TEST(LinialMisTest, LocalRoundsGrowLikeLogStar) {
   }
 }
 
-TEST(ReduceColorsTest, ReachesDeltaPlusOne) {
-  const int n = 300;
-  const LocalGraph g = RandomBoundedDegreeGraph(n, 4, 21);
-  std::vector<std::int64_t> colors(SequentialIds(n));
-  for (auto& c : colors) --c;
-  const auto red = LinialColorReduction(g, colors, 1 << 12, 4);
-  const std::int64_t target = g.MaxDegree() + 1;
-  const auto fin = ReduceColors(g, red.colors, red.num_colors, target);
-  EXPECT_EQ(fin.num_colors, target);
-  for (std::size_t v = 0; v < g.size(); ++v) {
-    EXPECT_LT(fin.colors[v], target);
-    for (const std::size_t u : g.adj[v]) {
-      EXPECT_NE(fin.colors[v], fin.colors[u]);
-    }
-  }
-  // One LOCAL round per eliminated class.
-  EXPECT_EQ(fin.local_rounds, red.num_colors - target);
-}
-
-TEST(ReduceColorsTest, TargetBelowDegreePlusOneRejected) {
-  const LocalGraph g = PathGraph(10);
-  std::vector<std::int64_t> colors{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  EXPECT_THROW(ReduceColors(g, colors, 10, 2), InvalidArgument);
-}
-
-TEST(ReduceColorsTest, MisFromTightColoringFast) {
-  // Delta+1 colors -> MIS sweep in Delta+1 LOCAL rounds.
-  const int n = 200;
-  const LocalGraph g = RandomBoundedDegreeGraph(n, 3, 33);
-  std::vector<std::int64_t> colors(SequentialIds(n));
-  for (auto& c : colors) --c;
-  const auto red = LinialColorReduction(g, colors, 1 << 10, 3);
-  const auto fin = ReduceColors(g, red.colors, red.num_colors,
-                                g.MaxDegree() + 1);
-  const auto mis = MisFromColoring(g, fin.colors, fin.num_colors);
-  EXPECT_TRUE(g.IsIndependent(mis.in_mis));
-  EXPECT_TRUE(g.IsDominating(mis.in_mis));
-  EXPECT_EQ(mis.local_rounds, g.MaxDegree() + 1);
-}
-
 TEST(LocalMinimaStepTest, MinJoins) {
   const std::vector<std::pair<NodeId, MisState>> ns{
       {5, MisState::kUndecided}, {9, MisState::kUndecided}};

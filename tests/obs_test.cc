@@ -1,10 +1,11 @@
 // The observability layer in isolation: the power-of-two histogram's
 // interpolated quantiles (including the single-bucket edge case the old
 // service LatencyHistogram got wrong — p50 == p99 for any one-bucket
-// distribution), the Prometheus text exposition, and the Tracer's
-// bounded-buffer drop accounting and Chrome trace-event JSON shape
-// (validated with the in-repo JsonValue parser — the same well-formedness
-// bar the CI obs-smoke job applies with an external parser).
+// distribution), the Prometheus text exposition (byte-pinned for fixed
+// values), and the Tracer's bounded-buffer drop accounting and Chrome
+// trace-event JSON shape (validated with the in-repo JsonValue parser —
+// the same well-formedness bar the CI obs-smoke job applies with an
+// external parser).
 //
 // All Tracer tests run against the process-global instance; each test
 // Enables a fresh recording (which clears prior buffers) and Drains it,
@@ -144,6 +145,67 @@ TEST(ObsMetricsTest, KindMismatchYieldsFallback) {
   std::ostringstream os;
   reg.PrintText(os);
   EXPECT_NE(os.str().find("obs_test_kind_clash 5\n"), std::string::npos);
+}
+
+// Pinned exposition bytes for fixed values, including a histogram that
+// never recorded: the daemon's `metrics` op and `dcc_run --metrics` serve
+// this text to scrapers, so the writers, and a registry holding the same
+// values, must reproduce it byte for byte.
+constexpr char kRecordedText[] = R"(# HELP writer_test_frames_total Frames answered
+# TYPE writer_test_frames_total counter
+writer_test_frames_total 42
+# HELP writer_test_idle_us Never recorded
+# TYPE writer_test_idle_us histogram
+writer_test_idle_us_bucket{le="+Inf"} 0
+writer_test_idle_us_sum 0
+writer_test_idle_us_count 0
+# HELP writer_test_latency_us Request latency, microseconds
+# TYPE writer_test_latency_us histogram
+writer_test_latency_us_bucket{le="2"} 2
+writer_test_latency_us_bucket{le="4"} 4
+writer_test_latency_us_bucket{le="8"} 4
+writer_test_latency_us_bucket{le="16"} 4
+writer_test_latency_us_bucket{le="32"} 4
+writer_test_latency_us_bucket{le="64"} 4
+writer_test_latency_us_bucket{le="128"} 5
+writer_test_latency_us_bucket{le="256"} 5
+writer_test_latency_us_bucket{le="512"} 5
+writer_test_latency_us_bucket{le="1024"} 5
+writer_test_latency_us_bucket{le="2048"} 5
+writer_test_latency_us_bucket{le="4096"} 5
+writer_test_latency_us_bucket{le="8192"} 6
+writer_test_latency_us_bucket{le="+Inf"} 6
+writer_test_latency_us_sum 5107
+writer_test_latency_us_count 6
+# HELP writer_test_queue_depth Admitted runs waiting or running
+# TYPE writer_test_queue_depth gauge
+writer_test_queue_depth -3
+)";
+
+TEST(ObsMetricsTest, WritersReproduceRecordedText) {
+  Pow2Histogram idle;
+  Pow2Histogram latency;
+  for (const std::int64_t v : {0, 1, 3, 3, 100, 5000}) latency.Record(v);
+  std::ostringstream os;
+  WriteCounterText(os, "writer_test_frames_total", "Frames answered", 42);
+  WriteHistogramText(os, "writer_test_idle_us", "Never recorded", idle);
+  WriteHistogramText(os, "writer_test_latency_us",
+                     "Request latency, microseconds", latency);
+  WriteGaugeText(os, "writer_test_queue_depth",
+                 "Admitted runs waiting or running", -3);
+  EXPECT_EQ(os.str(), kRecordedText);
+
+  MetricsRegistry reg;
+  reg.GetCounter("writer_test_frames_total", "Frames answered").Add(42);
+  reg.GetGauge("writer_test_queue_depth", "Admitted runs waiting or running")
+      .Set(-3);
+  reg.GetHistogram("writer_test_idle_us", "Never recorded");
+  Pow2Histogram& h = reg.GetHistogram("writer_test_latency_us",
+                                      "Request latency, microseconds");
+  for (const std::int64_t v : {0, 1, 3, 3, 100, 5000}) h.Record(v);
+  std::ostringstream reg_os;
+  reg.PrintText(reg_os);
+  EXPECT_EQ(reg_os.str(), kRecordedText);
 }
 
 // --- Tracer ----------------------------------------------------------------

@@ -528,8 +528,8 @@ TEST(ParallelScenarioTest, ThreadsFlagDrivesEngineAndRoundTrips) {
   EXPECT_EQ(spec.threads, 4);
   EXPECT_EQ(spec.engine.threads, 4);
   EXPECT_EQ(scenario::ScenarioSpec::FromArgs(spec.ToArgs()), spec);
-  // Same bounds as DCC_ENGINE_THREADS — an absurd shard count must fail
-  // validation, not allocation.
+  // Bounded to [0, 4096]: an absurd shard count must fail validation, not
+  // allocation.
   EXPECT_THROW(scenario::ScenarioSpec::FromArgs({"--threads=100000"}),
                InvalidArgument);
   EXPECT_THROW(scenario::ScenarioSpec::FromArgs({"--threads=-1"}),

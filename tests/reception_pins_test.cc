@@ -25,6 +25,7 @@ constexpr const char* kProbeAlgo = "reception_pins.probe";
 
 struct Observed {
   std::string algo;
+  bool transmitters = false;  // digest transmit order, not receptions
   std::uint64_t digest = 0;
   sinr::Engine::Stats stats;
 };
@@ -46,6 +47,19 @@ sim::Exec::Observer DigestObserver(std::uint64_t& digest) {
   };
 }
 
+// Folds every round's transmitters, in the order the round lists them,
+// into `digest`. The order is the engine's interference summation order,
+// so a protocol that permutes a transmit set changes this digest even
+// where every reception stays the same.
+sim::Exec::Observer TransmitterDigestObserver(std::uint64_t& digest) {
+  return [&digest](Round r, const std::vector<std::size_t>& transmitters,
+                   const std::vector<sinr::Reception>&) {
+    if (transmitters.empty()) return;
+    Fold(digest, static_cast<std::uint64_t>(r));
+    for (const std::size_t t : transmitters) Fold(digest, t);
+  };
+}
+
 // FNV-1a of a report's JSON bytes.
 std::uint64_t ReportHash(const RunReport& rep, std::string& json_out) {
   std::ostringstream json;
@@ -59,14 +73,17 @@ std::uint64_t ReportHash(const RunReport& rep, std::string& json_out) {
 }
 
 // Runs the named algorithm with an Exec observer folding every reception
-// into the digest, and keeps the engine's counters.
+// (or every round's transmitters) into the digest, and keeps the engine's
+// counters.
 class ProbeAlgorithm final : public Algorithm {
  public:
   explicit ProbeAlgorithm(Observed& obs) : obs_(obs) {}
 
   RunReport Run(RunContext& ctx) override {
     obs_.digest = 1469598103934665603ull;
-    ctx.ex.SetObserver(DigestObserver(obs_.digest));
+    ctx.ex.SetObserver(obs_.transmitters
+                           ? TransmitterDigestObserver(obs_.digest)
+                           : DigestObserver(obs_.digest));
     RunReport rep = Algorithms().Get(obs_.algo)()->Run(ctx);
     obs_.stats = ctx.ex.engine().stats();
     return rep;
@@ -84,19 +101,29 @@ struct Pins {
   std::uint64_t digest;
 };
 
-void ExpectPinned(const std::string& topology, const std::string& algo,
-                  const std::string& engine, const Pins& want) {
+// Runs `spec` at seed 1 with its algorithm wrapped in the probe; the
+// returned Observed holds the probe's digest and the engine's counters.
+const Observed& RunProbed(ScenarioSpec spec, bool transmitters,
+                          RunReport& rep) {
   static Observed obs;  // outlives the factory registered below
   obs = Observed{};
-  obs.algo = algo;
+  obs.algo = spec.algo;
+  obs.transmitters = transmitters;
   Algorithms().Register(
       kProbeAlgo, [] { return std::make_unique<ProbeAlgorithm>(obs); },
       "reception pins probe");
-  ScenarioSpec spec = ScenarioSpec::FromArgs(
-      {"--topology=" + topology, "--algo=" + algo, "--engine=" + engine,
-       "--threads=1"});
   spec.algo = kProbeAlgo;
-  const RunReport rep = RunScenario(spec, /*seed=*/1);
+  rep = RunScenario(spec, /*seed=*/1);
+  return obs;
+}
+
+void ExpectPinned(const std::string& topology, const std::string& algo,
+                  const std::string& engine, const Pins& want) {
+  RunReport rep;
+  const Observed& obs = RunProbed(
+      ScenarioSpec::FromArgs({"--topology=" + topology, "--algo=" + algo,
+                              "--engine=" + engine, "--threads=1"}),
+      /*transmitters=*/false, rep);
   ASSERT_TRUE(rep.ok) << rep.error;
   EXPECT_EQ(rep.metrics.Get("rounds_total"), want.rounds_total);
   EXPECT_EQ(obs.stats.rounds, want.engine_rounds);
@@ -167,6 +194,29 @@ TEST(ReceptionPinsTest, WakeupReport) {
 }
 
 TEST(ReceptionPinsTest, SnsReport) { ExpectReportPinned("sns", 0xdaf52916b0511ff6ull); }
+
+// SMSB source order: wakeup and leader_election pass their sources in ID
+// order, and that order becomes each round's transmitter order. The seed-1
+// reports above do not depend on it, so these digests pin it directly.
+// With one SMSB phase per epoch, wakeup's first epoch wakes only part of
+// the network, so later epochs pass several cluster centers as sources.
+void ExpectTransmittersPinned(const std::string& algo, std::uint64_t want) {
+  RunReport rep;
+  const Observed& obs = RunProbed(
+      ScenarioSpec::FromArgs(
+          {"--topology=connected_uniform:n=64,side=3.54", "--algo=" + algo}),
+      /*transmitters=*/true, rep);
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_EQ(obs.digest, want);
+}
+
+TEST(ReceptionPinsTest, WakeupTransmitOrder) {
+  ExpectTransmittersPinned("wakeup:max_phases=1", 0xc8d4b5549cbae369ull);
+}
+
+TEST(ReceptionPinsTest, LeaderElectionTransmitOrder) {
+  ExpectTransmittersPinned("leader_election", 0xa35c74ab030adf8full);
+}
 
 // The local broadcast baselines' coverage oracles feed these reports.
 TEST(ReceptionPinsTest, TdmaLocalReport) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <poll.h>
 #include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -161,6 +162,13 @@ TEST(WireFuzz, OversizedLengthPrefixThrows) {
 // the socket buffer so the writing side blocks (and gets interrupted) too.
 std::atomic<int> g_sigusr1_count{0};
 
+// True once the sending side stops polling writable: the socket buffer is
+// full and a writer pushing more blocks until the peer reads.
+bool SendBufferFull(int fd) {
+  pollfd p{fd, POLLOUT, 0};
+  return ::poll(&p, 1, 0) == 0;  // -1 (EINTR) counts as not yet full
+}
+
 TEST(WireFuzz, EintrStormOnBothSidesIsTransparent) {
   struct sigaction sa = {};
   sa.sa_handler = [](int) { g_sigusr1_count.fetch_add(1); };
@@ -182,7 +190,14 @@ TEST(WireFuzz, EintrStormOnBothSidesIsTransparent) {
   std::thread reader([&] {
     reader_thread = pthread_self();
     reader_started.store(true);
+    // The storm overlaps the blocked transfer by construction: nothing
+    // drains the socket until the frame has filled its buffer and signals
+    // have landed since, so they reach a writer stuck in WriteFrame.
+    while (!SendBufferFull(sp.a)) std::this_thread::yield();
+    const int before = g_sigusr1_count.load();
+    while (g_sigusr1_count.load() < before + 4) std::this_thread::yield();
     EXPECT_TRUE(ReadFrame(sp.b, &got));
+    done.store(true);
   });
   while (!reader_started.load()) std::this_thread::yield();
 
@@ -195,9 +210,10 @@ TEST(WireFuzz, EintrStormOnBothSidesIsTransparent) {
   });
 
   WriteFrame(sp.a, payload);  // blocks past the socket buffer; EINTRs here
-  reader.join();
-  done.store(true);
+  // The reader ends the storm; it stays joinable (a valid pthread_kill
+  // target) until the interrupter has stopped.
   interrupter.join();
+  reader.join();
   ASSERT_EQ(sigaction(SIGUSR1, &old, nullptr), 0);
 
   EXPECT_EQ(got, payload);
