@@ -2,18 +2,11 @@
 // the dense gain matrix vs on-the-fly gains, exact vs grid-indexed
 // interference resolution, schedule execution overhead, and selector
 // membership cost. These gate how large the protocol experiments can run.
-//
-// `--compare_json` skips google-benchmark and instead times one dense round
-// (every 8th node transmitting) in exact and grid mode across
-// n in {256, 1024, 4096, 16384}, emitting a JSON record per size for the
-// bench trajectory.
+// Receptions of the two engine modes are checked equal by
+// tests/engine_equivalence_test.cc, not here.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cmath>
-#include <cstring>
-#include <iostream>
-#include <limits>
 
 #include "dcc/cluster/profile.h"
 #include "dcc/sel/ssf.h"
@@ -160,88 +153,7 @@ void BM_GainMatrixConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_GainMatrixConstruction)->Arg(128)->Arg(512);
 
-// --- exact vs grid comparison with JSON output ------------------------------
-
-double TimeStepMs(const sinr::Engine& eng,
-                  const std::vector<std::size_t>& tx,
-                  const std::vector<std::size_t>& listeners, int reps) {
-  std::vector<sinr::Reception> out;
-  eng.StepInto(tx, listeners, out);  // warm scratch buffers / caches
-  double best_ms = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    eng.StepInto(tx, listeners, out);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (r == 0 || ms < best_ms) best_ms = ms;
-  }
-  return best_ms;
-}
-
-int RunCompareJson() {
-  std::cout << "{\"bench\": \"engine_micro_exact_vs_grid\", \"tx_fraction\": "
-               "0.125, \"results\": [";
-  bool first = true;
-  for (const int n : {256, 1024, 4096, 16384}) {
-    const auto net = MakeNet(n, 1 << 20);
-    const sinr::Engine exact(net, {.mode = sinr::Engine::Mode::kExact});
-    const sinr::Engine grid(net, {.mode = sinr::Engine::Mode::kGrid});
-    std::vector<std::size_t> tx, listeners;
-    DenseTxSplit(net.size(), tx, listeners);
-
-    // In-bench equivalence check: same (listener, sender) sequence, SINR
-    // within the engine's documented tolerance.
-    const auto recs_exact = exact.Step(tx, listeners);
-    grid.ResetStats();
-    const auto recs_grid = grid.Step(tx, listeners);
-    bool match = recs_exact.size() == recs_grid.size();
-    for (std::size_t k = 0; match && k < recs_exact.size(); ++k) {
-      // Relative SINR tolerance: 1e-9 base plus the cancellation term of
-      // the interference computation, eps * |T| * sinr (the `total - best`
-      // subtraction amplifies summation-order noise by ~sinr in both
-      // modes).
-      const double s = recs_exact[k].sinr;
-      const double tol =
-          s * (1e-9 + std::numeric_limits<double>::epsilon() *
-                          static_cast<double>(tx.size()) * s);
-      match = recs_exact[k].listener == recs_grid[k].listener &&
-              recs_exact[k].sender == recs_grid[k].sender &&
-              std::abs(s - recs_grid[k].sinr) <= tol;
-    }
-    const auto grid_stats = grid.stats();
-
-    const int reps = n >= 16384 ? 3 : 10;
-    const double exact_ms = TimeStepMs(exact, tx, listeners, reps);
-    const double grid_ms = TimeStepMs(grid, tx, listeners, reps);
-
-    std::cout << (first ? "" : ", ") << "{\"n\": " << n
-              << ", \"transmitters\": " << tx.size()
-              << ", \"receptions\": " << recs_grid.size()
-              << ", \"receptions_match\": " << (match ? "true" : "false")
-              << ", \"grid_pruned\": " << grid_stats.grid_pruned
-              << ", \"grid_fallbacks\": " << grid_stats.grid_exact_fallbacks
-              << ", \"exact_ms\": " << exact_ms
-              << ", \"grid_ms\": " << grid_ms
-              << ", \"speedup\": " << exact_ms / grid_ms << "}";
-    first = false;
-  }
-  std::cout << "]}" << std::endl;
-  return 0;
-}
-
 }  // namespace
 }  // namespace dcc
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--compare_json") == 0) {
-      return dcc::RunCompareJson();
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

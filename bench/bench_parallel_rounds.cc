@@ -21,9 +21,9 @@
 // Flags:
 //   --compare_json   one JSON object per line (dcc.bench.parallel_rounds.v1)
 //   --full           extend the size ladder
-//   --min_shard=G    Engine::Options::min_listeners_per_shard (default 8)
-//   --sweep_grain    sweep the grain over {1, 2, 8, 64, 512, 4096} instead
-//                    of the single --min_shard value
+//
+// Every line's min_shard is the engine's listener grain,
+// Engine::kMinListenersPerShard.
 //
 // CI uploads the JSON as BENCH_parallel.json and scripts/bench_trend.py
 // appends key configs to the tracked BENCH_trend.json.
@@ -180,10 +180,10 @@ double DynamicPass(const Network& base_net, Engine::Options opts,
 }
 
 void EmitLine(bool json, int n, const char* regime, std::size_t n_tx,
-              std::size_t n_listen, int threads, std::size_t min_shard,
-              double ms, double speedup, bool identical, int* bad,
-              const char* farfield = "pyramid") {
+              std::size_t n_listen, int threads, double ms, double speedup,
+              bool identical, int* bad, const char* farfield = "pyramid") {
   *bad += identical ? 0 : 1;
+  const std::size_t min_shard = Engine::kMinListenersPerShard;
   if (json) {
     std::cout << "{\"schema\": \"dcc.bench.parallel_rounds.v1\", "
               << "\"n\": " << n << ", \"regime\": \"" << regime
@@ -205,24 +205,13 @@ void EmitLine(bool json, int n, const char* regime, std::size_t n_tx,
 int main(int argc, char** argv) {
   bool json = false;
   bool full = false;
-  bool sweep_grain = false;
-  std::size_t min_shard = Engine::Options{}.min_listeners_per_shard;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--compare_json") == 0) {
       json = true;
     } else if (std::strcmp(argv[i], "--full") == 0) {
       full = true;
-    } else if (std::strcmp(argv[i], "--sweep_grain") == 0) {
-      sweep_grain = true;
-    } else if (std::strncmp(argv[i], "--min_shard=", 12) == 0) {
-      min_shard = static_cast<std::size_t>(std::atoll(argv[i] + 12));
-      if (min_shard < 1) {
-        std::cerr << "bench_parallel_rounds: --min_shard must be >= 1\n";
-        return 2;
-      }
     } else {
-      std::cerr << "usage: bench_parallel_rounds [--compare_json] [--full] "
-                   "[--min_shard=G] [--sweep_grain]\n";
+      std::cerr << "usage: bench_parallel_rounds [--compare_json] [--full]\n";
       return 2;
     }
   }
@@ -233,9 +222,6 @@ int main(int argc, char** argv) {
     sizes.push_back(1048576);
   }
   const std::vector<int> ladder = ThreadLadder();
-  const std::vector<std::size_t> grains =
-      sweep_grain ? std::vector<std::size_t>{1, 2, 8, 64, 512, 4096}
-                  : std::vector<std::size_t>{min_shard};
 
   if (!json) {
     std::cout << "parallel sharded rounds (grid engine, shared pool; hw "
@@ -258,18 +244,15 @@ int main(int argc, char** argv) {
       const Engine serial(net, {.mode = Engine::Mode::kGrid});
       const std::vector<Reception> want = serial.Step(tx, listeners);
       const double serial_ms = TimeRounds(serial, tx, listeners);
-      for (const std::size_t grain : grains) {
-        for (const int threads : ladder) {
-          Engine::Options opts{.mode = Engine::Mode::kGrid};
-          opts.threads = threads;
-          opts.min_listeners_per_shard = grain;
-          const Engine par(net, opts);
-          const bool identical = SameReceptions(want, par.Step(tx, listeners));
-          const double ms =
-              threads == 1 ? serial_ms : TimeRounds(par, tx, listeners);
-          EmitLine(json, n, regime, tx.size(), listeners.size(), threads,
-                   grain, ms, serial_ms / ms, identical, &bad);
-        }
+      for (const int threads : ladder) {
+        Engine::Options opts{.mode = Engine::Mode::kGrid};
+        opts.threads = threads;
+        const Engine par(net, opts);
+        const bool identical = SameReceptions(want, par.Step(tx, listeners));
+        const double ms =
+            threads == 1 ? serial_ms : TimeRounds(par, tx, listeners);
+        EmitLine(json, n, regime, tx.size(), listeners.size(), threads, ms,
+                 serial_ms / ms, identical, &bad);
       }
     }
 
@@ -278,21 +261,19 @@ int main(int argc, char** argv) {
     // sequence.
     {
       std::vector<Reception> want;
-      Engine::Options base_opts{.mode = Engine::Mode::kGrid};
-      base_opts.min_listeners_per_shard = grains.front();
+      const Engine::Options base_opts{.mode = Engine::Mode::kGrid};
       const double serial_ms = DynamicPass(net, base_opts, want);
       const std::size_t n_tx = (net.size() + 7) / 8;
-      EmitLine(json, n, "dynamic", n_tx, net.size() - n_tx, 1,
-               grains.front(), serial_ms, 1.0, true, &bad);
+      EmitLine(json, n, "dynamic", n_tx, net.size() - n_tx, 1, serial_ms, 1.0,
+               true, &bad);
       for (const int threads : ladder) {
         if (threads == 1) continue;
         Engine::Options opts = base_opts;
         opts.threads = threads;
         std::vector<Reception> got;
         const double ms = DynamicPass(net, opts, got);
-        EmitLine(json, n, "dynamic", n_tx, net.size() - n_tx, threads,
-                 grains.front(), ms, serial_ms / ms, SameReceptions(want, got),
-                 &bad);
+        EmitLine(json, n, "dynamic", n_tx, net.size() - n_tx, threads, ms,
+                 serial_ms / ms, SameReceptions(want, got), &bad);
       }
     }
   }
@@ -316,10 +297,10 @@ int main(int argc, char** argv) {
     const bool identical = SameReceptions(want, pyr.Step(tx, listeners));
     const double flat_ms = TimeRounds(flat, tx, listeners);
     const double pyr_ms = TimeRounds(pyr, tx, listeners);
-    EmitLine(json, n, "sparse_wide", tx.size(), listeners.size(), 1,
-             min_shard, flat_ms, 1.0, true, &bad, "flat");
-    EmitLine(json, n, "sparse_wide", tx.size(), listeners.size(), 1,
-             min_shard, pyr_ms, flat_ms / pyr_ms, identical, &bad, "pyramid");
+    EmitLine(json, n, "sparse_wide", tx.size(), listeners.size(), 1, flat_ms,
+             1.0, true, &bad, "flat");
+    EmitLine(json, n, "sparse_wide", tx.size(), listeners.size(), 1, pyr_ms,
+             flat_ms / pyr_ms, identical, &bad, "pyramid");
   }
 
   if (bad > 0) {

@@ -10,6 +10,13 @@
 
 namespace dcc::cluster {
 
+namespace {
+
+// Selector seed — fixed, public, part of the algorithm description.
+constexpr std::uint64_t kSelectorSeed = 0x9E3779B97F4A7C15ull;
+
+}  // namespace
+
 Profile Profile::Practical(std::int64_t id_space) {
   Profile p;
   (void)id_space;  // lengths are computed lazily from N at factory time
@@ -55,8 +62,6 @@ Profile Profile::Theory(const sinr::Params& params, std::int64_t id_space) {
   // slack of the probabilistic argument.
   p.wss_c = 3.0 * std::exp(2.0);
   p.wcss_c = 3.0 * std::exp(2.0);
-  p.wss_len = 0;
-  p.wcss_len = 0;
 
   p.l_uncl = ChiUpperBound(5.0, 1.0 - eps);
   p.rr_iters = ChiUpperBound(3.0 /*r+1 for r=2*/, 1.0 - eps);
@@ -68,7 +73,6 @@ Profile Profile::Theory(const sinr::Params& params, std::int64_t id_space) {
 }
 
 std::int64_t Profile::WssLen(std::int64_t N) const {
-  if (wss_len > 0) return wss_len;
   const double lnN = std::log(static_cast<double>(std::max<std::int64_t>(N, 2)));
   const double k = kappa;
   return std::max<std::int64_t>(
@@ -76,7 +80,6 @@ std::int64_t Profile::WssLen(std::int64_t N) const {
 }
 
 std::int64_t Profile::WcssLen(std::int64_t N) const {
-  if (wcss_len > 0) return wcss_len;
   const double lnN = std::log(static_cast<double>(std::max<std::int64_t>(N, 2)));
   const double k = kappa, l = rho;
   return std::max<std::int64_t>(
@@ -86,23 +89,23 @@ std::int64_t Profile::WcssLen(std::int64_t N) const {
 
 std::int64_t Profile::SnsLen(std::int64_t N) const {
   if (sns_use_prime_ssf) return sel::Ssf::Construct(N, sns_k).size();
-  if (sns_len > 0) return sns_len;
   const double lnN = std::log(static_cast<double>(std::max<std::int64_t>(N, 2)));
   const double k = sns_k;
   return std::max<std::int64_t>(
-      64, static_cast<std::int64_t>(std::ceil(sns_c * k * k * lnN)));
+      64, static_cast<std::int64_t>(std::ceil(k * k * lnN)));
 }
 
 std::shared_ptr<sim::Schedule> Profile::MakeWss(std::int64_t N,
                                                 std::uint64_t nonce) const {
-  return std::make_shared<sim::WssSchedule>(
-      sel::Wss::WithLength(N, kappa, WssLen(N), HashCombine(seed, nonce)));
+  return std::make_shared<sim::WssSchedule>(sel::Wss::WithLength(
+      N, kappa, WssLen(N), HashCombine(kSelectorSeed, nonce)));
 }
 
 std::shared_ptr<sim::Schedule> Profile::MakeWcss(std::int64_t N,
                                                  std::uint64_t nonce) const {
   return std::make_shared<sim::WcssSchedule>(sel::Wcss::WithLength(
-      N, kappa, rho, WcssLen(N), HashCombine(seed, nonce ^ 0xABCDEF12345ull)));
+      N, kappa, rho, WcssLen(N),
+      HashCombine(kSelectorSeed, nonce ^ 0xABCDEF12345ull)));
 }
 
 std::shared_ptr<sim::Schedule> Profile::MakeSns(std::int64_t N,
@@ -113,7 +116,8 @@ std::shared_ptr<sim::Schedule> Profile::MakeSns(std::int64_t N,
   // Seeded variant: per-round inclusion with probability 1/sns_k, which is
   // the probabilistic-method ssf; same determinism argument as the wss.
   return std::make_shared<sim::WssSchedule>(sel::Wss::WithLength(
-      N, sns_k, SnsLen(N), HashCombine(seed, nonce ^ 0x5115511551155ull)));
+      N, sns_k, SnsLen(N),
+      HashCombine(kSelectorSeed, nonce ^ 0x5115511551155ull)));
 }
 
 }  // namespace dcc::cluster

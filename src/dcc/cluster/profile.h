@@ -31,18 +31,13 @@ struct Profile {
   int kappa = 5;   // close-neighbor constant (Lemmas 5-6)
   int rho = 4;     // conflicting clusters per cluster (Lemma 6)
 
-  // --- selector sizing ---
-  // Explicit lengths; 0 means "use c * theory formula".
-  std::int64_t wss_len = 0;
-  std::int64_t wcss_len = 0;
+  // --- selector sizing: length = c * theory formula ---
   double wss_c = 0.35;
   double wcss_c = 0.10;
 
   // --- Sparse Network Schedule (Lemma 4) ---
   int sns_k = 8;                 // selection parameter k_gamma
   bool sns_use_prime_ssf = false;  // deterministic prime ssf vs seeded
-  std::int64_t sns_len = 0;      // seeded variant length; 0 = c * k^2 ln N
-  double sns_c = 1.0;
 
   // --- loop counts ---
   int l_uncl = 2;      // Alg. 3 repetition count (theory: chi(5, 1-eps))
@@ -61,9 +56,6 @@ struct Profile {
   // leave unassigned.
   bool early_stop = true;
 
-  // Selector seed — fixed, public, part of the algorithm description.
-  std::uint64_t seed = 0x9E3779B97F4A7C15ull;
-
   static Profile Practical(std::int64_t id_space);
   static Profile Theory(const sinr::Params& params, std::int64_t id_space);
 
@@ -80,7 +72,7 @@ struct Profile {
   std::int64_t WssLen(std::int64_t N) const;
   std::int64_t WcssLen(std::int64_t N) const;
   // The length of MakeSns(N, ·): the prime ssf's size when
-  // sns_use_prime_ssf, the seeded length otherwise.
+  // sns_use_prime_ssf, the seeded length k^2 ln N otherwise.
   std::int64_t SnsLen(std::int64_t N) const;
 };
 

@@ -11,7 +11,7 @@
 #include "dcc/common/rng.h"
 #include "dcc/mobility/churn.h"
 #include "dcc/mobility/models.h"
-#include "dcc/workload/generators.h"
+#include "dcc/scenario/scenario.h"
 
 namespace dcc::scenario {
 
@@ -84,7 +84,6 @@ RunReport RunDynamicScenario(const ScenarioSpec& spec, std::uint64_t seed) {
   rep.algo = spec.algo;
   rep.seed = seed;
   try {
-    spec.sinr.Validate();
     DCC_REQUIRE(spec.algo == "clustering",
                 "dynamics: only algo 'clustering' is supported (stability "
                 "metrics are defined on clusterings); got '" + spec.algo +
@@ -93,15 +92,11 @@ RunReport RunDynamicScenario(const ScenarioSpec& spec, std::uint64_t seed) {
                 "dynamics: fault injection is not supported in dynamic runs");
     spec.algo_params.CheckAllConsumed("algorithm 'clustering' (dynamics)");
 
-    // Local copies: consumption marks are per-run state and the same spec
+    sinr::Network net = BuildScenarioNetwork(spec, seed);
+
+    // A local copy: consumption marks are per-run state and the same spec
     // may be running on several sweep threads.
-    ParamMap topo_params = spec.topology_params;
     ParamMap dyn = spec.dynamics;
-
-    const TopologyFn& topo = Topologies().Get(spec.topology);
-    auto pts = topo(topo_params, spec.sinr, seed);
-    topo_params.CheckAllConsumed("topology '" + spec.topology + "'");
-
     const std::string model_name = dyn.GetString("model", "waypoint");
     const int epochs = dyn.GetInt32("epochs", 8);
     const double epoch_len = dyn.GetDouble("epoch_len", 1.0);
@@ -113,8 +108,8 @@ RunReport RunDynamicScenario(const ScenarioSpec& spec, std::uint64_t seed) {
     DCC_REQUIRE(side >= 0.0, "dynamics: side must be >= 0");
 
     const Box world = side > 0.0 ? Box{{0.0, 0.0}, {side, side}}
-                                 : BoundingBox(pts);
-    for (const Vec2 p : pts) {
+                                 : BoundingBox(net.positions());
+    for (const Vec2 p : net.positions()) {
       DCC_REQUIRE(p.x >= world.lo.x && p.x <= world.hi.x &&
                       p.y >= world.lo.y && p.y <= world.hi.y,
                   "dynamics: generated topology exceeds the world box "
@@ -125,9 +120,6 @@ RunReport RunDynamicScenario(const ScenarioSpec& spec, std::uint64_t seed) {
     auto model = factory(dyn, world, HashCombine(seed, kMobilitySalt));
     dyn.CheckAllConsumed("dynamics (model '" + model_name + "')");
 
-    sinr::Network net =
-        workload::MakeNetwork(std::move(pts), spec.sinr,
-                              spec.id_seed.value_or(seed + 1), spec.shadowing);
     sinr::Engine::Options engine_opts = spec.engine;
     engine_opts.coverage = world;
     sim::Exec ex(net, engine_opts);
@@ -230,9 +222,8 @@ RunReport RunDynamicScenario(const ScenarioSpec& spec, std::uint64_t seed) {
       rep.metrics.Set("joined_total", static_cast<double>(joined_total));
       rep.metrics.Set("left_total", static_cast<double>(left_total));
     }
-    // The Exec (and its engine's shard pool and scratch) persisted across
-    // every epoch; the section aggregates all of them.
-    FillParallelSection(rep, ex.engine());
+    // One Exec served every epoch, so its engine's counts cover them all.
+    ex.engine().AddStatsToMetrics();
   } catch (const std::exception& e) {
     rep.ok = false;
     rep.error = e.what();

@@ -3,7 +3,6 @@
 #include <ostream>
 
 #include "dcc/common/json.h"
-#include "dcc/sinr/engine.h"
 
 namespace dcc::scenario {
 
@@ -25,24 +24,7 @@ void RunReport::PrintJson(std::ostream& os) const {
     }
     os << "]}";
   }
-  if (!parallel.empty()) {
-    os << ", \"parallel\": {\"schema\": \"dcc.parallel.v2\", \"threads\": "
-       << parallel.threads
-       << ", \"rounds_parallel\": " << parallel.rounds_parallel
-       << ", \"rounds_serial\": " << parallel.rounds_serial
-       << ", \"tile_states_computed\": " << parallel.tile_states_computed
-       << '}';
-  }
   os << '}';
-}
-
-void FillParallelSection(RunReport& rep, const sinr::Engine& engine) {
-  if (engine.threads() <= 1) return;
-  const sinr::Engine::Stats& st = engine.stats();
-  rep.parallel.threads = engine.threads();
-  rep.parallel.rounds_parallel = st.parallel_rounds;
-  rep.parallel.rounds_serial = st.parallel_small_rounds;
-  rep.parallel.tile_states_computed = st.tile_states_computed;
 }
 
 void PrintSweepJson(std::ostream& os, const std::string& spec_line,

@@ -11,10 +11,6 @@
 
 #include "dcc/stats/recorder.h"
 
-namespace dcc::sinr {
-class Engine;
-}  // namespace dcc::sinr
-
 namespace dcc::scenario {
 
 struct RunReport {
@@ -38,29 +34,8 @@ struct RunReport {
   };
   DynamicSection dynamic;
 
-  // Parallel engines only ("dcc.parallel.v2", emitted when the run's
-  // engine shards rounds): how many rounds were dispatched across the
-  // shards. Serial runs leave it empty and the JSON omits the section
-  // entirely.
-  struct ParallelSection {
-    int threads = 0;  // resolved shard count (Engine::threads())
-    std::int64_t rounds_parallel = 0;  // rounds dispatched across shards
-    // Rounds the engine ran inline because they fell under the listener
-    // grain (fewer than min_listeners_per_shard * threads listeners).
-    std::int64_t rounds_serial = 0;
-    // Per-listener-tile far-field states built in round prologues (a pure
-    // function of the round schedule).
-    std::int64_t tile_states_computed = 0;
-    bool empty() const { return threads == 0; }
-  };
-  ParallelSection parallel;
-
   void PrintJson(std::ostream& os) const;
 };
-
-// Fills rep.parallel from a parallel engine's cumulative stats; a no-op
-// for serial engines (threads() <= 1), leaving the section empty.
-void FillParallelSection(RunReport& rep, const sinr::Engine& engine);
 
 // Sweep envelope ("dcc.sweep.v1"): the canonical spec line + all runs.
 void PrintSweepJson(std::ostream& os, const std::string& spec_line,

@@ -124,7 +124,7 @@ RunReport RunScenarioOnNetwork(const ScenarioSpec& spec, std::uint64_t seed,
       rep.metrics.Set(key, value);
     }
     rep.metrics.Set("rounds_total", static_cast<double>(ex.rounds()));
-    FillParallelSection(rep, ex.engine());
+    ex.engine().AddStatsToMetrics();
   } catch (const std::exception& e) {
     rep.ok = false;
     rep.error = e.what();

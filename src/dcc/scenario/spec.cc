@@ -230,7 +230,11 @@ std::vector<std::string> ScenarioSpec::ToArgs() const {
   if (engine.cell != 0.0) args.push_back("--cell=" + JsonNumber(engine.cell));
   if (max_rounds != 0) args.push_back("--rounds=" + std::to_string(max_rounds));
   if (faults != 0) args.push_back("--faults=" + std::to_string(faults));
-  if (threads != 0) args.push_back("--threads=" + std::to_string(threads));
+  // --threads=0 (one engine shard per hardware thread) differs from no
+  // flag (serial engines), so the flag is elided only when it was not given.
+  if (threads != 0 || engine.threads != 1) {
+    args.push_back("--threads=" + std::to_string(threads));
+  }
   return args;
 }
 
@@ -248,6 +252,9 @@ std::string ScenarioSpec::CanonicalKey() const {
   sorted.topology_params = topology_params.Sorted();
   sorted.algo_params = algo_params.Sorted();
   sorted.dynamics = dynamics.Sorted();
+  // Reports are the same bytes at every thread count.
+  sorted.threads = 0;
+  sorted.engine.threads = 1;
   return sorted.ToString();
 }
 

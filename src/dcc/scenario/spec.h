@@ -68,11 +68,12 @@ struct ScenarioSpec {
   std::string ToString() const;
 
   // Order-invariant content key: ToString() with every ParamMap
-  // (topology, algorithm, dynamics) sorted by key. Two specs that spell
-  // the same parameters in a different order share a key; any semantic
-  // difference — and only a semantic difference — changes it (defaults
-  // are elided exactly as in ToArgs). This is the key the service caches
-  // content-address on (src/dcc/service/cache.h) and what
+  // (topology, algorithm, dynamics) sorted by key and --threads left out.
+  // Two specs that spell the same parameters in a different order share a
+  // key; any semantic difference — and only a semantic difference —
+  // changes it (defaults are elided exactly as in ToArgs, and a report is
+  // the same bytes at every thread count). This is the key the service
+  // caches content-address on (src/dcc/service/cache.h) and what
   // `dcc_run --canonical` prints.
   std::string CanonicalKey() const;
 

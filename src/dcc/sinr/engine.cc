@@ -200,8 +200,6 @@ Engine::Engine(const Network& net, Options options)
       break;
   }
   DCC_REQUIRE(options_.threads >= 0, "Engine: threads must be >= 0");
-  DCC_REQUIRE(options_.min_listeners_per_shard >= 1,
-              "Engine: min_listeners_per_shard must be >= 1");
   parallel::WorkerPool& pool =
       options_.pool ? *options_.pool : parallel::WorkerPool::Shared();
   threads_ = options_.threads == 0 ? pool.parallelism() : options_.threads;
@@ -363,10 +361,25 @@ void Engine::StepInto(std::span<const std::size_t> transmitters,
   receptions_metric.Add(static_cast<std::int64_t>(out.size()));
 }
 
+void Engine::AddStatsToMetrics() const {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  static obs::Counter& dispatched = reg.GetCounter(
+      "dcc_engine_rounds_dispatched_total",
+      "SINR rounds dispatched across engine shards");
+  static obs::Counter& under_grain = reg.GetCounter(
+      "dcc_engine_rounds_under_grain_total",
+      "SINR rounds a parallel engine ran serially, under the listener grain");
+  static obs::Counter& tile_states = reg.GetCounter(
+      "dcc_engine_tile_states_total",
+      "Far-field listener-tile states built by grid round prologues");
+  dispatched.Add(stats_.parallel_rounds);
+  under_grain.Add(stats_.parallel_small_rounds);
+  tile_states.Add(stats_.tile_states_computed);
+}
+
 int Engine::ShardsFor(std::size_t n_listen) const {
   if (threads_ <= 1) return 1;
-  if (n_listen <
-      options_.min_listeners_per_shard * static_cast<std::size_t>(threads_)) {
+  if (n_listen < kMinListenersPerShard * static_cast<std::size_t>(threads_)) {
     ++stats_.parallel_small_rounds;
     return 1;
   }

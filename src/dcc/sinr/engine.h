@@ -61,7 +61,7 @@
 // a listener's reception is a pure function of (listener, round state):
 // with the merge emitting receptions in listener order, any cut gives the
 // reception set AND every SINR bit of serial execution. Rounds below
-// min_listeners_per_shard * K listeners run serially (the dispatch would
+// kMinListenersPerShard * K listeners run serially (the dispatch would
 // cost more than the round). Nested engines (inside a sweep job) dispatch
 // too: idle pool workers steal their shard tickets, so the tail of a sweep
 // donates its freed threads to the runs still going.
@@ -106,11 +106,10 @@ class Engine {
     kGrid,   // spatial-index pruning + exact fallback
   };
 
-  // Default listener grain: below this many listeners per shard a round is
-  // not worth dispatching (see Options::min_listeners_per_shard).
-  // Re-measured with `bench_parallel_rounds --sweep_grain` (see the
-  // ROADMAP's parallel-execution note): per-shard dispatch costs roughly
-  // the resolution of a handful of listeners, so grains below ~8 pay pool
+  // Listener grain: a round with fewer than kMinListenersPerShard * K
+  // listeners runs serially even when threads > 1 (counted in
+  // Stats::parallel_small_rounds). Per-shard dispatch costs roughly the
+  // resolution of a handful of listeners, so grains below ~8 pay pool
   // overhead for rounds too small to amortize it, while larger grains
   // start serializing mid-sized rounds.
   static constexpr std::size_t kMinListenersPerShard = 8;
@@ -131,13 +130,6 @@ class Engine {
     // shards regardless of the host (receptions are bit-identical to
     // serial at every setting, so K only affects speed).
     int threads = 1;
-    // Dispatch grain: a round with fewer than min_listeners_per_shard * K
-    // listeners runs serially even when threads > 1 (counted in
-    // Stats::parallel_small_rounds). Must be >= 1; raising it trades
-    // parallel coverage of small rounds for less dispatch overhead —
-    // bench_parallel_rounds --sweep_grain measures the trade. Not in the
-    // flag grammar: only that sweep sets it.
-    std::size_t min_listeners_per_shard = kMinListenersPerShard;
     // Grid mode descends the far-field tile pyramid (sinr/farfield.h) only
     // for rounds whose transmitters occupy at least this many tiles; below
     // it the flat occupied-tile walk is already trivially cheap and the
@@ -198,7 +190,8 @@ class Engine {
     std::int64_t grid_exact_fallbacks = 0;
     // Parallel engines only (threads() > 1): rounds dispatched across
     // shards vs rounds run serially because they fell under the listener
-    // grain (the dcc.parallel.v2 report section exposes both).
+    // grain. Both depend on the thread count, so they are telemetry
+    // (AddStatsToMetrics), never part of a report.
     std::int64_t parallel_rounds = 0;
     std::int64_t parallel_small_rounds = 0;
     // Per-listener-tile far-field states computed by prologue builds (one
@@ -210,6 +203,12 @@ class Engine {
   // Counters accumulate through const Steps (they are diagnostics, not
   // logical state), so resetting them is const as well.
   void ResetStats() const { stats_ = {}; }
+  // Adds parallel_rounds, parallel_small_rounds and tile_states_computed
+  // to the process metrics registry, beside dcc_engine_rounds_total:
+  // dcc_engine_rounds_dispatched_total, dcc_engine_rounds_under_grain_total
+  // and dcc_engine_tile_states_total. The scenario runners call it once
+  // per run, so no round pays for it.
+  void AddStatsToMetrics() const;
 
  private:
   // Listeners deferred to the exact fallback, with their phase-A partials.

@@ -120,12 +120,6 @@ class FarFieldPyramid {
               close_out.end());
   }
 
-  // This round's transmitter count at a leaf tile (0 when unoccupied).
-  std::uint32_t LeafCount(int tile) const {
-    return levels_.empty() ? 0
-                           : levels_[0].count[static_cast<std::size_t>(tile)];
-  }
-
   // Number of levels (0 before Reset; 1 for a single-tile grid).
   std::size_t depth() const { return levels_.size(); }
 

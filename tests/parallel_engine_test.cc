@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "dcc/common/rng.h"
+#include "dcc/obs/metrics.h"
 #include "dcc/parallel/worker_pool.h"
 #include "dcc/scenario/scenario.h"
 #include "dcc/sinr/engine.h"
@@ -389,7 +390,18 @@ TEST(ParallelEngineTest, SweepTailDonatesIdleWorkersToNestedEngines) {
 
 // --- Scenario plumbing ------------------------------------------------------
 
+// A process-wide engine counter (obs/metrics.h); the scenario runners add
+// each run's engine stats to it once the run ends.
+std::int64_t EngineCounter(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name, "").value();
+}
+
 TEST(ParallelScenarioTest, ParallelRunReportsSectionAndIdenticalMetrics) {
+  // What the decomposition did is reported through the metrics registry:
+  // a serial run dispatches no round, a sharded one does, and only grid
+  // rounds build tile-state prologues. Not one report metric changes.
+  const char* kDispatched = "dcc_engine_rounds_dispatched_total";
+  const char* kTileStates = "dcc_engine_tile_states_total";
   for (const Engine::Mode mode : {Engine::Mode::kExact, Engine::Mode::kGrid}) {
     const std::string label =
         mode == Engine::Mode::kGrid ? "engine=grid" : "engine=exact";
@@ -399,23 +411,22 @@ TEST(ParallelScenarioTest, ParallelRunReportsSectionAndIdenticalMetrics) {
     spec.sinr.id_space = 4096;
     spec.engine.mode = mode;
 
+    std::int64_t dispatched = EngineCounter(kDispatched);
     const scenario::RunReport serial = RunScenario(spec, 1);
     ASSERT_TRUE(serial.ok) << label << ": " << serial.error;
-    EXPECT_TRUE(serial.parallel.empty()) << label;
+    EXPECT_EQ(EngineCounter(kDispatched), dispatched) << label;
 
     spec.engine.threads = 3;
+    dispatched = EngineCounter(kDispatched);
+    const std::int64_t tile_states = EngineCounter(kTileStates);
     const scenario::RunReport par = RunScenario(spec, 1);
     ASSERT_TRUE(par.ok) << label << ": " << par.error;
-    ASSERT_FALSE(par.parallel.empty()) << label;
-    EXPECT_EQ(par.parallel.threads, 3) << label;
-    EXPECT_GT(par.parallel.rounds_parallel, 0) << label;
-    // Only grid rounds build prologues.
+    EXPECT_GT(EngineCounter(kDispatched), dispatched) << label;
     if (mode == Engine::Mode::kGrid) {
-      EXPECT_GT(par.parallel.tile_states_computed, 0) << label;
+      EXPECT_GT(EngineCounter(kTileStates), tile_states) << label;
     } else {
-      EXPECT_EQ(par.parallel.tile_states_computed, 0) << label;
+      EXPECT_EQ(EngineCounter(kTileStates), tile_states) << label;
     }
-    // The decomposition must not change a single metric.
     ASSERT_EQ(serial.metrics.entries().size(), par.metrics.entries().size())
         << label;
     for (std::size_t i = 0; i < serial.metrics.entries().size(); ++i) {
@@ -430,8 +441,8 @@ TEST(ParallelScenarioTest, SweepOccupyingThePoolStillShardsItsEngines) {
   // (a nested fan-out could not execute anywhere else, so dispatching was
   // pure overhead). With per-worker deques, nested shard tickets are
   // published where idle tail-end workers can steal them — so sweep runs
-  // dispatch their rounds like any other engine, and every metric stays
-  // identical to the serial sweep.
+  // dispatch exactly the rounds the same runs dispatch at top level, and
+  // every metric stays identical to the serial sweep.
   scenario::ScenarioSpec spec;
   spec.topology_params.Set("n", "32");
   spec.topology_params.Set("side", "3");
@@ -441,14 +452,24 @@ TEST(ParallelScenarioTest, SweepOccupyingThePoolStillShardsItsEngines) {
 
   spec.threads = 2;
   spec.engine.threads = 2;  // what --threads=2 sets
+  const char* kDispatched = "dcc_engine_rounds_dispatched_total";
+  const std::int64_t before = EngineCounter(kDispatched);
   const std::vector<scenario::RunReport> par = RunSweep(spec);
+  const std::int64_t sweep_dispatched = EngineCounter(kDispatched) - before;
+  std::int64_t top_level_dispatched = 0;
+  for (const std::uint64_t seed : spec.seeds) {
+    const std::int64_t at = EngineCounter(kDispatched);
+    RunScenario(spec, seed);
+    const std::int64_t dispatched = EngineCounter(kDispatched) - at;
+    EXPECT_GT(dispatched, 0) << "seed " << seed;
+    top_level_dispatched += dispatched;
+  }
+  EXPECT_EQ(sweep_dispatched, top_level_dispatched)
+      << "engines nested in an occupied pool must dispatch like top-level "
+         "ones";
   ASSERT_EQ(serial.size(), par.size());
   for (std::size_t i = 0; i < par.size(); ++i) {
     ASSERT_TRUE(par[i].ok) << par[i].error;
-    ASSERT_FALSE(par[i].parallel.empty());
-    EXPECT_GT(par[i].parallel.rounds_parallel, 0)
-        << "seed " << par[i].seed
-        << ": engine refused to shard inside an occupied pool";
     ASSERT_EQ(serial[i].metrics.entries().size(),
               par[i].metrics.entries().size());
     for (std::size_t j = 0; j < serial[i].metrics.entries().size(); ++j) {
@@ -488,10 +509,11 @@ TEST(ParallelScenarioTest, SweepRunReportsMatchTopLevelRunsByteForByte) {
 }
 
 TEST(ParallelScenarioTest, ReportBytesMatchAcrossThreadCounts) {
-  // A report is a pure function of (spec, seed): apart from the parallel
-  // section, which describes the decomposition itself, a run prints the
-  // same bytes at every engine thread count. The grid spec keeps the auto
-  // tile side, which covers this field with one tile.
+  // A report is a pure function of (spec, seed): a run prints the same
+  // bytes at every engine thread count, 0 (one shard per hardware thread)
+  // included. How the rounds were cut is telemetry, counted in the metrics
+  // registry. The grid spec keeps the auto tile side, which covers this
+  // field with one tile.
   for (const Engine::Mode mode : {Engine::Mode::kExact, Engine::Mode::kGrid}) {
     const std::string label =
         mode == Engine::Mode::kGrid ? "engine=grid" : "engine=exact";
@@ -501,21 +523,24 @@ TEST(ParallelScenarioTest, ReportBytesMatchAcrossThreadCounts) {
     spec.sinr.id_space = 4096;
     spec.engine.mode = mode;
     std::string serial_json;
-    for (const int threads : {1, 2, 4}) {
+    for (const int threads : {1, 0, 2, 4}) {
       spec.engine.threads = threads;
-      scenario::RunReport rep = RunScenario(spec, 1);
+      const std::int64_t dispatched =
+          EngineCounter("dcc_engine_rounds_dispatched_total");
+      const scenario::RunReport rep = RunScenario(spec, 1);
       ASSERT_TRUE(rep.ok) << label << ": " << rep.error;
+      const std::string at = label + " threads=" + std::to_string(threads);
       if (threads > 1) {
-        EXPECT_GT(rep.parallel.rounds_parallel, 0)
-            << label << " threads=" << threads;
+        EXPECT_GT(EngineCounter("dcc_engine_rounds_dispatched_total"),
+                  dispatched)
+            << at;
       }
-      rep.parallel = {};
       std::ostringstream json;
       rep.PrintJson(json);
       if (threads == 1) {
         serial_json = json.str();
       } else {
-        EXPECT_EQ(json.str(), serial_json) << label << " threads=" << threads;
+        EXPECT_EQ(json.str(), serial_json) << at;
       }
     }
   }
@@ -528,6 +553,17 @@ TEST(ParallelScenarioTest, ThreadsFlagDrivesEngineAndRoundTrips) {
   EXPECT_EQ(spec.threads, 4);
   EXPECT_EQ(spec.engine.threads, 4);
   EXPECT_EQ(scenario::ScenarioSpec::FromArgs(spec.ToArgs()), spec);
+  // 0 (one shard per hardware thread) is not the default (serial engines),
+  // so the printed spec keeps it.
+  const auto hw = scenario::ScenarioSpec::FromArgs(
+      {"--topology=uniform:n=32,side=3", "--threads=0"});
+  EXPECT_EQ(hw.threads, 0);
+  EXPECT_EQ(hw.engine.threads, 0);
+  EXPECT_NE(hw.ToString().find("--threads=0"), std::string::npos)
+      << hw.ToString();
+  const auto replayed = scenario::ScenarioSpec::FromArgs(hw.ToArgs());
+  EXPECT_EQ(replayed.engine.threads, 0);
+  EXPECT_EQ(replayed, hw);
   // Bounded to [0, 4096]: an absurd shard count must fail validation, not
   // allocation.
   EXPECT_THROW(scenario::ScenarioSpec::FromArgs({"--threads=100000"}),

@@ -15,6 +15,7 @@
 #include "dcc/cluster/clustering.h"
 #include "dcc/cluster/sparsify.h"
 #include "dcc/cluster/validate.h"
+#include "dcc/obs/metrics.h"
 #include "dcc/scenario/scenario.h"
 #include "dcc/workload/generators.h"
 
@@ -151,21 +152,28 @@ TEST(ReceptionPinsTest, GlobalBroadcast) {
 }
 
 // A dynamic run: mobility and churn between epochs move nodes across grid
-// tiles and in and out of the rounds, on a sharded grid engine. Pins the
-// totals, the prologue counter and a hash of the whole report's bytes.
+// tiles and in and out of the rounds. Pins the totals, the prologue
+// counter and a hash of the whole report's bytes, which are the same on a
+// serial and on a sharded grid engine.
 TEST(ReceptionPinsTest, DynamicWalkWithChurn) {
-  const ScenarioSpec spec = ScenarioSpec::FromArgs(
-      {"--topology=uniform:n=32,side=3.5",
-       "--dynamics=model=walk,epochs=4,churn=0.3,side=3.5", "--engine=grid",
-       "--cell=1.0", "--threads=2", "--id-space=4096"});
-  const RunReport rep = RunScenario(spec, /*seed=*/1);
-  ASSERT_TRUE(rep.ok) << rep.error;
-  EXPECT_EQ(rep.metrics.Get("rounds_total"), 1237716);
-  EXPECT_EQ(rep.metrics.Get("joined_total"), 5);
-  EXPECT_EQ(rep.metrics.Get("left_total"), 16);
-  EXPECT_EQ(rep.parallel.tile_states_computed, 2849849);
-  std::string json;
-  EXPECT_EQ(ReportHash(rep, json), 0x0a33536a04f80dedull) << json;
+  obs::Counter& tile_states = obs::MetricsRegistry::Global().GetCounter(
+      "dcc_engine_tile_states_total", "");
+  for (const char* threads : {"--threads=1", "--threads=2"}) {
+    const ScenarioSpec spec = ScenarioSpec::FromArgs(
+        {"--topology=uniform:n=32,side=3.5",
+         "--dynamics=model=walk,epochs=4,churn=0.3,side=3.5", "--engine=grid",
+         "--cell=1.0", threads, "--id-space=4096"});
+    const std::int64_t tile_states_before = tile_states.value();
+    const RunReport rep = RunScenario(spec, /*seed=*/1);
+    ASSERT_TRUE(rep.ok) << threads << ": " << rep.error;
+    EXPECT_EQ(rep.metrics.Get("rounds_total"), 1237716) << threads;
+    EXPECT_EQ(rep.metrics.Get("joined_total"), 5) << threads;
+    EXPECT_EQ(rep.metrics.Get("left_total"), 16) << threads;
+    EXPECT_EQ(tile_states.value() - tile_states_before, 2849849) << threads;
+    std::string json;
+    EXPECT_EQ(ReportHash(rep, json), 0x2e80e4d15d3a3ba6ull)
+        << threads << ": " << json;
+  }
 }
 
 // Report-byte pins for the schedule callers the reception pins above do not

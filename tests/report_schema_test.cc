@@ -87,18 +87,6 @@ TEST(ReportSchemaDocTest, SweepExampleIsCurrent) {
   EXPECT_EQ(PinnedExample(ReadDoc(), "dcc.sweep.v1"), line);
 }
 
-TEST(ReportSchemaDocTest, ParallelExampleIsCurrent) {
-  ScenarioSpec spec = PinnedStaticSpec();
-  spec.threads = 2;
-  spec.engine.threads = 2;  // what --threads=2 sets
-  spec.engine.mode = sinr::Engine::Mode::kGrid;  // what --engine=grid sets
-  const RunReport rep = RunScenario(spec, 1);
-  ASSERT_TRUE(rep.ok) << rep.error;
-  std::ostringstream out;
-  rep.PrintJson(out);
-  EXPECT_EQ(PinnedExample(ReadDoc(), "dcc.parallel.v2"), out.str());
-}
-
 TEST(ReportSchemaDocTest, ServiceStatsExampleIsCurrent) {
   // A synthesized snapshot: live stats carry timing-dependent fields
   // (uptime, throughput, latencies), so the doc pins fixed values through

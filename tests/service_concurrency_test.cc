@@ -35,6 +35,7 @@ std::string SpecLine(int threads) {
 }
 
 TEST(ServiceConcurrencyTest, ByteIdentityAtEveryThreadCount) {
+  std::string serial_reference;
   for (const int threads : {1, 2, 4}) {
     const std::string tag = "ladder" + std::to_string(threads);
     std::string reference;
@@ -76,6 +77,9 @@ TEST(ServiceConcurrencyTest, ByteIdentityAtEveryThreadCount) {
       EXPECT_EQ(cold.report, reference)
           << "cold rebuild diverged at threads=" << threads;
     }
+    // ...and every thread count the same bytes.
+    if (threads == 1) serial_reference = reference;
+    EXPECT_EQ(reference, serial_reference) << "threads=" << threads;
   }
 }
 

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "dcc/common/wire.h"
+#include "dcc/scenario/scenario.h"
 #include "dcc/service/cache.h"
 #include "dcc/service/client.h"
 #include "dcc/service/loadgen.h"
@@ -170,6 +172,36 @@ TEST(ServiceTest, RunReportsItsCachePathAndServesIdenticalBytes) {
   EXPECT_EQ(stats.topology_misses, 1);
   EXPECT_EQ(stats.runs, 3);
   EXPECT_EQ(stats.errors, 0);
+}
+
+TEST(ServiceTest, ThreadCountsShareOneCachedReport) {
+  // A report is the same bytes at every --threads, so the result cache
+  // leaves the flag out of its key: the first request builds the report,
+  // the others are served it, and all of them read what a direct run of
+  // the spec (dcc_run's bytes) prints.
+  Service::Options opts;
+  opts.socket_path = TestSocket("threads");
+  Service service(opts);
+  service.Start();
+  Client client(opts.socket_path);
+
+  std::ostringstream direct;
+  dcc::scenario::RunScenario(
+      dcc::scenario::ScenarioSpec::FromArgs(
+          {"--topology=uniform:n=48,side=4", "--algo=clustering",
+           "--id-space=4096"}),
+      1)
+      .PrintJson(direct);
+  const std::string threads_flags[] = {"", " --threads=0", " --threads=4"};
+  for (const std::string& flag : threads_flags) {
+    const Client::RunResult r = client.Run(kSpec + flag, 1);
+    ASSERT_TRUE(r.ok) << flag << ": " << r.error;
+    EXPECT_EQ(r.cached, flag.empty() ? "none" : "result") << flag;
+    EXPECT_EQ(r.report, direct.str()) << flag;
+  }
+  const auto stats = service.Snapshot();
+  EXPECT_EQ(stats.result_misses, 1);
+  EXPECT_EQ(stats.result_hits, 2);
 }
 
 TEST(ServiceTest, SeedFieldAddressesDistinctResults) {

@@ -50,9 +50,8 @@ void PrintUsage(std::ostream& os) {
         "  --faults=K                 K always-on background jammers (0)\n"
         "  --threads=T                sweep workers AND engine round shards\n"
         "                             on the shared pool (0 = hardware);\n"
-        "                             receptions are bit-identical at every\n"
-        "                             T, and parallel runs report a\n"
-        "                             dcc.parallel.v2 section\n"
+        "                             reports are the same bytes at every\n"
+        "                             T (dispatch counts go to --metrics)\n"
         "\n"
         "driver flags:\n"
         "  --list --json=PATH --quiet --help   (--json=- writes the report\n"
