@@ -26,8 +26,8 @@ constexpr double kPruneSlack = 1e-9;
 // The batched AVX-512 fallback kernel is ~2 ulp off the correctly-rounded
 // scalar path (and hardware rsqrt seeds differ between vendors), so any
 // fallback SINR within this relative distance of beta is re-resolved with
-// the scalar libm kernel: the reception *set* is then host-invariant even
-// though far-from-threshold SINR values may differ in their last bits.
+// the exact kernel: the reception *set* is then host-invariant even though
+// far-from-threshold SINR values may differ in their last bits.
 constexpr double kThresholdRecheck = 1e-12;
 
 // Relative margin between the gain at the reach radius and the reception
@@ -56,9 +56,47 @@ constexpr std::size_t kChunk = 8;
 #if defined(DCC_X86_DISPATCH) && !defined(__clang__) && \
     !defined(__SANITIZE_THREAD__)
 #define DCC_TARGET_CLONES __attribute__((target_clones("avx2", "default")))
+// The exact kernel's loops multiply nothing, so the avx512f clone (which
+// has FMA) cannot contract anything either: every clone computes the same
+// bits.
+#define DCC_EXACT_CLONES \
+  __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
 #define DCC_TARGET_CLONES
+#define DCC_EXACT_CLONES
 #endif
+
+// Step 2 of the exact kernel over the dense gain matrix: for each
+// transmitter k in order, adds the gains its row rows[k] holds at the m
+// lane listeners node[0, m) into their lanes. A lane's strongest
+// transmitter changes only on a strictly larger gain. (best_k is stored
+// before best: in the other order gcc 12 does not vectorize the loop.)
+DCC_EXACT_CLONES
+void AddGainRows(const double* const* rows, std::size_t n_tx,
+                 const std::uint32_t* __restrict node, std::size_t m,
+                 double* __restrict total, double* __restrict best,
+                 std::size_t* __restrict best_k) {
+  for (std::size_t k = 0; k < n_tx; ++k) {
+    const double* row = rows[k];
+    for (std::size_t j = 0; j < m; ++j) {
+      const double g = row[node[j]];
+      const bool upd = g > best[j];
+      total[j] += g;
+      best_k[j] = upd ? k : best_k[j];
+      best[j] = upd ? g : best[j];
+    }
+  }
+}
+
+// Step 3 of the exact kernel: every lane's SINR, best over noise plus the
+// interference total - best.
+DCC_EXACT_CLONES
+void LaneSinr(const double* __restrict total, const double* __restrict best,
+              std::size_t m, double noise, double* __restrict sinr) {
+  for (std::size_t j = 0; j < m; ++j) {
+    sinr[j] = best[j] / (noise + (total[j] - best[j]));
+  }
+}
 
 // Sweeps the far-field transmitter ranges for one chunk of listeners under
 // the alpha = 3 path-loss kernel; AVX-512 hosts run FarSweepAlpha3Avx512
@@ -104,6 +142,7 @@ __attribute__((target("avx512f"))) void FarSweepAlpha3Avx512(
     double p, const double* lx, const double* ly, double* total, double* best,
     std::size_t* best_slot) {
   static_assert(kChunk == 8, "one zmm register holds the listener chunk");
+  constexpr __mmask8 kAllLanes = 0xFF;
   const __m512d vlx = _mm512_loadu_pd(lx);
   const __m512d vly = _mm512_loadu_pd(ly);
   const __m512d vmin = _mm512_set1_pd(PathLossModel::kMinDistanceSq);
@@ -117,9 +156,12 @@ __attribute__((target("avx512f"))) void FarSweepAlpha3Avx512(
     for (std::size_t s = ranges[r].first; s < ranges[r].second; ++s) {
       const __m512d dx = _mm512_sub_pd(_mm512_set1_pd(xs[s]), vlx);
       const __m512d dy = _mm512_sub_pd(_mm512_set1_pd(ys[s]), vly);
-      const __m512d d2 = _mm512_max_pd(
-          _mm512_fmadd_pd(dx, dx, _mm512_mul_pd(dy, dy)), vmin);
-      __m512d h = _mm512_rsqrt14_pd(d2);
+      // The all-ones maskz forms run the same instructions as the plain
+      // ones, whose headers merge into an undefined vector that gcc flags
+      // with -Wmaybe-uninitialized.
+      const __m512d d2 = _mm512_maskz_max_pd(
+          kAllLanes, _mm512_fmadd_pd(dx, dx, _mm512_mul_pd(dy, dy)), vmin);
+      __m512d h = _mm512_maskz_rsqrt14_pd(kAllLanes, d2);
       // Two Newton refinements: h <- h * (1.5 - 0.5 * d2 * h * h).
       __m512d hh = _mm512_mul_pd(h, h);
       h = _mm512_mul_pd(
@@ -219,7 +261,7 @@ Engine::Engine(const Network& net, Options options)
       pure_path_loss_ = static_cast<const PathLossModel*>(&net.propagation());
     }
   }
-  prologue_.is_tx.assign(net.size(), 0);
+  is_tx_.assign(net.size(), 0);
   if (grid_) {
     prologue_.tx_start.assign(
         static_cast<std::size_t>(grid_->tile_count()) + 1, 0);
@@ -339,30 +381,29 @@ void Engine::StepInto(std::span<const std::size_t> transmitters,
                       std::span<const std::size_t> listeners,
                       std::vector<Reception>& out) const {
   DCC_TRACE_SPAN("engine.round");
-  static obs::Counter& rounds_metric = obs::MetricsRegistry::Global().GetCounter(
-      "dcc_engine_rounds_total", "SINR rounds stepped");
-  static obs::Counter& receptions_metric =
-      obs::MetricsRegistry::Global().GetCounter(
-          "dcc_engine_receptions_total", "Receptions resolved across rounds");
-  rounds_metric.Add(1);
   ++stats_.rounds;
   stats_.transmissions += static_cast<std::int64_t>(transmitters.size());
   out.clear();
   if (transmitters.empty() || listeners.empty()) return;
   if (net_->positions_version() != positions_version_) FollowPositions();
   StampReach(transmitters);
+  for (const std::size_t v : transmitters) is_tx_[v] = 1;
   const int shards = ShardsFor(listeners.size());
   if (mode_ == Mode::kGrid) {
     StepGrid(transmitters, listeners, shards, out);
   } else {
     StepExact(transmitters, listeners, shards, out);
   }
+  for (const std::size_t v : transmitters) is_tx_[v] = 0;
   stats_.receptions += static_cast<std::int64_t>(out.size());
-  receptions_metric.Add(static_cast<std::int64_t>(out.size()));
 }
 
 void Engine::AddStatsToMetrics() const {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  static obs::Counter& rounds =
+      reg.GetCounter("dcc_engine_rounds_total", "SINR rounds stepped");
+  static obs::Counter& receptions = reg.GetCounter(
+      "dcc_engine_receptions_total", "Receptions resolved across rounds");
   static obs::Counter& dispatched = reg.GetCounter(
       "dcc_engine_rounds_dispatched_total",
       "SINR rounds dispatched across engine shards");
@@ -372,6 +413,8 @@ void Engine::AddStatsToMetrics() const {
   static obs::Counter& tile_states = reg.GetCounter(
       "dcc_engine_tile_states_total",
       "Far-field listener-tile states built by grid round prologues");
+  rounds.Add(stats_.rounds);
+  receptions.Add(stats_.receptions);
   dispatched.Add(stats_.parallel_rounds);
   under_grain.Add(stats_.parallel_small_rounds);
   tile_states.Add(stats_.tile_states_computed);
@@ -401,9 +444,7 @@ void Engine::BuildPrologue(std::span<const std::size_t> tx,
   } else {
     std::fill(P.tx_start.begin(), P.tx_start.end(), 0);
   }
-  if (P.is_tx.size() < net.size()) P.is_tx.resize(net.size(), 0);
   for (const std::size_t v : tx) {
-    P.is_tx[v] = 1;
     ++P.tx_start[static_cast<std::size_t>(grid.TileOfPoint(v)) + 1];
   }
   P.occupied_tx.clear();
@@ -526,27 +567,72 @@ void Engine::BuildTileState(std::span<const std::size_t> listeners) const {
   }
 }
 
-std::optional<Reception> Engine::ResolveExact(
-    std::size_t u, std::span<const std::size_t> transmitters) const {
+template <typename Emit>
+void Engine::ResolveExact(std::span<const std::size_t> transmitters,
+                          std::span<const std::size_t> listeners,
+                          ExactLanes& L, const Emit& emit) const {
   const Network& net = *net_;
-  double total = 0.0;
-  double best = -1.0;
-  std::size_t best_tx = 0;
-  for (const std::size_t v : transmitters) {
-    DCC_CHECK(v != u);  // a transmitter cannot listen
-    const double g = net.Gain(v, u);
-    total += g;
-    if (g > best) {
-      best = g;
-      best_tx = v;
+  const std::size_t count = listeners.size();
+  if (L.node.size() < count) {
+    L.node.resize(count);
+    L.total.resize(count);
+    L.best.resize(count);
+    L.best_k.resize(count);
+    L.sinr.resize(count);
+    L.hit.resize(count);
+  }
+
+  // Step 1: the in-reach listeners, in listener order, become the lanes.
+  // Every listener is checked, in reach or not.
+  std::size_t m = 0;
+  bool listening_tx = false;
+  for (const std::size_t u : listeners) {
+    listening_tx |= is_tx_[u] != 0;
+    L.node[m] = static_cast<std::uint32_t>(u);
+    m += InReach(u) ? 1 : 0;
+  }
+  DCC_CHECK(!listening_tx);  // a transmitter cannot listen
+  if (m == 0) return;
+  std::fill_n(L.total.begin(), m, 0.0);
+  std::fill_n(L.best.begin(), m, -1.0);
+  std::fill_n(L.best_k.begin(), m, std::size_t{0});
+
+  // Step 2: each transmitter's gains at the lanes, in call order.
+  if (net.GainRow(transmitters.front()) != nullptr) {
+    L.rows.resize(transmitters.size());
+    for (std::size_t k = 0; k < transmitters.size(); ++k) {
+      L.rows[k] = net.GainRow(transmitters[k]);
+    }
+    AddGainRows(L.rows.data(), transmitters.size(), L.node.data(), m,
+                L.total.data(), L.best.data(), L.best_k.data());
+  } else {
+    for (std::size_t k = 0; k < transmitters.size(); ++k) {
+      const std::size_t v = transmitters[k];
+      for (std::size_t j = 0; j < m; ++j) {
+        const double g = net.Gain(v, L.node[j]);
+        L.total[j] += g;
+        if (g > L.best[j]) {
+          L.best[j] = g;
+          L.best_k[j] = k;
+        }
+      }
     }
   }
-  const double interference = total - best;
-  const double sinr = best / (net.params().noise + interference);
-  if (sinr >= net.params().beta) {
-    return Reception{u, best_tx, sinr};
+
+  // Step 3: every lane's SINR; the lanes that clear beta, gathered without
+  // a branch per lane, emit in listener order.
+  LaneSinr(L.total.data(), L.best.data(), m, net.params().noise,
+           L.sinr.data());
+  const double beta = net.params().beta;
+  std::size_t hits = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    L.hit[hits] = static_cast<std::uint32_t>(j);
+    hits += L.sinr[j] >= beta ? 1 : 0;
   }
-  return std::nullopt;
+  for (std::size_t h = 0; h < hits; ++h) {
+    const std::size_t j = L.hit[h];
+    emit(Reception{L.node[j], transmitters[L.best_k[j]], L.sinr[j]});
+  }
 }
 
 template <typename Resolve>
@@ -565,25 +651,23 @@ void Engine::RunShards(int shards, std::size_t n_listen, const Resolve& resolve,
 void Engine::StepExact(std::span<const std::size_t> transmitters,
                        std::span<const std::size_t> listeners, int shards,
                        std::vector<Reception>& out) const {
-  // A listener out of reach cannot receive. A transmitter is in its own
-  // reach, so ResolveExact still checks that no transmitter listens.
   if (shards == 1) {
-    for (const std::size_t u : listeners) {
-      if (!InReach(u)) continue;
-      if (auto r = ResolveExact(u, transmitters)) out.push_back(*r);
-    }
+    ResolveExact(transmitters, listeners, scratch_[0].exact,
+                 [&](const Reception& r) { out.push_back(r); });
     return;
   }
   RunShards(
       shards, listeners.size(),
       [&](std::size_t lo, std::size_t hi, RoundScratch& s) {
+        // The kernel emits in listener order, at most one reception per
+        // listener of [lo, hi), so lo, lo + 1, ... order this shard's
+        // receptions among every shard's for the merge.
         s.pending.clear();
-        for (std::size_t ord = lo; ord < hi; ++ord) {
-          if (!InReach(listeners[ord])) continue;
-          if (auto r = ResolveExact(listeners[ord], transmitters)) {
-            s.pending.emplace_back(static_cast<std::uint32_t>(ord), *r);
-          }
-        }
+        auto ordinal = static_cast<std::uint32_t>(lo);
+        ResolveExact(transmitters, listeners.subspan(lo, hi - lo), s.exact,
+                     [&](const Reception& r) {
+                       s.pending.emplace_back(ordinal++, r);
+                     });
       },
       out);
 }
@@ -695,10 +779,11 @@ void Engine::ResolveFallbacksBlocked(
         const double sinr = best / (noise + all - best);
         if (std::abs(sinr - beta) <= beta * kThresholdRecheck) {
           // Too close to beta to trust the vectorized kernel's last ulps
-          // (see kThresholdRecheck): re-resolve with the scalar kernel.
-          if (auto rec = ResolveExact(r.u, transmitters)) {
-            s.pending.emplace_back(r.ordinal, *rec);
-          }
+          // (see kThresholdRecheck): re-resolve with the exact kernel.
+          ResolveExact(transmitters, std::span(&r.u, 1), s.exact,
+                       [&](const Reception& rec) {
+                         s.pending.emplace_back(r.ordinal, rec);
+                       });
         } else if (sinr >= beta) {
           s.pending.emplace_back(r.ordinal, Reception{r.u, best_v, sinr});
         }
@@ -745,7 +830,7 @@ void Engine::StepGridRange(const RoundPrologue& P,
     const auto ordinal = all_listeners ? static_cast<std::uint32_t>(k)
                                        : ordinals[k];
     const std::size_t u = listeners[ordinal];
-    DCC_CHECK(!P.is_tx[u]);  // a transmitter cannot listen
+    DCC_CHECK(!is_tx_[u]);  // a transmitter cannot listen
     if (!InReach(u)) {  // stage 1 would prune it (engine.h)
       ++s.pruned;
       continue;
@@ -829,8 +914,11 @@ void Engine::StepGridRange(const RoundPrologue& P,
     if (pure_path_loss_ != nullptr) {
       s.fallback.push_back(GridFallback{static_cast<std::uint32_t>(tile_u),
                                         ordinal, u, close_sum, best, best_v});
-    } else if (auto r = ResolveExact(u, transmitters)) {
-      s.pending.emplace_back(ordinal, *r);
+    } else {
+      ResolveExact(transmitters, listeners.subspan(ordinal, 1), s.exact,
+                   [&](const Reception& r) {
+                     s.pending.emplace_back(ordinal, r);
+                   });
     }
   }
 
@@ -887,8 +975,6 @@ void Engine::StepGrid(std::span<const std::size_t> transmitters,
         },
         out);
   }
-
-  for (const std::size_t v : transmitters) prologue_.is_tx[v] = 0;
 }
 
 }  // namespace dcc::sinr

@@ -8,7 +8,17 @@
 // Two interference resolution strategies, both resolving only the
 // listeners within some transmitter's reception reach (below):
 //  * kExact — brute force O(|T|) per listener within reach. The semantic
-//    reference and test oracle.
+//    reference and test oracle. One transmitter-major kernel
+//    (ResolveExact) does every exact resolution: it collects the in-reach
+//    listeners in listener order, adds each transmitter's gains at them
+//    (gathered from its row of the dense gain matrix, or from
+//    Network::Gain above the matrix limit) into per-listener sums, in the
+//    order the round lists its transmitters, then computes every SINR in
+//    one pass. Its order rules keep every bit of the per-listener
+//    definition: a listener's sum starts from 0.0 + g and adds its gains
+//    in transmitter order; its strongest transmitter changes only on a
+//    strictly larger gain, so the first maximal one wins; and the kernel
+//    multiplies nothing, so no clone contracts an FMA.
 //  * kGrid — a uniform spatial index (common/spatial_grid.h) buckets the
 //    round's transmitters into tiles. Near-field tiles are scanned exactly;
 //    mid- and far-field tiles contribute conservative interference bounds
@@ -33,7 +43,9 @@
 // the nodes within r of it (itself included) as a CSR, and each round
 // stamps its transmitters' reach into a per-node mark; an unmarked
 // listener is skipped without a gain evaluation, after the
-// transmitter-cannot-listen check. The skip is invisible outside timing:
+// transmitter-cannot-listen check (in kExact, the kernel's first step:
+// every listener is checked, and only the marked ones become its lanes,
+// still in listener order). The skip is invisible outside timing:
 // the 1e-6 margin dwarfs the rounding of every gain and bound, so such a
 // listener never clears beta in kExact, and in kGrid, where r must not
 // exceed the near radius (>= 2) for the reach to be used, its stage-1
@@ -203,11 +215,13 @@ class Engine {
   // Counters accumulate through const Steps (they are diagnostics, not
   // logical state), so resetting them is const as well.
   void ResetStats() const { stats_ = {}; }
-  // Adds parallel_rounds, parallel_small_rounds and tile_states_computed
-  // to the process metrics registry, beside dcc_engine_rounds_total:
+  // Adds rounds, receptions, parallel_rounds, parallel_small_rounds and
+  // tile_states_computed to the process metrics registry:
+  // dcc_engine_rounds_total, dcc_engine_receptions_total,
   // dcc_engine_rounds_dispatched_total, dcc_engine_rounds_under_grain_total
   // and dcc_engine_tile_states_total. The scenario runners call it once
-  // per run, so no round pays for it.
+  // per run that returns, so no round pays for it and a run that throws
+  // adds nothing to any of the five.
   void AddStatsToMetrics() const;
 
  private:
@@ -229,7 +243,6 @@ class Engine {
   // shard workers share it.
   struct RoundPrologue {
     // Transmitter index: CSR over tiles, positions in CSR order.
-    std::vector<char> is_tx;  // per-node transmitter marks (cleared per round)
     std::vector<std::size_t> tx_start;    // CSR offsets per tile
     std::vector<std::size_t> tx_fill;     // scatter cursors
     std::vector<std::size_t> tx_members;  // transmitters by tile
@@ -256,13 +269,26 @@ class Engine {
     std::vector<std::uint32_t> order;
   };
 
+  // The exact kernel's lanes (ResolveExact): one entry per in-reach
+  // listener of the call, in listener order.
+  struct ExactLanes {
+    std::vector<std::uint32_t> node;  // the listener
+    std::vector<double> total;        // gains summed so far...
+    std::vector<double> best;         // ...the strongest of them...
+    std::vector<std::size_t> best_k;  // ...and its transmitter's position
+    std::vector<double> sinr;
+    std::vector<std::uint32_t> hit;   // the lanes whose SINR clears beta
+    std::vector<const double*> rows;  // the transmitters' gain rows
+  };
+
   // One worker's whole mutable state for one round: the deferred-fallback
-  // queue and the (ordinal, Reception) pairs it produced (shards read the
-  // per-listener-tile far-field state from the prologue, they never build
-  // it). Serial rounds use scratch_[0]; a K-shard round uses
-  // scratch_[0..K) with no sharing, which is what makes the fan-out
-  // race-free by construction.
+  // queue, the exact kernel's lanes and the (ordinal, Reception) pairs it
+  // produced (shards read the per-listener-tile far-field state from the
+  // prologue, they never build it). Serial rounds use scratch_[0]; a
+  // K-shard round uses scratch_[0..K) with no sharing, which is what makes
+  // the fan-out race-free by construction.
   struct RoundScratch {
+    ExactLanes exact;
     std::vector<GridFallback> fallback;
     // Receptions tagged with their listener ordinal; sorted by ordinal at
     // the end of a range so the merge is a deterministic concatenation.
@@ -314,11 +340,15 @@ class Engine {
   void StepGrid(std::span<const std::size_t> transmitters,
                 std::span<const std::size_t> listeners, int shards,
                 std::vector<Reception>& out) const;
-  // The exact per-listener inner loop, shared by kExact mode, kGrid's
-  // fallback for models without a devirtualized kernel, and the
-  // near-threshold recheck; returns the reception if SINR clears beta.
-  std::optional<Reception> ResolveExact(
-      std::size_t u, std::span<const std::size_t> transmitters) const;
+  // The exact kernel (kExact, above), shared by kExact rounds and shards,
+  // kGrid's fallback for models without a devirtualized kernel, and the
+  // near-threshold recheck: resolves `listeners` against every transmitter
+  // in the lanes L and calls emit(reception) for each reception, in
+  // listener order.
+  template <typename Emit>
+  void ResolveExact(std::span<const std::size_t> transmitters,
+                    std::span<const std::size_t> listeners, ExactLanes& L,
+                    const Emit& emit) const;
   // Builds prologue_ from (tx, listeners): buckets the transmitters into
   // tiles (CSR, occupied tiles ascending), and — for a `sharded` round —
   // counting-sorts the listener ordinals by tile into prologue_.order.
@@ -344,8 +374,8 @@ class Engine {
   // s.fallback tile by tile, sweeping each tile group's far-field
   // transmitter ranges once per kChunk-listener chunk (kChunk is defined in
   // engine.cc; one AVX-512 register of lanes). Near-threshold SINRs are
-  // re-resolved over `transmitters` with the scalar kernel so the
-  // reception set is host-invariant.
+  // re-resolved over `transmitters` by the exact kernel so the reception
+  // set is host-invariant.
   void ResolveFallbacksBlocked(const RoundPrologue& P,
                                std::span<const std::size_t> transmitters,
                                RoundScratch& s) const;
@@ -368,6 +398,10 @@ class Engine {
   int threads_ = 1;                       // resolved, >= 1
   parallel::WorkerPool* pool_ = nullptr;  // set iff threads_ > 1
   mutable Stats stats_;
+
+  // Per-node marks of the current round's transmitters (set by StepInto,
+  // cleared at the end of the round; both modes).
+  mutable std::vector<char> is_tx_;
 
   // --- Reception reach (both modes). ---
   // Infinity when unused: the envelope never drops below the threshold, or

@@ -84,6 +84,12 @@ class Network {
     return ComputeGain(i, j);
   }
 
+  // Row i of the dense gain matrix: GainRow(i)[j] == Gain(i, j) for every
+  // j. nullptr when the matrix is not kept (n > kGainMatrixLimit).
+  const double* GainRow(std::size_t i) const {
+    return gain_.empty() ? nullptr : gain_.data() + i * pos_.size();
+  }
+
   // The propagation model gains are computed under.
   const PropagationModel& propagation() const { return *model_; }
 

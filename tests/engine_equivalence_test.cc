@@ -117,10 +117,10 @@ std::vector<Reception> BruteForce(const Network& net,
 // the exact engine bit for bit (same arithmetic, same order), the grid
 // engine within ExpectSameReceptions' tolerance (so grid also matches
 // exact within it).
-void ExpectMatchesBruteForce(const Engine& exact, const Engine& grid,
-                             const std::vector<std::size_t>& tx,
-                             const std::vector<std::size_t>& listeners,
-                             const std::string& label) {
+void ExpectRoundMatchesBruteForce(const Engine& exact, const Engine& grid,
+                                  const std::vector<std::size_t>& tx,
+                                  const std::vector<std::size_t>& listeners,
+                                  const std::string& label) {
   const std::vector<Reception> want = BruteForce(exact.net(), tx, listeners);
   const std::vector<Reception> got = exact.Step(tx, listeners);
   ASSERT_EQ(want.size(), got.size()) << label << " exact";
@@ -131,6 +131,29 @@ void ExpectMatchesBruteForce(const Engine& exact, const Engine& grid,
   }
   ExpectSameReceptions(want, grid.Step(tx, listeners), tx.size(),
                        label + " grid");
+}
+
+// The round as given, then three more ways that reach the exact kernel's
+// edges: the listener span reversed (its lanes gather the gain rows in
+// another order), every third listener (other vector tails) and the first
+// transmitter alone.
+void ExpectMatchesBruteForce(const Engine& exact, const Engine& grid,
+                             const std::vector<std::size_t>& tx,
+                             const std::vector<std::size_t>& listeners,
+                             const std::string& label) {
+  ExpectRoundMatchesBruteForce(exact, grid, tx, listeners, label);
+  const std::vector<std::size_t> reversed(listeners.rbegin(),
+                                          listeners.rend());
+  ExpectRoundMatchesBruteForce(exact, grid, tx, reversed,
+                               label + " reversed");
+  std::vector<std::size_t> third;
+  for (std::size_t i = 0; i < listeners.size(); i += 3) {
+    third.push_back(listeners[i]);
+  }
+  ExpectRoundMatchesBruteForce(exact, grid, tx, third, label + " every third");
+  ASSERT_FALSE(tx.empty()) << label;
+  ExpectRoundMatchesBruteForce(exact, grid, {tx.front()}, listeners,
+                               label + " one transmitter");
 }
 
 class EngineEquivalence : public ::testing::TestWithParam<Scenario> {};
@@ -328,6 +351,41 @@ TEST(EngineEquivalenceTest, ExactModeHasIdenticalLegacyBehavior) {
     ASSERT_EQ(recs.size(), 2u);
     EXPECT_EQ(recs[0].listener, 1u);
     EXPECT_EQ(recs[1].listener, 2u);
+  }
+}
+
+// A transmitter cannot listen: a listener span that holds one aborts the
+// round, serial or sharded, in kExact with and without the dense gain
+// matrix and in kGrid.
+TEST(EngineEquivalenceDeathTest, TransmitterInListenerSpanAborts) {
+  // The engines below run pool threads, which fork() would not copy.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Params params = Params::Default();
+  params.id_space = 1 << 16;
+  const Network with_matrix = Network::WithSequentialIds(
+      workload::UniformSquare(200, 14.0, 5), params);
+  const Network without_matrix = Network::WithSequentialIds(
+      workload::UniformSquare(2100, 46.0, 5), params);
+  ASSERT_NE(with_matrix.GainRow(0), nullptr);
+  ASSERT_EQ(without_matrix.GainRow(0), nullptr);
+  struct Case {
+    const char* label;
+    const Network& net;
+    Engine::Mode mode;
+  };
+  for (const Case& c : {Case{"exact", with_matrix, Engine::Mode::kExact},
+                        Case{"exact without matrix", without_matrix,
+                             Engine::Mode::kExact},
+                        Case{"grid", with_matrix, Engine::Mode::kGrid}}) {
+    std::vector<std::size_t> tx, listeners;
+    SplitTxListeners(c.net.size(), 4, tx, listeners);
+    listeners.push_back(tx[tx.size() / 2]);
+    for (const int threads : {1, 3}) {
+      const Engine eng(c.net, {.mode = c.mode, .threads = threads});
+      ASSERT_EQ(eng.threads(), threads);
+      EXPECT_DEATH(eng.Step(tx, listeners), "DCC_CHECK failed")
+          << c.label << " threads=" << threads;
+    }
   }
 }
 

@@ -146,6 +146,27 @@ TEST(ReceptionPinsTest, ClusteringGridEngine) {
   ExpectPinned("uniform:n=48,side=3.06", "clustering", "grid", kClustering);
 }
 
+// The engine's registry counters: one run adds the clustering pins' engine
+// rounds and receptions, serial and sharded alike.
+TEST(ReceptionPinsTest, EngineRoundAndReceptionCounters) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  obs::Counter& rounds = reg.GetCounter("dcc_engine_rounds_total", "");
+  obs::Counter& receptions = reg.GetCounter("dcc_engine_receptions_total", "");
+  for (const char* threads : {"--threads=1", "--threads=2"}) {
+    const ScenarioSpec spec = ScenarioSpec::FromArgs(
+        {"--topology=uniform:n=48,side=3.06", "--algo=clustering",
+         "--engine=exact", threads});
+    const std::int64_t rounds_before = rounds.value();
+    const std::int64_t receptions_before = receptions.value();
+    const RunReport rep = RunScenario(spec, /*seed=*/1);
+    ASSERT_TRUE(rep.ok) << threads << ": " << rep.error;
+    EXPECT_EQ(rounds.value() - rounds_before, kClustering.engine_rounds)
+        << threads;
+    EXPECT_EQ(receptions.value() - receptions_before, kClustering.receptions)
+        << threads;
+  }
+}
+
 TEST(ReceptionPinsTest, GlobalBroadcast) {
   ExpectPinned("connected_uniform:n=64,side=3.54", "global_broadcast", "auto",
                {686138, 51868, 76063, 655497, 0x4822c28536a7e2b6ull});
