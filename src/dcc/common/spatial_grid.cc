@@ -9,22 +9,6 @@
 
 namespace dcc {
 
-namespace {
-
-// Squared distance from x to the interval [lo, hi], per axis.
-inline double AxisGapSq(double x, double lo, double hi) {
-  const double g = x < lo ? lo - x : (x > hi ? x - hi : 0.0);
-  return g * g;
-}
-
-// Max |x - q| over q in [lo, hi].
-inline double AxisFarSq(double x, double lo, double hi) {
-  const double g = std::max(std::abs(x - lo), std::abs(x - hi));
-  return g * g;
-}
-
-}  // namespace
-
 SpatialGrid::SpatialGrid(std::span<const Vec2> pts, double cell)
     : cell_(cell), inv_cell_(1.0 / cell) {
   DCC_REQUIRE(cell > 0.0, "SpatialGrid: cell must be > 0");
@@ -71,18 +55,6 @@ void SpatialGrid::Retile(std::span<const Vec2> pts) {
     CheckCovered(pts[i]);
     tile_of_point_[i] = TileAt(pts[i]);
   }
-}
-
-double SpatialGrid::DistLoSq(Vec2 p, int tile) const {
-  const int gx = tile % nx_, gy = tile / nx_;
-  const double bx = lo_x_ + gx * cell_, by = lo_y_ + gy * cell_;
-  return AxisGapSq(p.x, bx, bx + cell_) + AxisGapSq(p.y, by, by + cell_);
-}
-
-double SpatialGrid::DistHiSq(Vec2 p, int tile) const {
-  const int gx = tile % nx_, gy = tile / nx_;
-  const double bx = lo_x_ + gx * cell_, by = lo_y_ + gy * cell_;
-  return AxisFarSq(p.x, bx, bx + cell_) + AxisFarSq(p.y, by, by + cell_);
 }
 
 double SpatialGrid::TileDistLoSq(int a, int b) const {

@@ -18,6 +18,7 @@
 // constructors and Retile reject positions outside the coverage area.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <span>
@@ -52,9 +53,18 @@ class SpatialGrid {
 
   // Squared distance bounds from a position to a tile's closed bounding
   // box: DistLoSq <= |p - q|^2 <= DistHiSq for every q in the tile box (and
-  // hence for every point in the tile).
-  double DistLoSq(Vec2 p, int tile) const;
-  double DistHiSq(Vec2 p, int tile) const;
+  // hence for every point in the tile). Defined here so the grid engine's
+  // calls, one per (listener, close tile), inline.
+  double DistLoSq(Vec2 p, int tile) const {
+    const int gx = tile % nx_, gy = tile / nx_;
+    const double bx = lo_x_ + gx * cell_, by = lo_y_ + gy * cell_;
+    return AxisGapSq(p.x, bx, bx + cell_) + AxisGapSq(p.y, by, by + cell_);
+  }
+  double DistHiSq(Vec2 p, int tile) const {
+    const int gx = tile % nx_, gy = tile / nx_;
+    const double bx = lo_x_ + gx * cell_, by = lo_y_ + gy * cell_;
+    return AxisFarSq(p.x, bx, bx + cell_) + AxisFarSq(p.y, by, by + cell_);
+  }
 
   // Squared distance bounds between two tiles' bounding boxes: for every p
   // in tile a's box and q in tile b's box,
@@ -75,6 +85,18 @@ class SpatialGrid {
 
  private:
   void InitTiles(std::span<const Vec2> pts, const Box& coverage);
+
+  // Squared distance from x to the interval [lo, hi], per axis.
+  static double AxisGapSq(double x, double lo, double hi) {
+    const double g = x < lo ? lo - x : (x > hi ? x - hi : 0.0);
+    return g * g;
+  }
+
+  // Max |x - q|^2 over q in [lo, hi].
+  static double AxisFarSq(double x, double lo, double hi) {
+    const double g = std::max(std::abs(x - lo), std::abs(x - hi));
+    return g * g;
+  }
 
   // Tile containing a position (clamped into the grid). The reciprocal
   // multiply instead of dividing by cell_ can only shift a boundary point

@@ -389,7 +389,8 @@ void Engine::StepInto(std::span<const std::size_t> transmitters,
   StampReach(transmitters);
   for (const std::size_t v : transmitters) is_tx_[v] = 1;
   const int shards = ShardsFor(listeners.size());
-  if (mode_ == Mode::kGrid) {
+  // One rule per round; engine.h gives the sweep behind the cutover.
+  if (mode_ == Mode::kGrid && transmitters.size() > kExactMaxTransmitters) {
     StepGrid(transmitters, listeners, shards, out);
   } else {
     StepExact(transmitters, listeners, shards, out);

@@ -19,8 +19,11 @@
 //    in transmitter order; its strongest transmitter changes only on a
 //    strictly larger gain, so the first maximal one wins; and the kernel
 //    multiplies nothing, so no clone contracts an FMA.
-//  * kGrid — a uniform spatial index (common/spatial_grid.h) buckets the
-//    round's transmitters into tiles. Near-field tiles are scanned exactly;
+//  * kGrid — rounds of at most kExactMaxTransmitters transmitters run the
+//    exact kernel above, SINR bits and all (see "One rule per round"
+//    below). A larger round is resolved by the grid path: a uniform
+//    spatial index (common/spatial_grid.h) buckets the round's
+//    transmitters into tiles. Near-field tiles are scanned exactly;
 //    mid- and far-field tiles contribute conservative interference bounds
 //    through the propagation model's distance envelope. The bounds prune
 //    listeners whose best-case SINR cannot clear beta (the common case in
@@ -34,6 +37,14 @@
 // kAuto picks kExact while the network still carries its dense gain matrix
 // (n <= Network::kGainMatrixLimit) and kGrid above that size.
 //
+// --- One rule per round ---
+// StepInto picks the resolution once per round from the round's own
+// transmitter count |T|: at most kExactMaxTransmitters runs StepExact in
+// every mode; only a kGrid round with more builds the prologue and runs
+// the bounds, the fallback and the pyramid. The paper's clustering runs
+// 10^5-10^6 rounds of a few transmitters each, and on those the grid
+// path's per-round index costs more than the O(|T|) sweep it saves.
+//
 // --- Reception reach ---
 // Every reception has a gain of at least beta * noise (SINR <= gain /
 // noise), so no listener farther than the reach radius r from every
@@ -43,16 +54,16 @@
 // the nodes within r of it (itself included) as a CSR, and each round
 // stamps its transmitters' reach into a per-node mark; an unmarked
 // listener is skipped without a gain evaluation, after the
-// transmitter-cannot-listen check (in kExact, the kernel's first step:
+// transmitter-cannot-listen check (in the exact kernel, its first step:
 // every listener is checked, and only the marked ones become its lanes,
 // still in listener order). The skip is invisible outside timing:
 // the 1e-6 margin dwarfs the rounding of every gain and bound, so such a
-// listener never clears beta in kExact, and in kGrid, where r must not
-// exceed the near radius (>= 2) for the reach to be used, its stage-1
-// bounds already prune it, so it is counted in Stats::grid_pruned as
-// before. The reach is not built when r covers the whole network or the
-// CSR would exceed max(64 n, 2^22) entries (never for n <= 2048); every
-// listener is then resolved.
+// listener never clears beta in the exact kernel, and on kGrid's grid
+// path, where r must not exceed the near radius (>= 2) for the reach to
+// be used, its stage-1 bounds already prune it, so it is counted in
+// Stats::grid_pruned as before. The reach is not built when r covers the
+// whole network or the CSR would exceed max(64 n, 2^22) entries (never for
+// n <= 2048); every listener is then resolved.
 //
 // --- Moving nodes ---
 // Engines follow Network::SetPositions by themselves: the first StepInto
@@ -66,24 +77,25 @@
 // Either strategy can run one round across K shards on the process-wide
 // parallel::WorkerPool, and both cut it one way: shard k resolves the equal
 // slice [n*k/K, n*(k+1)/K) of one order of the round's n listeners — the
-// call order in exact mode, the listeners stably sorted by tile in grid
-// mode (so a shard's batched fallback groups stay full). Every worker reads
-// the whole read-only round state (the "halo" by reference) and owns its
-// whole scratch, and the fallback's lanes are independent accumulators, so
-// a listener's reception is a pure function of (listener, round state):
-// with the merge emitting receptions in listener order, any cut gives the
-// reception set AND every SINR bit of serial execution. Rounds below
-// kMinListenersPerShard * K listeners run serially (the dispatch would
-// cost more than the round). Nested engines (inside a sweep job) dispatch
-// too: idle pool workers steal their shard tickets, so the tail of a sweep
-// donates its freed threads to the runs still going.
+// call order for the exact kernel, the listeners stably sorted by tile on
+// the grid path (so a shard's batched fallback groups stay full). Every
+// worker reads the whole read-only round state (the "halo" by reference)
+// and owns its whole scratch, and the fallback's lanes are independent
+// accumulators, so a listener's reception is a pure function of
+// (listener, round state): with the merge emitting receptions in listener
+// order, any cut gives the reception set AND every SINR bit of serial
+// execution. Rounds below kMinListenersPerShard * K listeners run serially
+// (the dispatch would cost more than the round). Nested engines (inside a
+// sweep job) dispatch too: idle pool workers steal their shard tickets, so
+// the tail of a sweep donates its freed threads to the runs still going.
 //
-// --- One grid round ---
-// A grid round is three stages: BuildPrologue (the transmitter CSR by
-// tile, the tile-sorted listener order of a dispatched round, and the
-// hoisted per-listener-tile far-field state, all collected in the single
-// RoundPrologue member), then the shard fan-out (StepGridRange per shard,
-// reading the prologue), then the merge into listener order.
+// --- One grid-path round ---
+// A round the grid path resolves is three stages: BuildPrologue (the
+// transmitter CSR by tile, the tile-sorted listener order of a dispatched
+// round, and the hoisted per-listener-tile far-field state, all collected
+// in the single RoundPrologue member), then the shard fan-out
+// (StepGridRange per shard, reading the prologue), then the merge into
+// listener order.
 #pragma once
 
 #include <cstddef>
@@ -115,7 +127,8 @@ class Engine {
   enum class Mode {
     kAuto,   // kExact up to the dense-gain-matrix limit, kGrid beyond
     kExact,  // brute-force oracle
-    kGrid,   // spatial-index pruning + exact fallback
+    kGrid,   // spatial-index pruning + exact fallback above
+             // kExactMaxTransmitters, the exact kernel up to it
   };
 
   // Listener grain: a round with fewer than kMinListenersPerShard * K
@@ -125,6 +138,22 @@ class Engine {
   // overhead for rounds too small to amortize it, while larger grains
   // start serializing mid-sized rounds.
   static constexpr std::size_t kMinListenersPerShard = 8;
+
+  // Resolution cutover: a round of at most this many transmitters runs the
+  // exact kernel in every mode; only a larger kGrid round takes the grid
+  // path. Set by a sweep of StepInto per round, kGrid's grid path against
+  // kExact (random |T|-subsets, the other nodes listening, best of 5 per
+  // subset, mean of 5 subsets; 4-core Xeon, avx512f, gcc 12.2, Release).
+  // With the dense gain matrix (n = 1024 at side 5, n = 2048 at sides 7
+  // and 20) the exact kernel won at every |T| up to 512, by 3.3-19x.
+  // Without the matrix it won at |T| = 64 on every network: n = 4096,
+  // 2547 vs 3761 us at side 5 and 598 vs 946 us at side 28; n = 16384,
+  // where no reach is built, 10384 vs 18839 us at side 10 and 712 vs
+  // 1109 us at side 56. At |T| = 128 its lead shrank to 3-11% on three of
+  // those four (4630 vs 4770 us at n = 4096, side 5, where another sweep
+  // had the grid ahead), and the grid won all four at |T| = 256 or 512.
+  // 64 keeps a margin below every crossover measured.
+  static constexpr std::size_t kExactMaxTransmitters = 64;
 
   struct Options {
     Mode mode = Mode::kAuto;
@@ -196,8 +225,10 @@ class Engine {
     std::int64_t rounds = 0;
     std::int64_t transmissions = 0;
     std::int64_t receptions = 0;
-    // Grid mode only: listeners rejected by interference bounds alone vs
-    // listeners resolved by the exact fallback loop.
+    // Grid mode only, and only the rounds the grid path resolves (more
+    // than kExactMaxTransmitters transmitters): listeners rejected by
+    // interference bounds alone vs listeners resolved by the exact fallback
+    // loop.
     std::int64_t grid_pruned = 0;
     std::int64_t grid_exact_fallbacks = 0;
     // Parallel engines only (threads() > 1): rounds dispatched across
@@ -207,8 +238,9 @@ class Engine {
     std::int64_t parallel_rounds = 0;
     std::int64_t parallel_small_rounds = 0;
     // Per-listener-tile far-field states computed by prologue builds (one
-    // per distinct listener tile per grid round; a tile whose listeners
-    // span two shards is computed once, not once per shard).
+    // per distinct listener tile per round the grid path resolves; a tile
+    // whose listeners span two shards is computed once, not once per
+    // shard).
     std::int64_t tile_states_computed = 0;
   };
   const Stats& stats() const { return stats_; }

@@ -3,8 +3,10 @@
 // networks with and without shadowing, across transmitter densities and
 // forced tile sizes. Both modes skip listeners beyond every transmitter's
 // reception reach, so both are also checked against a test-local brute
-// force that resolves every listener from Network::Gain. Also pins down
-// that Engine::Stats counters survived the layered-engine refactor.
+// force that resolves every listener from Network::Gain. A kGrid round of
+// at most Engine::kExactMaxTransmitters transmitters runs the exact kernel,
+// so every case also has a round above that for the grid path. Also pins
+// down that Engine::Stats counters survived the layered-engine refactor.
 #include "dcc/sinr/engine.h"
 
 #include <gtest/gtest.h>
@@ -67,6 +69,17 @@ void SplitTxListeners(std::size_t n, std::int64_t period,
   }
 }
 
+void ExpectBitIdentical(const std::vector<Reception>& want,
+                        const std::vector<Reception>& got,
+                        const std::string& label) {
+  ASSERT_EQ(want.size(), got.size()) << label;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(want[k].listener, got[k].listener) << label << " k=" << k;
+    EXPECT_EQ(want[k].sender, got[k].sender) << label << " k=" << k;
+    EXPECT_EQ(want[k].sinr, got[k].sinr) << label << " k=" << k;
+  }
+}
+
 void ExpectSameReceptions(const std::vector<Reception>& exact,
                           const std::vector<Reception>& grid,
                           std::size_t n_tx, const std::string& label) {
@@ -114,23 +127,27 @@ std::vector<Reception> BruteForce(const Network& net,
 }
 
 // Checks one round of an exact and a grid engine against the brute force:
-// the exact engine bit for bit (same arithmetic, same order), the grid
-// engine within ExpectSameReceptions' tolerance (so grid also matches
-// exact within it).
+// the exact engine bit for bit (same arithmetic, same order). The grid
+// engine runs the exact kernel on a round of at most
+// Engine::kExactMaxTransmitters transmitters, so it matches bit for bit
+// too; a larger round takes its grid path, which builds tile states, and
+// matches within ExpectSameReceptions' tolerance.
 void ExpectRoundMatchesBruteForce(const Engine& exact, const Engine& grid,
                                   const std::vector<std::size_t>& tx,
                                   const std::vector<std::size_t>& listeners,
                                   const std::string& label) {
   const std::vector<Reception> want = BruteForce(exact.net(), tx, listeners);
-  const std::vector<Reception> got = exact.Step(tx, listeners);
-  ASSERT_EQ(want.size(), got.size()) << label << " exact";
-  for (std::size_t k = 0; k < want.size(); ++k) {
-    EXPECT_EQ(want[k].listener, got[k].listener) << label << " k=" << k;
-    EXPECT_EQ(want[k].sender, got[k].sender) << label << " k=" << k;
-    EXPECT_EQ(want[k].sinr, got[k].sinr) << label << " k=" << k;
+  ExpectBitIdentical(want, exact.Step(tx, listeners), label + " exact");
+  const std::int64_t tile_states = grid.stats().tile_states_computed;
+  const std::vector<Reception> got = grid.Step(tx, listeners);
+  const bool grid_path = tx.size() > Engine::kExactMaxTransmitters;
+  EXPECT_EQ(grid.stats().tile_states_computed > tile_states, grid_path)
+      << label << " |T|=" << tx.size();
+  if (grid_path) {
+    ExpectSameReceptions(want, got, tx.size(), label + " grid");
+  } else {
+    ExpectBitIdentical(want, got, label + " grid");
   }
-  ExpectSameReceptions(want, grid.Step(tx, listeners), tx.size(),
-                       label + " grid");
 }
 
 // The round as given, then three more ways that reach the exact kernel's
@@ -186,6 +203,13 @@ TEST_P(EngineEquivalence, GridReproducesExactReceptions) {
   // And on a second, sparser round with the same engines (scratch reuse).
   SplitTxListeners(net.size(), 4 * sc.tx_period, tx, listeners);
   ExpectMatchesBruteForce(exact, grid, tx, listeners, label + " round2");
+
+  // And on a crowded round, the complement split: every third node listens
+  // and the rest transmit, more than Engine::kExactMaxTransmitters on every
+  // network here, so the grid engine resolves it on its grid path.
+  SplitTxListeners(net.size(), 3, listeners, tx);
+  ASSERT_GT(tx.size(), Engine::kExactMaxTransmitters);
+  ExpectMatchesBruteForce(exact, grid, tx, listeners, label + " crowded");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -236,6 +260,10 @@ TEST(EngineEquivalenceTest, TheoryModelEquivalence) {
   std::vector<std::size_t> tx, listeners;
   SplitTxListeners(net.size(), 4, tx, listeners);
   ExpectMatchesBruteForce(exact, grid, tx, listeners, "theory");
+  // The complement split, crowded enough for the grid path.
+  SplitTxListeners(net.size(), 3, listeners, tx);
+  ASSERT_GT(tx.size(), Engine::kExactMaxTransmitters);
+  ExpectMatchesBruteForce(exact, grid, tx, listeners, "theory crowded");
 }
 
 TEST(EngineEquivalenceTest, ReachKeepsEveryReceivableListener) {
@@ -243,7 +271,9 @@ TEST(EngineEquivalenceTest, ReachKeepsEveryReceivableListener) {
   // 0.80, 0.81, ..., 1.40, which spans the edge of reception under the
   // paper's range, a larger power (range ~1.3), shadowed gains (up to
   // 1.5x, range ~1.14) and the truncated theory model: a reach even 2%
-  // short drops receptions the brute force keeps.
+  // short drops receptions the brute force keeps. The same rings are also
+  // heard with 61 more transmitters in a block about 40 away, a round of 65
+  // that the grid engine resolves on its grid path, reach included.
   std::vector<Vec2> pts;
   std::vector<std::size_t> tx, listeners;
   for (const Vec2 c : {Vec2{0, 0}, Vec2{10, 0}, Vec2{0, 10}, Vec2{10, 10}}) {
@@ -256,6 +286,12 @@ TEST(EngineEquivalenceTest, ReachKeepsEveryReceivableListener) {
       pts.push_back({c.x + d * std::cos(angle), c.y + d * std::sin(angle)});
     }
   }
+  std::vector<std::size_t> crowd = tx;
+  for (int k = 0; k < 61; ++k) {
+    crowd.push_back(pts.size());
+    pts.push_back({40.0 + 0.5 * (k % 8), 40.0 + 0.5 * (k / 8)});
+  }
+  ASSERT_EQ(crowd.size(), Engine::kExactMaxTransmitters + 1);
   std::vector<NodeId> ids(pts.size());
   for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<NodeId>(i + 1);
   Params strong = Params::Default();
@@ -270,12 +306,18 @@ TEST(EngineEquivalenceTest, ReachKeepsEveryReceivableListener) {
     const Engine exact(net, {.mode = Engine::Mode::kExact});
     const Engine grid(net, {.mode = Engine::Mode::kGrid, .cell = 1.0});
     ExpectMatchesBruteForce(exact, grid, tx, listeners, label);
-    // Not vacuous: some reception lands in the outer 5% of the range.
+    ExpectMatchesBruteForce(exact, grid, crowd, listeners, label + " crowd");
+    // Not vacuous: in both rounds some reception lands in the outer 5% of
+    // the range.
     const double range = net.params().TransmissionRange();
-    const auto recs = BruteForce(net, tx, listeners);
-    EXPECT_TRUE(std::any_of(recs.begin(), recs.end(), [&](const Reception& r) {
-      return net.Distance(r.sender, r.listener) > 0.95 * range;
-    })) << label;
+    for (const auto* round : {&tx, &crowd}) {
+      const auto recs = BruteForce(net, *round, listeners);
+      EXPECT_TRUE(
+          std::any_of(recs.begin(), recs.end(), [&](const Reception& r) {
+            return net.Distance(r.sender, r.listener) > 0.95 * range;
+          }))
+          << label << " |T|=" << round->size();
+    }
   }
 }
 
@@ -329,11 +371,53 @@ TEST(EngineEquivalenceTest, StatsCountersSurviveRefactor) {
     EXPECT_EQ(eng.stats().receptions, 0);
   }
 
-  // Grid mode accounts every listener as either pruned or exact-resolved.
+  // Grid mode accounts every listener of a round its grid path resolves
+  // (more than kExactMaxTransmitters transmitters) as either pruned or
+  // exact-resolved; a smaller round runs the exact kernel and counts
+  // neither.
   Engine grid(net, {.mode = Engine::Mode::kGrid});
   std::vector<std::size_t> tx, listeners;
   SplitTxListeners(net.size(), 5, tx, listeners);
+  ASSERT_LE(tx.size(), Engine::kExactMaxTransmitters);
   grid.Step(tx, listeners);
+  EXPECT_EQ(grid.stats().grid_pruned, 0);
+  EXPECT_EQ(grid.stats().grid_exact_fallbacks, 0);
+  SplitTxListeners(net.size(), 2, tx, listeners);
+  ASSERT_GT(tx.size(), Engine::kExactMaxTransmitters);
+  grid.Step(tx, listeners);
+  EXPECT_EQ(grid.stats().grid_pruned + grid.stats().grid_exact_fallbacks,
+            static_cast<std::int64_t>(listeners.size()));
+}
+
+TEST(EngineEquivalenceTest, GridRunsTheExactKernelUpToTheCutover) {
+  // One rule per round: a kGrid round of kExactMaxTransmitters
+  // transmitters is resolved by the exact kernel, every SINR bit included,
+  // and leaves the three grid counters alone; one more transmitter takes
+  // the grid path.
+  Params params = Params::Default();
+  params.id_space = 1 << 16;
+  const Network net = Network::WithSequentialIds(
+      workload::UniformSquare(300, 14.0, 61), params);
+  const Engine exact(net, {.mode = Engine::Mode::kExact});
+  const Engine grid(net, {.mode = Engine::Mode::kGrid});
+  std::vector<std::size_t> tx, listeners;
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    (i < Engine::kExactMaxTransmitters ? tx : listeners).push_back(i);
+  }
+  const std::vector<Reception> want = exact.Step(tx, listeners);
+  ASSERT_FALSE(want.empty());
+  ExpectBitIdentical(want, grid.Step(tx, listeners), "64");
+  EXPECT_EQ(grid.stats().grid_pruned, 0);
+  EXPECT_EQ(grid.stats().grid_exact_fallbacks, 0);
+  EXPECT_EQ(grid.stats().tile_states_computed, 0);
+
+  tx.push_back(listeners.front());
+  listeners.erase(listeners.begin());
+  ASSERT_EQ(tx.size(), Engine::kExactMaxTransmitters + 1);
+  const std::vector<Reception> brute = BruteForce(net, tx, listeners);
+  ASSERT_FALSE(brute.empty());
+  ExpectSameReceptions(brute, grid.Step(tx, listeners), tx.size(), "65");
+  EXPECT_GT(grid.stats().tile_states_computed, 0);
   EXPECT_EQ(grid.stats().grid_pruned + grid.stats().grid_exact_fallbacks,
             static_cast<std::int64_t>(listeners.size()));
 }
@@ -356,7 +440,8 @@ TEST(EngineEquivalenceTest, ExactModeHasIdenticalLegacyBehavior) {
 
 // A transmitter cannot listen: a listener span that holds one aborts the
 // round, serial or sharded, in kExact with and without the dense gain
-// matrix and in kGrid.
+// matrix and on kGrid's grid path (a round of more than
+// kExactMaxTransmitters transmitters).
 TEST(EngineEquivalenceDeathTest, TransmitterInListenerSpanAborts) {
   // The engines below run pool threads, which fork() would not copy.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
@@ -372,13 +457,14 @@ TEST(EngineEquivalenceDeathTest, TransmitterInListenerSpanAborts) {
     const char* label;
     const Network& net;
     Engine::Mode mode;
+    std::int64_t tx_period;
   };
-  for (const Case& c : {Case{"exact", with_matrix, Engine::Mode::kExact},
+  for (const Case& c : {Case{"exact", with_matrix, Engine::Mode::kExact, 4},
                         Case{"exact without matrix", without_matrix,
-                             Engine::Mode::kExact},
-                        Case{"grid", with_matrix, Engine::Mode::kGrid}}) {
+                             Engine::Mode::kExact, 4},
+                        Case{"grid", with_matrix, Engine::Mode::kGrid, 2}}) {
     std::vector<std::size_t> tx, listeners;
-    SplitTxListeners(c.net.size(), 4, tx, listeners);
+    SplitTxListeners(c.net.size(), c.tx_period, tx, listeners);
     listeners.push_back(tx[tx.size() / 2]);
     for (const int threads : {1, 3}) {
       const Engine eng(c.net, {.mode = c.mode, .threads = threads});

@@ -326,18 +326,21 @@ TEST(ParallelEngineTest, SmallRoundsFallBackToSerialExecution) {
 TEST(ParallelEngineTest, SingleTileGridRoundDispatchesBitIdentically) {
   // cell >= side leaves one tile: shards cut the listener order, not the
   // tiles, so the round is dispatched under the same listener grain as an
-  // exact round and still produces serial results.
-  const Network net = MakeUniformNet(128, 4.0, 0.0, 21);
+  // exact round and still produces serial results. Its 75 transmitters
+  // (more than kExactMaxTransmitters) put it on the grid path.
+  const Network net = MakeUniformNet(300, 4.0, 0.0, 21);
   Engine::Options opts{.mode = Engine::Mode::kGrid, .cell = 8.0};
   opts.threads = 4;
   const Engine par(net, opts);
   const Engine serial(net, {.mode = Engine::Mode::kGrid, .cell = 8.0});
   std::vector<std::size_t> tx, listeners;
   SplitTxListeners(net.size(), 4, tx, listeners);
+  ASSERT_GT(tx.size(), Engine::kExactMaxTransmitters);
   ExpectBitIdentical(serial.Step(tx, listeners), par.Step(tx, listeners),
                      "one tile");
   EXPECT_EQ(par.stats().parallel_rounds, 1);
   EXPECT_EQ(par.stats().parallel_small_rounds, 0);
+  EXPECT_EQ(par.stats().tile_states_computed, 1);
 }
 
 TEST(ParallelEngineTest, SweepTailDonatesIdleWorkersToNestedEngines) {
@@ -398,8 +401,9 @@ std::int64_t EngineCounter(const char* name) {
 
 TEST(ParallelScenarioTest, ParallelRunReportsSectionAndIdenticalMetrics) {
   // What the decomposition did is reported through the metrics registry:
-  // a serial run dispatches no round, a sharded one does, and only grid
-  // rounds build tile-state prologues. Not one report metric changes.
+  // a serial run dispatches no round, a sharded one does, and only rounds
+  // the grid path resolves build tile-state prologues. Not one report
+  // metric changes.
   const char* kDispatched = "dcc_engine_rounds_dispatched_total";
   const char* kTileStates = "dcc_engine_tile_states_total";
   for (const Engine::Mode mode : {Engine::Mode::kExact, Engine::Mode::kGrid}) {
@@ -422,11 +426,9 @@ TEST(ParallelScenarioTest, ParallelRunReportsSectionAndIdenticalMetrics) {
     const scenario::RunReport par = RunScenario(spec, 1);
     ASSERT_TRUE(par.ok) << label << ": " << par.error;
     EXPECT_GT(EngineCounter(kDispatched), dispatched) << label;
-    if (mode == Engine::Mode::kGrid) {
-      EXPECT_GT(EngineCounter(kTileStates), tile_states) << label;
-    } else {
-      EXPECT_EQ(EngineCounter(kTileStates), tile_states) << label;
-    }
+    // n = 40: no round has more than Engine::kExactMaxTransmitters
+    // transmitters, so the grid engine runs only the exact kernel too.
+    EXPECT_EQ(EngineCounter(kTileStates), tile_states) << label;
     ASSERT_EQ(serial.metrics.entries().size(), par.metrics.entries().size())
         << label;
     for (std::size_t i = 0; i < serial.metrics.entries().size(); ++i) {
@@ -434,6 +436,17 @@ TEST(ParallelScenarioTest, ParallelRunReportsSectionAndIdenticalMetrics) {
           << label;
     }
   }
+
+  // Decay on a 24 x 24 lattice has rounds of more than
+  // kExactMaxTransmitters transmitters, which the sharded grid engine
+  // resolves on its grid path.
+  const auto decay = scenario::ScenarioSpec::FromArgs(
+      {"--topology=grid:rows=24,cols=24,pitch=0.442", "--algo=decay_global",
+       "--engine=grid", "--threads=3"});
+  const std::int64_t tile_states = EngineCounter(kTileStates);
+  const scenario::RunReport rep = RunScenario(decay, 1);
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_GT(EngineCounter(kTileStates), tile_states);
 }
 
 TEST(ParallelScenarioTest, SweepOccupyingThePoolStillShardsItsEngines) {

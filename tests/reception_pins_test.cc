@@ -190,7 +190,10 @@ TEST(ReceptionPinsTest, DynamicWalkWithChurn) {
     EXPECT_EQ(rep.metrics.Get("rounds_total"), 1237716) << threads;
     EXPECT_EQ(rep.metrics.Get("joined_total"), 5) << threads;
     EXPECT_EQ(rep.metrics.Get("left_total"), 16) << threads;
-    EXPECT_EQ(tile_states.value() - tile_states_before, 2849849) << threads;
+    // No round of this n = 32 spec has more than
+    // Engine::kExactMaxTransmitters transmitters, so the grid engine
+    // resolves every one with the exact kernel and builds no tile state.
+    EXPECT_EQ(tile_states.value() - tile_states_before, 0) << threads;
     std::string json;
     EXPECT_EQ(ReportHash(rep, json), 0x2e80e4d15d3a3ba6ull)
         << threads << ": " << json;
