@@ -39,13 +39,38 @@ Box BoundingBox(std::span<const Vec2> pts) {
   return b;
 }
 
-PointGrid::PointGrid(std::span<const Vec2> pts, double cell)
-    : pts_(pts.begin(), pts.end()), cell_(cell) {
+PointGrid::PointGrid(std::span<const Vec2> pts, double cell) {
   DCC_REQUIRE(cell > 0, "PointGrid: cell size must be positive");
-  cells_.reserve(pts_.size());
-  for (std::size_t i = 0; i < pts_.size(); ++i) {
-    const auto [gx, gy] = CellOf(pts_[i]);
-    cells_[Key(gx, gy)].push_back(i);
+  DCC_REQUIRE(pts.size() <= std::numeric_limits<std::uint32_t>::max(),
+              "PointGrid: more than 2^32 - 1 points");
+  const std::size_t n = pts.size();
+  const Box box = BoundingBox(pts);
+  lo_ = box.lo;
+  const double wx = box.hi.x - box.lo.x;
+  const double wy = box.hi.y - box.lo.y;
+  const double nd = static_cast<double>(std::max<std::size_t>(n, 1));
+  inv_side_ = 1.0 / std::max({cell, std::sqrt(wx * wy / nd),
+                              std::max(wx, wy) / nd});
+  // The far edge's cell, clamped: the side keeps it at most n per axis.
+  nx_ = CellOn(box.hi.x, lo_.x, n + 1) + 1;
+  ny_ = CellOn(box.hi.y, lo_.y, n + 1) + 1;
+
+  // Counting sort by cell. The scatter runs backwards, so each cell keeps
+  // ascending indices and cell_start_[c] ends at the start of cell c.
+  const auto cell_of = [&](Vec2 p) {
+    return CellOn(p.y, lo_.y, ny_) * nx_ + CellOn(p.x, lo_.x, nx_);
+  };
+  cell_start_.assign(nx_ * ny_ + 1, 0);
+  for (const Vec2& p : pts) ++cell_start_[cell_of(p)];
+  for (std::size_t c = 1; c < cell_start_.size(); ++c) {
+    cell_start_[c] += cell_start_[c - 1];
+  }
+  index_.resize(n);
+  pts_.resize(n);
+  for (std::size_t i = n; i-- > 0;) {
+    const std::uint32_t k = --cell_start_[cell_of(pts[i])];
+    index_[k] = static_cast<std::uint32_t>(i);
+    pts_[k] = pts[i];
   }
 }
 

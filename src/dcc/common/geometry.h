@@ -17,8 +17,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "dcc/common/types.h"
@@ -64,48 +62,63 @@ struct Box {
 };
 Box BoundingBox(std::span<const Vec2> pts);
 
-// Uniform grid over a point set for O(1)-neighborhood queries. Cell size is
-// chosen by the caller (typically 1.0: the transmission range).
+// The index behind every radius query over a fixed point set: the
+// communication graph, the density Gamma and the SINR engine's reception
+// reach. Square cells, row-major over the points' bounding box, hold the
+// points as a CSR: counting-sorted by cell, ascending index within a cell.
+// The side is at least `cell` (callers pass the radius they query, so a
+// query visits about a 3x3 block) and at least sqrt(wx * wy / n) and
+// max(wx, wy) / n for a wx-by-wy box, which keeps the cell count at most
+// 3n + 1 however sparse the set.
 class PointGrid {
  public:
+  // At most 2^32 - 1 points; `cell` > 0.
   PointGrid(std::span<const Vec2> pts, double cell);
 
-  // Indices of points within distance `radius` of `p` (inclusive).
+  // Indices of points within distance `radius` of `p` (inclusive), sorted.
   std::vector<std::size_t> Near(Vec2 p, double radius) const;
 
   // The number of points within `radius` of `p`.
   int CountNear(Vec2 p, double radius) const;
 
-  // Calls `fn(index)` for every point within `radius` of `p`.
+  // Calls `fn(index)` for every point q with Dist2(q, p) <= radius^2 +
+  // 1e-12, in no particular order. Each row of the visited block of cells
+  // is one contiguous range of the CSR.
   template <typename Fn>
   void ForNear(Vec2 p, double radius, Fn&& fn) const {
-    const int span = static_cast<int>(std::ceil(radius / cell_)) + 1;
-    const auto [cx, cy] = CellOf(p);
-    const double r2 = radius * radius;
-    for (int gx = cx - span; gx <= cx + span; ++gx) {
-      for (int gy = cy - span; gy <= cy + span; ++gy) {
-        const auto it = cells_.find(Key(gx, gy));
-        if (it == cells_.end()) continue;
-        for (std::size_t j : it->second) {
-          if (Dist2(pts_[j], p) <= r2 + 1e-12) fn(j);
-        }
+    const double r2 = radius * radius + 1e-12;
+    // The block covers [p - rho, p + rho] on each axis. Rounding can leave
+    // a point that passes the test below a few ulps beyond sqrt(r2) on
+    // one axis; the relative pad covers that.
+    const double rho = std::sqrt(r2) * (1.0 + 1e-12);
+    const std::size_t x0 = CellOn(p.x - rho, lo_.x, nx_);
+    const std::size_t x1 = CellOn(p.x + rho, lo_.x, nx_);
+    const std::size_t y1 = CellOn(p.y + rho, lo_.y, ny_);
+    for (std::size_t y = CellOn(p.y - rho, lo_.y, ny_); y <= y1; ++y) {
+      const std::uint32_t* row = cell_start_.data() + y * nx_;
+      for (std::uint32_t k = row[x0]; k < row[x1 + 1]; ++k) {
+        if (Dist2(pts_[k], p) <= r2) fn(std::size_t{index_[k]});
       }
     }
   }
 
  private:
-  std::pair<int, int> CellOf(Vec2 p) const {
-    return {static_cast<int>(std::floor(p.x / cell_)),
-            static_cast<int>(std::floor(p.y / cell_))};
-  }
-  static std::int64_t Key(int gx, int gy) {
-    return (static_cast<std::int64_t>(gx) << 32) ^
-           (static_cast<std::int64_t>(gy) & 0xffffffffll);
+  // The cell of coordinate v on an axis of `cells` cells from `lo`,
+  // clamped (NaN lands in cell 0). Monotone in v, which is all a query
+  // needs to find every point its block covers.
+  std::size_t CellOn(double v, double lo, std::size_t cells) const {
+    const double t = (v - lo) * inv_side_;
+    if (!(t >= 1.0)) return 0;
+    return t >= static_cast<double>(cells - 1) ? cells - 1
+                                                : static_cast<std::size_t>(t);
   }
 
-  std::vector<Vec2> pts_;
-  double cell_;
-  std::unordered_map<std::int64_t, std::vector<std::size_t>> cells_;
+  Vec2 lo_;
+  double inv_side_ = 1.0;
+  std::size_t nx_ = 1, ny_ = 1;
+  std::vector<std::uint32_t> cell_start_;  // CSR offsets, nx_ * ny_ + 1
+  std::vector<std::uint32_t> index_;       // point indices by cell
+  std::vector<Vec2> pts_;                  // the points, in index_ order
 };
 
 // Density of a point set: the maximum number of points inside any unit ball

@@ -1,9 +1,10 @@
 // Uniform spatial grid over a point set: the tiling the SINR engine's
 // per-round tile sweeps run on.
 //
-// Unlike PointGrid (geometry.h), which hashes sparse cells for one-off
-// radius queries, SpatialGrid is built over the simulator's node positions
-// and keeps only what the grid engine reads:
+// Unlike PointGrid (geometry.h), the cell CSR behind every radius query
+// (the communication graph, Gamma and the engine's reception reach),
+// SpatialGrid is a fixed tiling that keeps only what the grid engine's
+// round sweeps read:
 //  * O(1) point -> tile lookup (one stored tile per point);
 //  * conservative distance bounds between a point (or tile) and a tile's
 //    bounding box, used to bound per-tile interference contributions.

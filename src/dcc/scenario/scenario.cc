@@ -52,9 +52,13 @@ sinr::Network BuildScenarioNetwork(const ScenarioSpec& spec,
   ParamMap topo_params = spec.topology_params;
   auto pts = topo(topo_params, spec.sinr, seed);
   topo_params.CheckAllConsumed("topology '" + spec.topology + "'");
-  return workload::MakeNetwork(std::move(pts), spec.sinr,
-                               spec.id_seed.value_or(seed + 1),
-                               spec.shadowing);
+  sinr::Network net = workload::MakeNetwork(std::move(pts), spec.sinr,
+                                            spec.id_seed.value_or(seed + 1),
+                                            spec.shadowing);
+  // The graph's first build writes the network; after it, runs that share
+  // the network only read it.
+  net.CommGraph();
+  return net;
 }
 
 RunReport RunScenario(const ScenarioSpec& spec, std::uint64_t seed) {

@@ -21,12 +21,14 @@ RunReport RunScenario(const ScenarioSpec& spec, std::uint64_t seed);
 // The two halves of a static RunScenario, split so the service layer can
 // reuse one generated network across every request that shares it
 // (src/dcc/service): BuildScenarioNetwork resolves the topology and builds
-// the network — the expensive, algorithm-independent prefix (it throws on
-// bad specs); RunScenarioOnNetwork runs the algorithm half against a
-// prebuilt network it never mutates, so concurrent runs may share one
-// instance (it never throws — failures land in the report). The network
-// must come from BuildScenarioNetwork on a spec whose topology/sinr/
-// shadowing/id_seed coordinates match, under the same seed.
+// the network, communication graph included — the expensive,
+// algorithm-independent prefix (it throws on bad specs); RunScenarioOnNetwork
+// runs the algorithm half against a prebuilt network it never writes, so
+// concurrent runs may share one instance (it never throws — failures land
+// in the report). The network must come from BuildScenarioNetwork on a spec
+// whose topology/sinr/shadowing/id_seed coordinates match, under the same
+// seed: a network built otherwise may still have to build its graph on
+// first use (sinr::Network::CommGraph), which is a write.
 sinr::Network BuildScenarioNetwork(const ScenarioSpec& spec,
                                    std::uint64_t seed);
 RunReport RunScenarioOnNetwork(const ScenarioSpec& spec, std::uint64_t seed,

@@ -304,51 +304,18 @@ void Engine::BuildReach() const {
   const double diag2 = wx * wx + wy * wy;
   if (!std::isfinite(diag2) || r2 >= diag2) return;  // nothing to skip
 
-  // Cells of side >= r hold a node's reach in its 3x3 block; the other two
-  // terms keep the cell count under 3n + 1.
-  const double nd = static_cast<double>(n);
-  const double side = std::max(
-      {reach_radius_, std::sqrt(wx * wy / nd), std::max(wx, wy) / nd});
-  const std::size_t nx = static_cast<std::size_t>(wx / side) + 1;
-  const std::size_t ny = static_cast<std::size_t>(wy / side) + 1;
-  const auto axis = [&](double v, double lo, std::size_t cells) {
-    return std::min(cells - 1, static_cast<std::size_t>((v - lo) / side));
-  };
-  // Counting sort by cell (ascending index within a cell), so each row of
-  // a 3x3 block is one contiguous range of by_cell.
-  R.cell_start.assign(nx * ny + 1, 0);
-  R.cell_of.resize(n);
-  R.by_cell.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t c =
-        axis(pos[i].y, box.lo.y, ny) * nx + axis(pos[i].x, box.lo.x, nx);
-    R.cell_of[i] = static_cast<std::uint32_t>(c);
-    ++R.cell_start[c];
-  }
-  for (std::size_t c = 1; c < R.cell_start.size(); ++c) {
-    R.cell_start[c] += R.cell_start[c - 1];
-  }
-  for (std::size_t i = n; i-- > 0;) {
-    R.by_cell[--R.cell_start[R.cell_of[i]]] = static_cast<std::uint32_t>(i);
-  }
-
+  // PointGrid's rule, d^2 <= r^2 + 1e-12, also admits the nodes just
+  // beyond r; they are still beyond the reach, so marking them changes
+  // nothing (engine.h, "Reception reach").
+  const PointGrid grid(pos, reach_radius_);
   const std::size_t cap = std::max(kReachEntriesPerNode * n, kMinReachEntries);
   R.start.resize(n + 1);
   R.members.clear();
   for (std::size_t u = 0; u < n; ++u) {
     R.start[u] = R.members.size();
-    const std::size_t cx = R.cell_of[u] % nx;
-    const std::size_t cy = R.cell_of[u] / nx;
-    const std::size_t x0 = cx == 0 ? 0 : cx - 1;
-    const std::size_t x1 = std::min(cx + 1, nx - 1);
-    for (std::size_t y = cy == 0 ? 0 : cy - 1; y <= std::min(cy + 1, ny - 1);
-         ++y) {
-      for (std::size_t k = R.cell_start[y * nx + x0];
-           k < R.cell_start[y * nx + x1 + 1]; ++k) {
-        const std::uint32_t w = R.by_cell[k];
-        if (Dist2(pos[u], pos[w]) <= r2) R.members.push_back(w);
-      }
-    }
+    grid.ForNear(pos[u], reach_radius_, [&](std::size_t w) {
+      R.members.push_back(static_cast<std::uint32_t>(w));
+    });
     if (R.members.size() > cap) return;
   }
   R.start[n] = R.members.size();
@@ -431,8 +398,7 @@ int Engine::ShardsFor(std::size_t n_listen) const {
 }
 
 void Engine::BuildPrologue(std::span<const std::size_t> tx,
-                           std::span<const std::size_t> listeners,
-                           bool sharded) const {
+                           std::span<const std::size_t> listeners) const {
   DCC_TRACE_SPAN("engine.prologue");
   RoundPrologue& P = prologue_;
   const Network& net = *net_;
@@ -466,21 +432,18 @@ void Engine::BuildPrologue(std::span<const std::size_t> tx,
     P.tx_sy[slot] = p.y;
   }
 
-  if (sharded) {
-    // Stable counting sort of the listener ordinals by tile; O(tiles + n).
-    P.order_fill.assign(tiles + 1, 0);
-    for (const std::size_t u : listeners) {
-      ++P.order_fill[static_cast<std::size_t>(grid.TileOfPoint(u)) + 1];
-    }
-    for (std::size_t t = 1; t < P.order_fill.size(); ++t) {
-      P.order_fill[t] += P.order_fill[t - 1];
-    }
-    P.order.resize(listeners.size());
-    for (std::size_t ord = 0; ord < listeners.size(); ++ord) {
-      P.order[P.order_fill[static_cast<std::size_t>(
-          grid.TileOfPoint(listeners[ord]))]++] =
-          static_cast<std::uint32_t>(ord);
-    }
+  // Stable counting sort of the listener ordinals by tile; O(tiles + n).
+  P.order_fill.assign(tiles + 1, 0);
+  for (const std::size_t u : listeners) {
+    ++P.order_fill[static_cast<std::size_t>(grid.TileOfPoint(u)) + 1];
+  }
+  for (std::size_t t = 1; t < P.order_fill.size(); ++t) {
+    P.order_fill[t] += P.order_fill[t - 1];
+  }
+  P.order.resize(listeners.size());
+  for (std::size_t ord = 0; ord < listeners.size(); ++ord) {
+    P.order[P.order_fill[static_cast<std::size_t>(
+        grid.TileOfPoint(listeners[ord]))]++] = static_cast<std::uint32_t>(ord);
   }
 
   BuildTileState(listeners);
@@ -639,13 +602,17 @@ void Engine::ResolveExact(std::span<const std::size_t> transmitters,
 template <typename Resolve>
 void Engine::RunShards(int shards, std::size_t n_listen, const Resolve& resolve,
                        std::vector<Reception>& out) const {
-  EnsureScratch(shards);
-  ++stats_.parallel_rounds;
-  const auto k_shards = static_cast<std::size_t>(shards);
-  pool_->Run(k_shards, [&](std::size_t k) {
-    resolve(n_listen * k / k_shards, n_listen * (k + 1) / k_shards,
-            scratch_[k]);
-  });
+  if (shards == 1) {
+    resolve(0, n_listen, scratch_[0]);
+  } else {
+    EnsureScratch(shards);
+    ++stats_.parallel_rounds;
+    const auto k_shards = static_cast<std::size_t>(shards);
+    pool_->Run(k_shards, [&](std::size_t k) {
+      resolve(n_listen * k / k_shards, n_listen * (k + 1) / k_shards,
+              scratch_[k]);
+    });
+  }
   MergeShards(shards, out);
 }
 
@@ -797,7 +764,6 @@ void Engine::ResolveFallbacksBlocked(
 void Engine::StepGridRange(const RoundPrologue& P,
                            std::span<const std::size_t> transmitters,
                            std::span<const std::size_t> listeners,
-                           bool all_listeners,
                            std::span<const std::uint32_t> ordinals,
                            RoundScratch& s) const {
   DCC_TRACE_SPAN("engine.shard");
@@ -825,11 +791,7 @@ void Engine::StepGridRange(const RoundPrologue& P,
   };
   const double near_sq = near_radius_ * near_radius_;
 
-  const std::size_t count = all_listeners ? listeners.size()
-                                          : ordinals.size();
-  for (std::size_t k = 0; k < count; ++k) {
-    const auto ordinal = all_listeners ? static_cast<std::uint32_t>(k)
-                                       : ordinals[k];
+  for (const std::uint32_t ordinal : ordinals) {
     const std::size_t u = listeners[ordinal];
     DCC_CHECK(!is_tx_[u]);  // a transmitter cannot listen
     if (!InReach(u)) {  // stage 1 would prune it (engine.h)
@@ -933,7 +895,8 @@ void Engine::StepGridRange(const RoundPrologue& P,
 void Engine::MergeShards(int shards, std::vector<Reception>& out) const {
   DCC_TRACE_SPAN("engine.merge");
   // Shard-ordered concatenation; ordinals are globally unique, so one sort
-  // restores the exact serial (listener-order) output.
+  // restores the exact serial (listener-order) output, and one shard's are
+  // already in that order.
   merge_.clear();
   for (int k = 0; k < shards; ++k) {
     RoundScratch& s = scratch_[static_cast<std::size_t>(k)];
@@ -943,8 +906,10 @@ void Engine::MergeShards(int shards, std::vector<Reception>& out) const {
     s.pruned = 0;
     s.exact_fallbacks = 0;
   }
-  std::sort(merge_.begin(), merge_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  if (shards > 1) {
+    std::sort(merge_.begin(), merge_.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+  }
   for (const auto& [ordinal, rec] : merge_) {
     out.push_back(rec);
   }
@@ -953,29 +918,16 @@ void Engine::MergeShards(int shards, std::vector<Reception>& out) const {
 void Engine::StepGrid(std::span<const std::size_t> transmitters,
                       std::span<const std::size_t> listeners, int shards,
                       std::vector<Reception>& out) const {
-  BuildPrologue(transmitters, listeners, shards > 1);
+  BuildPrologue(transmitters, listeners);
   const RoundPrologue& P = prologue_;
   stats_.tile_states_computed += static_cast<std::int64_t>(P.lt_tiles.size());
-
-  if (shards == 1) {
-    RoundScratch& s = scratch_[0];
-    StepGridRange(P, transmitters, listeners, /*all_listeners=*/true, {}, s);
-    stats_.grid_pruned += s.pruned;
-    stats_.grid_exact_fallbacks += s.exact_fallbacks;
-    s.pruned = 0;
-    s.exact_fallbacks = 0;
-    for (const auto& [ordinal, rec] : s.pending) {
-      out.push_back(rec);
-    }
-  } else {
-    RunShards(
-        shards, listeners.size(),
-        [&](std::size_t lo, std::size_t hi, RoundScratch& s) {
-          StepGridRange(P, transmitters, listeners, /*all_listeners=*/false,
-                        std::span(P.order).subspan(lo, hi - lo), s);
-        },
-        out);
-  }
+  RunShards(
+      shards, listeners.size(),
+      [&](std::size_t lo, std::size_t hi, RoundScratch& s) {
+        StepGridRange(P, transmitters, listeners,
+                      std::span(P.order).subspan(lo, hi - lo), s);
+      },
+      out);
 }
 
 }  // namespace dcc::sinr

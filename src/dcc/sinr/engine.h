@@ -51,18 +51,21 @@
 // transmitter can receive: r is the smallest distance (to bisection
 // precision) with PropagationModel::MaxGain(r) < beta * noise * (1 - 1e-6),
 // about 1 at the paper's P = N * beta. Each engine keeps, for every node,
-// the nodes within r of it (itself included) as a CSR, and each round
+// the nodes within r of it (itself included) as a CSR, built by one
+// PointGrid::ForNear query per node (common/geometry.h), and each round
 // stamps its transmitters' reach into a per-node mark; an unmarked
 // listener is skipped without a gain evaluation, after the
 // transmitter-cannot-listen check (in the exact kernel, its first step:
 // every listener is checked, and only the marked ones become its lanes,
 // still in listener order). The skip is invisible outside timing:
-// the 1e-6 margin dwarfs the rounding of every gain and bound, so such a
-// listener never clears beta in the exact kernel, and on kGrid's grid
-// path, where r must not exceed the near radius (>= 2) for the reach to
-// be used, its stage-1 bounds already prune it, so it is counted in
-// Stats::grid_pruned as before. The reach is not built when r covers the
-// whole network or the CSR would exceed max(64 n, 2^22) entries (never for
+// the 1e-6 margin dwarfs the rounding of every gain and bound, so a
+// listener beyond r never clears beta in the exact kernel, and on kGrid's
+// grid path, where r must not exceed the near radius (>= 2) for the reach
+// to be used, its stage-1 bounds already prune it, so it is counted in
+// Stats::grid_pruned either way. That also covers the nodes the query's
+// rule (d^2 <= r^2 + 1e-12) marks just beyond r: they are resolved and
+// miss beta, or pruned. The reach is not built when r covers the whole
+// network or the CSR would exceed max(64 n, 2^22) entries (never for
 // n <= 2048); every listener is then resolved.
 //
 // --- Moving nodes ---
@@ -78,7 +81,8 @@
 // parallel::WorkerPool, and both cut it one way: shard k resolves the equal
 // slice [n*k/K, n*(k+1)/K) of one order of the round's n listeners — the
 // call order for the exact kernel, the listeners stably sorted by tile on
-// the grid path (so a shard's batched fallback groups stay full). Every
+// the grid path (so a shard's batched fallback groups stay full; a serial
+// grid round walks the same order, as one shard run inline). Every
 // worker reads the whole read-only round state (the "halo" by reference)
 // and owns its whole scratch, and the fallback's lanes are independent
 // accumulators, so a listener's reception is a pure function of
@@ -91,11 +95,11 @@
 //
 // --- One grid-path round ---
 // A round the grid path resolves is three stages: BuildPrologue (the
-// transmitter CSR by tile, the tile-sorted listener order of a dispatched
-// round, and the hoisted per-listener-tile far-field state, all collected
-// in the single RoundPrologue member), then the shard fan-out
-// (StepGridRange per shard, reading the prologue), then the merge into
-// listener order.
+// transmitter CSR by tile, the tile-sorted listener order, and the
+// hoisted per-listener-tile far-field state, all collected in the single
+// RoundPrologue member), then the shard fan-out (StepGridRange per shard,
+// reading the prologue; a serial round is one shard, run inline), then
+// the merge into listener order.
 #pragma once
 
 #include <cstddef>
@@ -295,8 +299,8 @@ class Engine {
     std::vector<std::uint32_t> tile_close_end;
     std::vector<int> close_pool;
 
-    // Listener ordinals stably sorted by tile, the order shards cut into
-    // equal slices (only filled for dispatched rounds).
+    // Listener ordinals stably sorted by tile: the order every grid round
+    // walks, and shards cut into equal slices.
     std::vector<std::uint32_t> order_fill;  // scatter cursors per tile
     std::vector<std::uint32_t> order;
   };
@@ -341,19 +345,15 @@ class Engine {
     std::vector<std::uint32_t> members;  // the nodes within reach, by node
     std::vector<std::uint32_t> mark;     // == stamp: in reach this round
     std::uint32_t stamp = 0;
-    // Build scratch: the nodes counting-sorted by cell.
-    std::vector<std::uint32_t> cell_of;
-    std::vector<std::uint32_t> cell_start;
-    std::vector<std::uint32_t> by_cell;
   };
 
   // Re-tiles the grid and rebuilds the reach for the network's current
   // positions (the first StepInto after a SetPositions calls it).
   void FollowPositions() const;
-  // Rebuilds reach_ from the current positions: a counting sort into cells
-  // of side >= reach_radius_, then each node's 3x3 block of cells filtered
-  // by distance. Leaves reach_.on false when no listener could be skipped
-  // or the CSR would outgrow its cap.
+  // Rebuilds reach_ from the current positions: one PointGrid over them
+  // (common/geometry.h, cells of side >= reach_radius_) and one ForNear
+  // query per node. Leaves reach_.on false when no listener could be
+  // skipped or the CSR would outgrow its cap.
   void BuildReach() const;
   // Stamps every transmitter's reach into reach_.mark for this round.
   void StampReach(std::span<const std::size_t> transmitters) const;
@@ -382,24 +382,21 @@ class Engine {
                     std::span<const std::size_t> listeners, ExactLanes& L,
                     const Emit& emit) const;
   // Builds prologue_ from (tx, listeners): buckets the transmitters into
-  // tiles (CSR, occupied tiles ascending), and — for a `sharded` round —
-  // counting-sorts the listener ordinals by tile into prologue_.order.
+  // tiles (CSR, occupied tiles ascending) and counting-sorts the listener
+  // ordinals by tile into prologue_.order.
   void BuildPrologue(std::span<const std::size_t> tx,
-                     std::span<const std::size_t> listeners,
-                     bool sharded) const;
+                     std::span<const std::size_t> listeners) const;
   // The hoisted far-field stage of BuildPrologue: collects the distinct
   // listener tiles and computes each one's far-field bounds + close list,
   // via the pyramid (rounds with >= pyramid_min_occupied occupied tiles)
   // or the flat occupied-tile walk.
   void BuildTileState(std::span<const std::size_t> listeners) const;
-  // Resolves listeners into s.pending, tagged with their ordinal and
-  // ordinal-sorted: all of them when `all_listeners` is set (a whole
-  // serial grid round), else exactly the ones named by `ordinals` (one
-  // shard's slice of prologue_.order). The body of one grid shard worker.
+  // Resolves the listeners named by `ordinals` (one shard's slice of
+  // prologue_.order) into s.pending, tagged with their ordinal and
+  // ordinal-sorted. The body of one grid shard.
   void StepGridRange(const RoundPrologue& P,
                      std::span<const std::size_t> transmitters,
                      std::span<const std::size_t> listeners,
-                     bool all_listeners,
                      std::span<const std::uint32_t> ordinals,
                      RoundScratch& s) const;
   // kGrid's batched exact fallback for the pure path-loss model: resolves
@@ -415,13 +412,15 @@ class Engine {
   void EnsureScratch(int shards) const;
   // The fan-out both modes share: runs resolve(lo, hi, scratch_[k]) for
   // every shard k on the pool, [lo, hi) = [n*k/K, n*(k+1)/K) being shard
-  // k's slice of the round's listener order, then merges into `out`.
+  // k's slice of the round's listener order, then merges into `out`. One
+  // shard runs inline, without the pool (a serial grid round).
   template <typename Resolve>
   void RunShards(int shards, std::size_t n_listen, const Resolve& resolve,
                  std::vector<Reception>& out) const;
   // Concatenates every shard's pending receptions, restores global
-  // listener order, and appends to `out` (allocation-free at steady
-  // state). Folds the shards' counter deltas into stats_.
+  // listener order (one shard's need no sort), and appends to `out`
+  // (allocation-free at steady state). Folds the shards' counter deltas
+  // into stats_.
   void MergeShards(int shards, std::vector<Reception>& out) const;
 
   const Network* net_;

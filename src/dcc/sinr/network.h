@@ -94,6 +94,9 @@ class Network {
   const PropagationModel& propagation() const { return *model_; }
 
   // --- Communication graph: edges {u,v} with d(u,v) <= 1 - eps. ---
+  // Built on first use (this call, MaxDegree, HopDistances, Diameter or
+  // Connected), and that first call writes the network: build it before
+  // threads share the network (scenario::BuildScenarioNetwork does).
   const std::vector<std::vector<std::size_t>>& CommGraph() const;
 
   // Degree of the communication graph (max over nodes).

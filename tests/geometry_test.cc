@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
+
+#include "dcc/common/rng.h"
 
 namespace dcc {
 namespace {
@@ -109,6 +113,116 @@ TEST(PointGridTest, NegativeCoordinates) {
   const PointGrid grid(pts, 1.0);
   EXPECT_EQ(grid.CountNear({-3.65, -2.05}, 0.5), 2);
   EXPECT_EQ(grid.CountNear({4.0, 4.0}, 0.1), 1);
+}
+
+// PointGrid's rule, by brute force: every q with Dist2(q, p) <= r^2 + 1e-12.
+std::vector<std::size_t> BruteNear(const std::vector<Vec2>& pts, Vec2 p,
+                                   double radius) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    if (Dist2(pts[i], p) <= radius * radius + 1e-12) out.push_back(i);
+  }
+  return out;
+}
+
+// Near and CountNear against the brute force, for queries at every point,
+// at random points in and around the bounding box, at its corners and far
+// outside it; radius 0, fractions and multiples of `cell`, a radius
+// covering the whole set, and one that puts a point exactly at distance r.
+void ExpectMatchesBruteForce(const std::vector<Vec2>& pts, double cell,
+                             Xoshiro256ss& rng, const std::string& label) {
+  const PointGrid grid(pts, cell);
+  const Box box = BoundingBox(pts);
+  const double wx = box.hi.x - box.lo.x, wy = box.hi.y - box.lo.y;
+  const double diag = std::sqrt(wx * wx + wy * wy);
+  std::vector<Vec2> queries(pts);
+  queries.push_back(box.lo);
+  queries.push_back(box.hi);
+  queries.push_back({box.lo.x, box.hi.y});
+  queries.push_back({box.hi.x + 5.0 * (wx + 1.0), box.lo.y - 5.0 * (wy + 1.0)});
+  for (int k = 0; k < 40; ++k) {
+    // Even k: inside the box; odd k: up to a box width around it.
+    const double sx = k % 2 == 0 ? 1.0 : 3.0;
+    const double fx = sx * (rng.NextDouble() - 0.5) + 0.5;
+    const double fy = sx * (rng.NextDouble() - 0.5) + 0.5;
+    queries.push_back({box.lo.x + fx * (wx + 1.0), box.lo.y + fy * (wy + 1.0)});
+  }
+  const std::vector<double> radii{0.0,        0.5 * cell, cell,
+                                  2.5 * cell, 2.0 * diag + 1.0};
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    const Vec2 q = queries[qi];
+    std::vector<double> rs = radii;
+    if (!pts.empty()) {
+      rs.push_back(Dist(q, pts[rng.NextBelow(pts.size())]));
+    }
+    for (const double r : rs) {
+      const auto want = BruteNear(pts, q, r);
+      EXPECT_EQ(grid.Near(q, r), want)
+          << label << " query " << qi << " (" << q.x << ", " << q.y
+          << ") r=" << r;
+      EXPECT_EQ(grid.CountNear(q, r), static_cast<int>(want.size()))
+          << label << " query " << qi << " r=" << r;
+    }
+  }
+}
+
+TEST(PointGridTest, MatchesBruteForceOnRandomSets) {
+  Xoshiro256ss rng(26);
+  std::vector<Vec2> uniform;  // negative coordinates too
+  for (int i = 0; i < 300; ++i) {
+    uniform.push_back({-5.0 + 12.0 * rng.NextDouble(),
+                       -3.0 + 12.0 * rng.NextDouble()});
+  }
+  ExpectMatchesBruteForce(uniform, 1.0, rng, "uniform cell=1");
+  ExpectMatchesBruteForce(uniform, 0.3, rng, "uniform cell=0.3");
+  ExpectMatchesBruteForce(uniform, 40.0, rng, "uniform cell=40");
+
+  std::vector<Vec2> duplicates;  // 200 points on 12 distinct spots
+  std::vector<Vec2> spots;
+  for (int i = 0; i < 12; ++i) {
+    spots.push_back({-2.0 + 4.0 * rng.NextDouble(), 4.0 * rng.NextDouble()});
+  }
+  for (int i = 0; i < 200; ++i) {
+    duplicates.push_back(spots[rng.NextBelow(spots.size())]);
+  }
+  ExpectMatchesBruteForce(duplicates, 1.0, rng, "duplicates");
+  ExpectMatchesBruteForce(std::vector<Vec2>(50, Vec2{-1.5, 2.5}), 1.0, rng,
+                          "one spot");
+
+  std::vector<Vec2> slanted, horizontal;  // collinear; the second has wy = 0
+  for (int i = 0; i < 150; ++i) {
+    const double t = -6.0 + 12.0 * rng.NextDouble();
+    slanted.push_back({t, 2.0 * t - 1.0});
+    horizontal.push_back({t, -0.75});
+  }
+  ExpectMatchesBruteForce(slanted, 1.0, rng, "slanted line");
+  ExpectMatchesBruteForce(horizontal, 1.0, rng, "horizontal line");
+
+  // 64 points spread over 20000 x 1: the side comes from max(wx, wy) / n
+  // (about 312), not from the cell, and the cell count from the 3n + 1
+  // clamp.
+  std::vector<Vec2> wide;
+  for (int i = 0; i < 64; ++i) {
+    wide.push_back({-1e4 + 2e4 * rng.NextDouble(), rng.NextDouble()});
+  }
+  ExpectMatchesBruteForce(wide, 1.0, rng, "wide sparse");
+
+  ExpectMatchesBruteForce({}, 1.0, rng, "empty");
+  ExpectMatchesBruteForce({{3.0, -4.0}}, 1.0, rng, "single");
+}
+
+TEST(PointGridTest, RuleBoundaryHoldsAcrossCells) {
+  // A 3-4-5 point exactly at r = 5 is in; one 1e-9 farther is out.
+  const std::vector<Vec2> pts{{0.0, 0.0}, {3.0, 4.0}, {-3.0, -4.0 - 1e-9}};
+  const PointGrid grid(pts, 1.0);
+  EXPECT_EQ(grid.Near({0.0, 0.0}, 5.0), (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(grid.Near({3.0, 4.0}, 0.0), (std::vector<std::size_t>{1}));
+  // Cells of side exactly 1 from x = 0: point 1 lies 1e-13 beyond r, inside
+  // the rule's 1e-12 slack, in the cell just past p.x + r.
+  const std::vector<Vec2> pair{{0.0, 0.0}, {2.0, 0.5}};
+  const PointGrid unit(pair, 1.0);
+  EXPECT_EQ(unit.Near({1.5 - 1e-13, 0.5}, 0.5), (std::vector<std::size_t>{1}));
+  EXPECT_THROW(PointGrid(pts, 0.0), InvalidArgument);
 }
 
 TEST(UnitBallDensityTest, UniformGrid) {

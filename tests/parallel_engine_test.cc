@@ -176,6 +176,7 @@ void ExpectParallelMatchesSerial(const Network& net, Engine::Options base,
   std::vector<Reception> want, got;
   for (const int period : {2, 7}) {
     SplitTxListeners(net.size(), period, tx, listeners);
+    serial.ResetStats();
     serial.StepInto(tx, listeners, want);
     for (const int threads : thread_counts) {
       Engine::Options par_opts = base;
@@ -183,10 +184,16 @@ void ExpectParallelMatchesSerial(const Network& net, Engine::Options base,
       const Engine par(net, par_opts);
       EXPECT_EQ(par.threads(), threads);
       par.StepInto(tx, listeners, got);
-      ExpectBitIdentical(
-          want, got,
-          label + " period=" + std::to_string(period) +
-              " threads=" + std::to_string(threads));
+      const std::string where = label + " period=" + std::to_string(period) +
+                                " threads=" + std::to_string(threads);
+      ExpectBitIdentical(want, got, where);
+      EXPECT_EQ(par.stats().grid_pruned, serial.stats().grid_pruned) << where;
+      EXPECT_EQ(par.stats().grid_exact_fallbacks,
+                serial.stats().grid_exact_fallbacks)
+          << where;
+      EXPECT_EQ(par.stats().tile_states_computed,
+                serial.stats().tile_states_computed)
+          << where;
       if (threads > 1 && !listeners.empty()) {
         EXPECT_GT(par.stats().parallel_rounds, 0)
             << label << ": round was not actually dispatched";

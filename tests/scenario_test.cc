@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -308,6 +309,23 @@ TEST(RunSweepTest, ReportsComeBackInSeedOrder) {
   EXPECT_EQ(runs[1].seed, 2u);
   EXPECT_EQ(runs[2].seed, 7u);
   EXPECT_EQ(runs[3].seed, 4u);
+}
+
+// Runs that share one network (the service's topology cache) only read
+// it: BuildScenarioNetwork builds the communication graph, whose first
+// build is the network's one lazy write. CI runs this suite under TSan.
+TEST(SharedNetworkTest, GraphReadersOnTwoThreadsNeverWrite) {
+  const ScenarioSpec spec = ScenarioSpec::FromArgs(
+      {"--topology=connected_uniform:n=64,side=3.54", "--id-space=4096"});
+  const sinr::Network net = BuildScenarioNetwork(spec, 1);
+  int diameter = -1;
+  std::size_t degree_sum = 0;
+  std::thread reader([&] { diameter = net.Diameter(); });
+  for (const auto& adj : net.CommGraph()) degree_sum += adj.size();
+  reader.join();
+  EXPECT_GT(diameter, 0);
+  EXPECT_EQ(diameter, net.Diameter());
+  EXPECT_GT(degree_sum, 0u);
 }
 
 // --- Report JSON ------------------------------------------------------------

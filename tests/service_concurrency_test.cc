@@ -108,6 +108,31 @@ TEST(ServiceConcurrencyTest, CoArrivingMissesBatchOntoOneBuild) {
   EXPECT_EQ(stats.topology_misses, 1);
 }
 
+TEST(ServiceConcurrencyTest, GraphReadingAlgorithmsShareOneNetwork) {
+  // Both algorithms read the communication graph of the one cached network
+  // each (topology, seed) builds, from co-arriving runs.
+  Service::Options opts;
+  opts.socket_path = TestSocket("graph");
+  Service service(opts);
+  service.Start();
+
+  LoadSpec load;
+  load.socket_path = opts.socket_path;
+  load.spec_lines = {
+      "--topology=connected_uniform:n=64,side=3.54 --algo=local_broadcast "
+      "--id-space=4096",
+      "--topology=connected_uniform:n=64,side=3.54 --algo=global_broadcast "
+      "--id-space=4096",
+  };
+  load.seeds = {1, 2};
+  load.connections = 4;
+  load.requests = 16;
+  const LoadResult r = dcc::service::RunLoad(load);
+  EXPECT_EQ(r.errors, 0) << r.first_error;
+  EXPECT_TRUE(r.reports_consistent);
+  EXPECT_EQ(service.Snapshot().topology_misses, 2);  // one per seed
+}
+
 TEST(ServiceConcurrencyTest, MixedWorkloadUnderSmallQueueStaysCorrect) {
   // A queue smaller than the client count forces the backpressure path.
   Service::Options opts;
