@@ -29,6 +29,12 @@
 #      bench/, tests/, tools/ or examples/ must resolve at the repository
 #      root, under docs/, or beside the file that mentions it, so a comment
 #      cannot send readers to a document that does not exist.
+#   8. Qualified names — every Class::member README.md, docs/*.md or the
+#      skill notes name must appear as a whole word in a header under src/
+#      that declares `class Class` or `struct Class`, so the docs cannot
+#      name a member the code dropped. Of a longer chain
+#      (sinr::Network::Gain) the last two parts count; a lowercase first
+#      part is a namespace (scenario::RunScenario) and is skipped.
 #
 # Usage: scripts/check_docs.sh [path-to-dcc_run]   (default: build/dcc_run;
 # dccd and dcc_load are expected next to it)
@@ -190,6 +196,28 @@ while IFS=: read -r file name; do
     err "${file#"$ROOT"/}: mentions $name, which is not at the root, under docs/ or beside it"
 done < <(grep -roHE '[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b' "$ROOT/src" "$ROOT/bench" \
            "$ROOT/tests" "$ROOT/tools" "$ROOT/examples" | sort -u)
+
+# --- 8. Class::member names vs the headers that declare the class -----------
+mapfile -t HEADERS < <(find "$ROOT/src" -name '*.h' | sort)
+while IFS=: read -r doc name; do
+  member="${name##*::}"
+  owner="${name%::*}"
+  owner="${owner##*::}"
+  case "$owner" in
+    [a-z]*) continue ;;  # a namespace
+  esac
+  found=0
+  while IFS= read -r header; do
+    if grep -qw -- "$member" "$header"; then
+      found=1
+      break
+    fi
+  done < <(grep -lE "(^|[^A-Za-z0-9_])(class|struct)[[:space:]]+${owner}([^A-Za-z0-9_]|\$)" \
+             "${HEADERS[@]}")
+  [ "$found" -eq 1 ] ||
+    err "$(basename "$doc"): mentions $owner::$member, which no header under src/ declaring class or struct $owner names"
+done < <(grep -oHE '[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' \
+           "${DOCS_AND_SKILLS[@]}" | sort -u)
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2

@@ -11,8 +11,8 @@
 //    reference and test oracle. One transmitter-major kernel
 //    (ResolveExact) does every exact resolution: it collects the in-reach
 //    listeners in listener order, adds each transmitter's gains at them
-//    (gathered from its row of the dense gain matrix, or from
-//    Network::Gain above the matrix limit) into per-listener sums, in the
+//    (gathered from its row of the engine's gain table, or from
+//    Network::Gain above kGainMatrixLimit) into per-listener sums, in the
 //    order the round lists its transmitters, then computes every SINR in
 //    one pass. Its order rules keep every bit of the per-listener
 //    definition: a listener's sum starts from 0.0 + g and adds its gains
@@ -34,8 +34,8 @@
 //    SINRs the agreement degrades by an additional eps * |T| * sinr factor
 //    from cancellation in the interference subtraction, which affects both
 //    modes equally).
-// kAuto picks kExact while the network still carries its dense gain matrix
-// (n <= Network::kGainMatrixLimit) and kGrid above that size.
+// kAuto picks kExact up to kGainMatrixLimit nodes, where every engine keeps
+// its gain table, and kGrid above that size.
 //
 // --- One rule per round ---
 // StepInto picks the resolution once per round from the round's own
@@ -70,9 +70,11 @@
 //
 // --- Moving nodes ---
 // Engines follow Network::SetPositions by themselves: the first StepInto
-// after a move (Network::positions_version() changed) re-tiles the grid
-// and rebuilds the reach, so no engine, exact or grid, resolves a round
-// against stale positions. The tiling is fixed at construction, so every
+// after a move (Network::positions_version() changed) re-tiles the grid,
+// refills the gain table and rebuilds the reach (FollowPositions, the one
+// function that refreshes every position-derived structure a round
+// reads), so no engine, exact or grid, resolves a round against stale
+// positions. The tiling is fixed at construction, so every
 // position must stay inside Options::coverage (StepInto throws
 // InvalidArgument otherwise).
 //
@@ -129,7 +131,7 @@ struct Reception {
 class Engine {
  public:
   enum class Mode {
-    kAuto,   // kExact up to the dense-gain-matrix limit, kGrid beyond
+    kAuto,   // kExact up to kGainMatrixLimit nodes, kGrid beyond
     kExact,  // brute-force oracle
     kGrid,   // spatial-index pruning + exact fallback above
              // kExactMaxTransmitters, the exact kernel up to it
@@ -148,9 +150,9 @@ class Engine {
   // path. Set by a sweep of StepInto per round, kGrid's grid path against
   // kExact (random |T|-subsets, the other nodes listening, best of 5 per
   // subset, mean of 5 subsets; 4-core Xeon, avx512f, gcc 12.2, Release).
-  // With the dense gain matrix (n = 1024 at side 5, n = 2048 at sides 7
-  // and 20) the exact kernel won at every |T| up to 512, by 3.3-19x.
-  // Without the matrix it won at |T| = 64 on every network: n = 4096,
+  // With the gain table (n = 1024 at side 5, n = 2048 at sides 7 and 20)
+  // the exact kernel won at every |T| up to 512, by 3.3-19x. Without the
+  // table it won at |T| = 64 on every network: n = 4096,
   // 2547 vs 3761 us at side 5 and 598 vs 946 us at side 28; n = 16384,
   // where no reach is built, 10384 vs 18839 us at side 10 and 712 vs
   // 1109 us at side 56. At |T| = 128 its lead shrank to 3-11% on three of
@@ -158,6 +160,13 @@ class Engine {
   // had the grid ahead), and the grid won all four at |T| = 256 or 512.
   // 64 keeps a margin below every crossover measured.
   static constexpr std::size_t kExactMaxTransmitters = 64;
+
+  // Gain table limit: an engine on a network of 0 < n <= kGainMatrixLimit
+  // nodes keeps every pairwise gain, Network::Gain(i, j) at [i * n + j]
+  // (n^2 doubles, 32 MiB at the limit), in every mode, and the exact
+  // kernel gathers its rows; above it every gain is computed on the fly.
+  // kAuto resolves to kExact up to the limit and to kGrid beyond.
+  static constexpr std::size_t kGainMatrixLimit = 2048;
 
   struct Options {
     Mode mode = Mode::kAuto;
@@ -347,9 +356,13 @@ class Engine {
     std::uint32_t stamp = 0;
   };
 
-  // Re-tiles the grid and rebuilds the reach for the network's current
-  // positions (the first StepInto after a SetPositions calls it).
+  // Re-tiles the grid, refills gain_ and rebuilds the reach for the
+  // network's current positions (the first StepInto after a SetPositions
+  // calls it).
   void FollowPositions() const;
+  // Fills gain_ row-major from Network::Gain when 0 < n <=
+  // kGainMatrixLimit; leaves it empty otherwise.
+  void FillGains() const;
   // Rebuilds reach_ from the current positions: one PointGrid over them
   // (common/geometry.h, cells of side >= reach_radius_) and one ForNear
   // query per node. Leaves reach_.on false when no listener could be
@@ -433,6 +446,10 @@ class Engine {
   // Per-node marks of the current round's transmitters (set by StepInto,
   // cleared at the end of the round; both modes).
   mutable std::vector<char> is_tx_;
+
+  // The gain table (see kGainMatrixLimit; both modes), refilled for every
+  // new set of positions and read-only during a round.
+  mutable std::vector<double> gain_;
 
   // --- Reception reach (both modes). ---
   // Infinity when unused: the envelope never drops below the threshold, or

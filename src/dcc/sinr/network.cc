@@ -28,17 +28,6 @@ Network::Network(std::vector<Vec2> positions, std::vector<NodeId> ids,
     const bool inserted = index_of_.emplace(ids_[i], i).second;
     DCC_REQUIRE(inserted, "Network: duplicate node id");
   }
-  const std::size_t n = pos_.size();
-  if (n > 0 && n <= kGainMatrixLimit) {
-    gain_.assign(n * n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const double g = ComputeGain(i, j);
-        gain_[i * n + j] = g;
-        gain_[j * n + i] = g;
-      }
-    }
-  }
 }
 
 Network Network::WithSequentialIds(std::vector<Vec2> positions,
@@ -54,27 +43,12 @@ void Network::SetPositions(std::span<const Vec2> pts) {
   std::copy(pts.begin(), pts.end(), pos_.begin());
   ++positions_version_;
   comm_graph_.clear();
-  const std::size_t n = pos_.size();
-  if (!gain_.empty()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const double g = ComputeGain(i, j);
-        gain_[i * n + j] = g;
-        gain_[j * n + i] = g;
-      }
-    }
-  }
 }
 
 std::size_t Network::IndexOf(NodeId id) const {
   const auto it = index_of_.find(id);
   DCC_REQUIRE(it != index_of_.end(), "Network::IndexOf: unknown id");
   return it->second;
-}
-
-double Network::ComputeGain(std::size_t i, std::size_t j) const {
-  if (i == j) return 0.0;
-  return model_->Gain(pos_[i], pos_[j], ids_[i], ids_[j]);
 }
 
 const std::vector<std::vector<std::size_t>>& Network::CommGraph() const {

@@ -52,9 +52,9 @@ class Network {
   // Mobility mutates positions between protocol epochs; node count and ids
   // are fixed (churn is an *activity* notion layered above — see
   // scenario/dynamics.h). Replaces every position; pts.size() must equal
-  // size(). Refreshes the dense gain matrix where present (O(n^2) while it
-  // is live, n <= kGainMatrixLimit; O(n) beyond), invalidates the lazy
-  // communication graph and bumps positions_version().
+  // size(). O(n): copies the positions, invalidates the lazy communication
+  // graph and bumps positions_version(); each engine on the network
+  // refreshes its own position-derived state on its next round.
   void SetPositions(std::span<const Vec2> pts);
 
   // Counts SetPositions calls: an engine compares it with the version it
@@ -75,19 +75,12 @@ class Network {
     return Dist(pos_[i], pos_[j]);
   }
 
-  // Received power at j of a transmission from i, as defined by the
-  // propagation model (P / d(i,j)^alpha for the default path-loss model).
-  // Precomputed into a dense matrix for n <= kGainMatrixLimit, otherwise
-  // computed on the fly.
+  // Received power at j of a transmission from i, computed by the
+  // propagation model on every call (P / d(i,j)^alpha for the default
+  // path-loss model); 0 for i == j.
   double Gain(std::size_t i, std::size_t j) const {
-    if (!gain_.empty()) return gain_[i * pos_.size() + j];
-    return ComputeGain(i, j);
-  }
-
-  // Row i of the dense gain matrix: GainRow(i)[j] == Gain(i, j) for every
-  // j. nullptr when the matrix is not kept (n > kGainMatrixLimit).
-  const double* GainRow(std::size_t i) const {
-    return gain_.empty() ? nullptr : gain_.data() + i * pos_.size();
+    if (i == j) return 0.0;
+    return model_->Gain(pos_[i], pos_[j], ids_[i], ids_[j]);
   }
 
   // The propagation model gains are computed under.
@@ -110,25 +103,21 @@ class Network {
   // unreachable nodes get -1.
   std::vector<int> HopDistances(std::size_t src) const;
 
-  // Diameter of the communication graph (max finite BFS eccentricity from
-  // node 0's component); -1 if the graph is empty.
+  // Diameter of the communication graph: the largest finite BFS
+  // eccentricity over every source, in every component; -1 if the graph
+  // is empty.
   int Diameter() const;
 
   // True iff the communication graph is connected.
   bool Connected() const;
 
-  static constexpr std::size_t kGainMatrixLimit = 2048;
-
  private:
-  double ComputeGain(std::size_t i, std::size_t j) const;
-
   std::vector<Vec2> pos_;
   std::uint64_t positions_version_ = 0;
   std::vector<NodeId> ids_;
   Params params_;
   std::shared_ptr<const PropagationModel> model_;
   std::unordered_map<NodeId, std::size_t> index_of_;
-  std::vector<double> gain_;  // dense n*n when n <= kGainMatrixLimit
   mutable std::vector<std::vector<std::size_t>> comm_graph_;  // lazy
 };
 

@@ -31,7 +31,8 @@ class PropagationModel {
 
   // The primitive: received power over a link of squared length `d2`
   // between nodes `id_a` and `id_b`. Ids identify the link for models with
-  // per-link structure (shadowing); gains are symmetric in id order.
+  // per-link structure (shadowing); gains are symmetric in id order, to the
+  // bit.
   // Working in squared distance lets callers skip the sqrt of the hot
   // distance computation.
   virtual double GainFromDistanceSq(double d2, NodeId id_a,
@@ -59,7 +60,8 @@ class PropagationModel {
 //
 // The engine devirtualizes its hot loops onto GainD2 when the network's
 // model is exactly this class, so GainD2 is the single arithmetic kernel
-// all gain paths (dense matrix, on-the-fly, grid scans) agree on.
+// all gain paths (the engine's gain table, on-the-fly, grid scans) agree
+// on.
 class PathLossModel : public PropagationModel {
  public:
   explicit PathLossModel(const Params& params);

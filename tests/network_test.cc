@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+
+#include "dcc/workload/generators.h"
 
 namespace dcc::sinr {
 namespace {
+
+// Gains compared as bit patterns: EXPECT_DOUBLE_EQ allows 4 ulps.
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 Network LineNetwork(int n, double pitch) {
   std::vector<Vec2> pts;
@@ -46,7 +54,38 @@ TEST(NetworkTest, GainMatchesFormula) {
   EXPECT_NEAR(net.Gain(0, 1), p.power / std::pow(0.5, p.alpha), 1e-12);
   EXPECT_NEAR(net.Gain(0, 2), p.power / std::pow(1.0, p.alpha), 1e-12);
   EXPECT_DOUBLE_EQ(net.Gain(1, 1), 0.0);
-  EXPECT_DOUBLE_EQ(net.Gain(0, 2), net.Gain(2, 0));
+  EXPECT_EQ(Bits(net.Gain(0, 2)), Bits(net.Gain(2, 0)));
+}
+
+// Gain(i, j) and Gain(j, i) are the same bits under every model, so a
+// link's gain does not depend on which end transmits. Ids are
+// non-sequential and descend with the index, coordinates are negative,
+// and nodes 3 and 7 share a position (the model's distance clamp).
+TEST(NetworkTest, GainIsBitSymmetricUnderEveryModel) {
+  Params params = Params::Default();
+  params.id_space = 1 << 12;
+  std::vector<Vec2> pts = workload::UniformSquare(40, 6.0, 13);
+  for (Vec2& p : pts) p = {p.x - 4.5, p.y - 3.0};
+  pts[7] = pts[3];
+  std::vector<NodeId> ids(pts.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<NodeId>(4000 - 93 * i);
+  }
+  const std::shared_ptr<const PropagationModel> models[] = {
+      std::make_shared<PathLossModel>(params),
+      std::make_shared<LogUniformShadowingModel>(params, 0.5, 42),
+      std::make_shared<TheoryModel>(params, /*cutoff=*/4.0)};
+  for (const auto& model : models) {
+    const Network net(pts, ids, params, model);
+    for (std::size_t i = 0; i < net.size(); ++i) {
+      EXPECT_EQ(Bits(net.Gain(i, i)), Bits(0.0)) << model->name();
+      for (std::size_t j = i + 1; j < net.size(); ++j) {
+        EXPECT_EQ(Bits(net.Gain(i, j)), Bits(net.Gain(j, i)))
+            << model->name() << " i=" << i << " j=" << j;
+      }
+    }
+    EXPECT_GT(net.Gain(3, 7), 1e20) << model->name();
+  }
 }
 
 TEST(NetworkTest, CommGraphUsesOneMinusEps) {

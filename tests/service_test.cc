@@ -139,6 +139,11 @@ TEST(ServiceCacheTest, ConcurrentMissesSingleFlightOntoOneBuild) {
   EXPECT_EQ(hits.load(), kThreads - 1);
 }
 
+// Every cache path serves the bytes a direct run prints. Per seed, the
+// first algorithm builds the network (cached "none"), the other two run
+// on the cached one (each builds its own engine, and so its own gain
+// table, from the shared network: "topology"), and every repeat is served
+// the stored report ("result").
 TEST(ServiceTest, RunReportsItsCachePathAndServesIdenticalBytes) {
   Service::Options opts;
   opts.socket_path = TestSocket("roundtrip");
@@ -146,31 +151,40 @@ TEST(ServiceTest, RunReportsItsCachePathAndServesIdenticalBytes) {
   service.Start();
   Client client(opts.socket_path);
 
-  const Client::RunResult cold = client.Run(kSpec);
-  ASSERT_TRUE(cold.ok) << cold.error;
-  EXPECT_EQ(cold.cached, "none");
-  EXPECT_NE(cold.report.find("\"schema\": \"dcc.run_report.v1\""),
-            std::string::npos);
+  const std::vector<std::vector<std::string>> algos = {
+      {"--algo=clustering"},
+      {"--algo=clustering", "--engine=grid"},
+      {"--algo=local_broadcast"}};
+  for (const bool warm : {false, true}) {
+    for (const std::uint64_t seed : {1, 2}) {
+      for (std::size_t a = 0; a < algos.size(); ++a) {
+        std::vector<std::string> args = {"--topology=uniform:n=48,side=4"};
+        args.insert(args.end(), algos[a].begin(), algos[a].end());
+        args.push_back("--id-space=4096");
+        std::string line;
+        for (const std::string& arg : args) line += arg + ' ';
+        std::ostringstream direct;
+        dcc::scenario::RunScenario(
+            dcc::scenario::ScenarioSpec::FromArgs(args), seed)
+            .PrintJson(direct);
 
-  const Client::RunResult warm = client.Run(kSpec);
-  ASSERT_TRUE(warm.ok) << warm.error;
-  EXPECT_EQ(warm.cached, "result");
-  EXPECT_EQ(warm.report, cold.report);  // byte identity across cache paths
-
-  // Same topology, different algorithm: the network is reused, the run is
-  // not.
-  const Client::RunResult sibling = client.Run(
-      "--topology=uniform:n=48,side=4 --algo=local_broadcast "
-      "--id-space=4096");
-  ASSERT_TRUE(sibling.ok) << sibling.error;
-  EXPECT_EQ(sibling.cached, "topology");
+        const Client::RunResult r = client.Run(line, seed);
+        ASSERT_TRUE(r.ok) << line << ": " << r.error;
+        const char* path = warm ? "result" : a == 0 ? "none" : "topology";
+        EXPECT_EQ(r.cached, path) << line << "seed " << seed;
+        EXPECT_NE(r.report.find("\"schema\": \"dcc.run_report.v1\""),
+                  std::string::npos);
+        EXPECT_EQ(r.report, direct.str()) << line << "seed " << seed;
+      }
+    }
+  }
 
   const auto stats = service.Snapshot();
-  EXPECT_EQ(stats.result_hits, 1);
-  EXPECT_EQ(stats.result_misses, 2);
-  EXPECT_EQ(stats.topology_hits, 1);
-  EXPECT_EQ(stats.topology_misses, 1);
-  EXPECT_EQ(stats.runs, 3);
+  EXPECT_EQ(stats.result_hits, 6);
+  EXPECT_EQ(stats.result_misses, 6);
+  EXPECT_EQ(stats.topology_hits, 4);
+  EXPECT_EQ(stats.topology_misses, 2);
+  EXPECT_EQ(stats.runs, 12);
   EXPECT_EQ(stats.errors, 0);
 }
 
