@@ -52,19 +52,24 @@ class SpatialGrid {
   // inside the coverage area.
   void Retile(std::span<const Vec2> pts);
 
-  // Squared distance bounds from a position to a tile's closed bounding
-  // box: DistLoSq <= |p - q|^2 <= DistHiSq for every q in the tile box (and
-  // hence for every point in the tile). Defined here so the grid engine's
-  // calls, one per (listener, close tile), inline.
-  double DistLoSq(Vec2 p, int tile) const {
+  // A tile's closed bounding box.
+  Box TileBox(int tile) const {
     const int gx = tile % nx_, gy = tile / nx_;
     const double bx = lo_x_ + gx * cell_, by = lo_y_ + gy * cell_;
-    return AxisGapSq(p.x, bx, bx + cell_) + AxisGapSq(p.y, by, by + cell_);
+    return Box{{bx, by}, {bx + cell_, by + cell_}};
   }
-  double DistHiSq(Vec2 p, int tile) const {
-    const int gx = tile % nx_, gy = tile / nx_;
-    const double bx = lo_x_ + gx * cell_, by = lo_y_ + gy * cell_;
-    return AxisFarSq(p.x, bx, bx + cell_) + AxisFarSq(p.y, by, by + cell_);
+
+  // Squared distance bounds from a position to a closed box (a tile's):
+  // DistLoSq <= |p - q|^2 <= DistHiSq for every q in the box (and hence
+  // for every point in the tile). Defined here so the grid engine's calls,
+  // one per (listener, close tile), inline.
+  static double DistLoSq(Vec2 p, const Box& box) {
+    return AxisGapSq(p.x, box.lo.x, box.hi.x) +
+           AxisGapSq(p.y, box.lo.y, box.hi.y);
+  }
+  static double DistHiSq(Vec2 p, const Box& box) {
+    return AxisFarSq(p.x, box.lo.x, box.hi.x) +
+           AxisFarSq(p.y, box.lo.y, box.hi.y);
   }
 
   // Squared distance bounds between two tiles' bounding boxes: for every p

@@ -8,13 +8,12 @@ NeighborCoverage::NeighborCoverage(const sinr::Network& net,
                                    const std::vector<std::size_t>& members)
     : comm_(net.CommGraph()),
       member_(net.size(), 0),
-      heard_(net.size()),
+      heard_(comm_.offset(comm_.size()), 0),
       missing_(net.size(), 0),
       this_round_(net.size(), 0),
       one_round_(net.size(), 0) {
   for (const std::size_t v : members) {
     member_[v] = 1;
-    heard_[v].assign(comm_[v].size(), 0);
     missing_[v] = comm_[v].size();
     if (missing_[v] == 0) ++covered_;
   }
@@ -28,11 +27,12 @@ Exec::Observer NeighborCoverage::Observer() {
     for (const sinr::Reception& r : recs) {
       const std::size_t v = r.sender;
       if (!member_[v]) continue;
-      const auto& nb = comm_[v];
+      const auto nb = comm_[v];
       const auto it = std::lower_bound(nb.begin(), nb.end(), r.listener);
       if (it == nb.end() || *it != r.listener) continue;
       ++this_round_[v];
-      char& heard = heard_[v][static_cast<std::size_t>(it - nb.begin())];
+      char& heard =
+          heard_[comm_.offset(v) + static_cast<std::size_t>(it - nb.begin())];
       if (!heard) {
         heard = 1;
         if (--missing_[v] == 0) ++covered_;

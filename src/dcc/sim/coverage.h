@@ -32,9 +32,10 @@ class NeighborCoverage {
   std::size_t covered_in_one_round() const { return covered_in_one_round_; }
 
  private:
-  const std::vector<std::vector<std::size_t>>& comm_;
+  const sinr::Adjacency& comm_;
   std::vector<char> member_;
-  std::vector<std::vector<char>> heard_;  // heard_[v][i]: comm_[v][i] heard v
+  // heard_[comm_.offset(v) + i]: comm_[v][i] heard v
+  std::vector<char> heard_;
   std::vector<std::size_t> missing_;      // comm neighbors yet to hear v
   std::vector<std::size_t> this_round_;   // comm neighbors reached this round
   std::vector<char> one_round_;

@@ -1,6 +1,7 @@
 #include "dcc/sinr/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <typeinfo>
@@ -8,10 +9,10 @@
 #include "dcc/obs/metrics.h"
 #include "dcc/obs/trace.h"
 #include "dcc/parallel/worker_pool.h"
+#include "dcc/sinr/gain_kernel.h"
 
-#if defined(__GNUC__) && defined(__x86_64__)
+#ifdef DCC_X86_DISPATCH
 #include <immintrin.h>
-#define DCC_X86_DISPATCH 1
 #endif
 
 namespace dcc::sinr {
@@ -43,11 +44,12 @@ constexpr double kReachMargin = 1e-6;
 constexpr std::size_t kReachEntriesPerNode = 64;
 constexpr std::size_t kMinReachEntries = std::size_t{1} << 22;
 
-// Fallback listeners are resolved in chunks of this many per far-field
-// sweep: the lanes are independent accumulators, so the sweep vectorizes
-// without any floating-point reassociation (one zmm/ymm lane group per
-// transmitter) and each transmitter load is amortized across the chunk.
-constexpr std::size_t kChunk = 8;
+// Fallback listeners are resolved in chunks of kernel::kGainLanes per
+// far-field sweep: the lanes are independent accumulators, so the sweep
+// vectorizes without any floating-point reassociation (one zmm/ymm lane
+// group per transmitter) and each transmitter load is amortized across the
+// chunk.
+constexpr std::size_t kChunk = kernel::kGainLanes;
 
 // target_clones emits an ifunc whose resolver runs during relocation,
 // before sanitizer runtimes initialize — under ThreadSanitizer that is a
@@ -185,15 +187,6 @@ __attribute__((target("avx512f"))) void FarSweepAlpha3Avx512(
 }
 #endif  // DCC_X86_DISPATCH
 
-bool HasAvx512() {
-#ifdef DCC_X86_DISPATCH
-  static const bool has = __builtin_cpu_supports("avx512f") != 0;
-  return has;
-#else
-  return false;
-#endif
-}
-
 double AutoCell(const Network& net, const std::optional<Box>& coverage) {
   const Box box = coverage ? *coverage : BoundingBox(net.positions());
   const double area = (box.hi.x - box.lo.x) * (box.hi.y - box.lo.y);
@@ -256,9 +249,9 @@ Engine::Engine(const Network& net, Options options)
     }
     near_radius_ = std::max(cell, 2.0);
     far_start_ = 2.0 * near_radius_;
-    if (typeid(net.propagation()) == typeid(PathLossModel)) {
-      pure_path_loss_ = static_cast<const PathLossModel*>(&net.propagation());
-    }
+  }
+  if (typeid(net.propagation()) == typeid(PathLossModel)) {
+    pure_path_loss_ = static_cast<const PathLossModel*>(&net.propagation());
   }
   is_tx_.assign(net.size(), 0);
   if (grid_) {
@@ -586,6 +579,8 @@ void Engine::ResolveExact(std::span<const std::size_t> transmitters,
     }
     AddTableRows(L.rows.data(), transmitters.size(), L.node.data(), m,
                  L.total.data(), L.best.data(), L.best_k.data());
+  } else if (pure_path_loss_ != nullptr) {
+    AddCoordinateGains(transmitters, m, L);
   } else {
     for (std::size_t k = 0; k < transmitters.size(); ++k) {
       const std::size_t v = transmitters[k];
@@ -613,6 +608,40 @@ void Engine::ResolveExact(std::span<const std::size_t> transmitters,
   for (std::size_t h = 0; h < hits; ++h) {
     const std::size_t j = L.hit[h];
     emit(Reception{L.node[j], transmitters[L.best_k[j]], L.sinr[j]});
+  }
+}
+
+void Engine::AddCoordinateGains(std::span<const std::size_t> transmitters,
+                                std::size_t m, ExactLanes& L) const {
+  const Network& net = *net_;
+  // The kernel reads and writes whole groups of lanes; the padding lanes
+  // repeat lane 0's position.
+  const std::size_t padded = (m + kernel::kGainLanes - 1) /
+                             kernel::kGainLanes * kernel::kGainLanes;
+  if (L.total.size() < padded) {
+    L.total.resize(padded);
+    L.best.resize(padded);
+    L.best_k.resize(padded);
+  }
+  L.x.resize(padded);
+  L.y.resize(padded);
+  for (std::size_t j = 0; j < padded; ++j) {
+    const Vec2 p = net.position(L.node[j < m ? j : 0]);
+    L.x[j] = p.x;
+    L.y[j] = p.y;
+  }
+  L.tx_x.resize(transmitters.size());
+  L.tx_y.resize(transmitters.size());
+  for (std::size_t k = 0; k < transmitters.size(); ++k) {
+    const Vec2 p = net.position(transmitters[k]);
+    L.tx_x[k] = p.x;
+    L.tx_y[k] = p.y;
+  }
+  for (std::size_t j = 0; j < m; j += kernel::kGainLanes) {
+    const std::size_t lanes = std::min(kernel::kGainLanes, m - j);
+    kernel::AddGains(*pure_path_loss_, L.tx_x.data(), L.tx_y.data(), 0,
+                     transmitters.size(), &L.x[j], &L.y[j], (1u << lanes) - 1,
+                     &L.total[j], &L.best[j], &L.best_k[j]);
   }
 }
 
@@ -719,7 +748,7 @@ void Engine::ResolveFallbacksBlocked(
       }
       if (plm.alpha_is_three()) {
 #ifdef DCC_X86_DISPATCH
-        if (HasAvx512()) {
+        if (kernel::HasAvx512()) {
           FarSweepAlpha3Avx512(P.tx_sx.data(), P.tx_sy.data(),
                                s.far_ranges.data(), s.far_ranges.size(),
                                plm.power(), lx, ly, total, far_best,
@@ -736,20 +765,8 @@ void Engine::ResolveFallbacksBlocked(
 #endif
       } else {
         for (const auto& [mb, me] : s.far_ranges) {
-          for (std::size_t t = mb; t < me; ++t) {
-            const double vx = P.tx_sx[t];
-            const double vy = P.tx_sy[t];
-            for (std::size_t j = 0; j < kChunk; ++j) {
-              const double dx = vx - lx[j];
-              const double dy = vy - ly[j];
-              const double g = plm.GainD2(dx * dx + dy * dy);
-              total[j] += g;
-              if (g > far_best[j]) {
-                far_best[j] = g;
-                far_best_v[j] = t;
-              }
-            }
-          }
+          kernel::AddGains(plm, P.tx_sx.data(), P.tx_sy.data(), mb, me, lx,
+                           ly, (1u << m) - 1, total, far_best, far_best_v);
         }
       }
       for (std::size_t j = 0; j < m; ++j) {
@@ -778,22 +795,70 @@ void Engine::ResolveFallbacksBlocked(
   }
 }
 
+Engine::GridLanes::GridLanes()
+    : ordinal(kernel::kGainLanes),
+      node(kernel::kGainLanes),
+      x(kernel::kGainLanes),
+      y(kernel::kGainLanes),
+      close_sum(kernel::kGainLanes),
+      best(kernel::kGainLanes),
+      best_slot(kernel::kGainLanes),
+      bound_lo(kernel::kGainLanes),
+      gain_ub(kernel::kGainLanes) {}
+
 void Engine::StepGridRange(const RoundPrologue& P,
                            std::span<const std::size_t> transmitters,
                            std::span<const std::size_t> listeners,
                            std::span<const std::uint32_t> ordinals,
                            RoundScratch& s) const {
   DCC_TRACE_SPAN("engine.shard");
+  s.fallback.clear();
+  s.pending.clear();
+  s.pruned = 0;
+  s.exact_fallbacks = 0;
+
+  // Lane groups: up to kGainLanes in-reach listeners of one tile, in a row
+  // of the (tile-sorted) slice.
+  GridLanes& G = s.lanes;
+  for (std::size_t i = 0; i < ordinals.size();) {
+    std::size_t m = 0;
+    std::size_t tile = 0;
+    for (; i < ordinals.size() && m < kernel::kGainLanes; ++i) {
+      const std::uint32_t ordinal = ordinals[i];
+      const std::size_t u = listeners[ordinal];
+      DCC_CHECK(!is_tx_[u]);  // a transmitter cannot listen
+      if (!InReach(u)) {  // stage 1 would prune it (engine.h)
+        ++s.pruned;
+        continue;
+      }
+      const auto tile_u = static_cast<std::size_t>(grid_->TileOfPoint(u));
+      if (m > 0 && tile_u != tile) break;  // the next group's first lane
+      tile = tile_u;
+      G.ordinal[m] = ordinal;
+      G.node[m] = u;
+      ++m;
+    }
+    if (m > 0) ResolveLaneGroup(P, transmitters, listeners, tile, m, s);
+  }
+
+  if (!s.fallback.empty()) {
+    ResolveFallbacksBlocked(P, transmitters, s);
+  }
+  std::sort(s.pending.begin(), s.pending.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+}
+
+void Engine::ResolveLaneGroup(const RoundPrologue& P,
+                              std::span<const std::size_t> transmitters,
+                              std::span<const std::size_t> listeners,
+                              std::size_t tile, std::size_t m,
+                              RoundScratch& s) const {
   const Network& net = *net_;
   const PropagationModel& model = net.propagation();
   const SpatialGrid& grid = *grid_;
   const double beta = net.params().beta;
   const double noise = net.params().noise;
-
-  s.fallback.clear();
-  s.pending.clear();
-  s.pruned = 0;
-  s.exact_fallbacks = 0;
+  GridLanes& G = s.lanes;
 
   // Envelope bounds as a function of squared distance, devirtualized for
   // the pure path-loss model (no per-link structure, so the envelope IS the
@@ -808,92 +873,113 @@ void Engine::StepGridRange(const RoundPrologue& P,
   };
   const double near_sq = near_radius_ * near_radius_;
 
-  for (const std::uint32_t ordinal : ordinals) {
-    const std::size_t u = listeners[ordinal];
-    DCC_CHECK(!is_tx_[u]);  // a transmitter cannot listen
-    if (!InReach(u)) {  // stage 1 would prune it (engine.h)
-      ++s.pruned;
-      continue;
-    }
-    const Vec2 pu = net.position(u);
-    const auto tile_u = static_cast<std::size_t>(grid.TileOfPoint(u));
-
-    const auto gain_at = [&](std::size_t v) {
-      if (pure_path_loss_ != nullptr) {
-        return pure_path_loss_->GainD2(Dist2(net.position(v), pu));
-      }
-      return gain_.empty() ? net.Gain(v, u) : gain_[v * net.size() + u];
-    };
-
-    // Stage 1 — near tiles: exact member scan; mid tiles: envelope bounds.
-    double close_sum = 0.0;
-    double best = -1.0;
-    std::size_t best_v = 0;
-    double bound_lo = P.tile_far_lo[tile_u];
-    double gain_ub = P.tile_far_ub[tile_u];
-    const std::uint32_t close_begin = P.tile_close_begin[tile_u];
-    const std::uint32_t close_end = P.tile_close_end[tile_u];
-    for (std::uint32_t c = close_begin; c < close_end; ++c) {
-      const int b = P.close_pool[c];
-      const double d2_lo = grid.DistLoSq(pu, b);
-      const std::size_t mb = P.tx_start[static_cast<std::size_t>(b)];
-      const std::size_t me = P.tx_start[static_cast<std::size_t>(b) + 1];
-      if (d2_lo <= near_sq) {
-        for (std::size_t t = mb; t < me; ++t) {
-          const double g = gain_at(P.tx_members[t]);
-          close_sum += g;
-          if (g > best) {
-            best = g;
-            best_v = P.tx_members[t];
-          }
-        }
-      } else {
-        bound_lo +=
-            static_cast<double>(me - mb) * min_gain_d2(grid.DistHiSq(pu, b));
-        gain_ub = std::max(gain_ub, max_gain_d2(d2_lo));
-      }
-    }
-
-    // Best-case SINR: the strongest any transmitter could be, against the
-    // least interference this listener could see. If even that misses
-    // beta, no reception is possible.
-    const auto cannot_receive = [&](double best_ub, double interference_lo) {
-      if (best_ub <= 0.0) return true;
-      const double i_lo = std::max(0.0, interference_lo - best_ub);
-      return (best_ub / (noise + i_lo)) * (1.0 + kPruneSlack) < beta;
-    };
-    if (cannot_receive(std::max(best, gain_ub), close_sum + bound_lo)) {
-      ++s.pruned;
-      continue;
-    }
-
-    // Stage 2 — scan the mid tiles exactly; only the shared far-field
-    // bound remains an estimate.
-    for (std::uint32_t c = close_begin; c < close_end; ++c) {
-      const int b = P.close_pool[c];
-      if (grid.DistLoSq(pu, b) <= near_sq) continue;  // already exact
-      for (std::size_t t = P.tx_start[static_cast<std::size_t>(b)];
-           t < P.tx_start[static_cast<std::size_t>(b) + 1]; ++t) {
-        const double g = gain_at(P.tx_members[t]);
-        close_sum += g;
-        if (g > best) {
-          best = g;
-          best_v = P.tx_members[t];
-        }
-      }
-    }
-    if (cannot_receive(std::max(best, P.tile_far_ub[tile_u]),
-                       close_sum + P.tile_far_lo[tile_u])) {
-      ++s.pruned;
-      continue;
-    }
-
-    // Stage 3 — a reception is genuinely possible: defer to the exact
-    // fallback (batched for the pure path-loss model).
-    ++s.exact_fallbacks;
+  // Every lane adds in the per-listener order: close-list order, CSR order
+  // within a tile, the strongest changing only on a strictly larger gain.
+  // The padding lanes repeat lane 0's position and are never read back.
+  for (std::size_t j = 0; j < kernel::kGainLanes; ++j) {
+    const Vec2 p = net.position(G.node[j < m ? j : 0]);
+    G.x[j] = p.x;
+    G.y[j] = p.y;
+    G.close_sum[j] = 0.0;
+    G.best[j] = -1.0;
+    G.best_slot[j] = 0;
+    G.bound_lo[j] = P.tile_far_lo[tile];
+    G.gain_ub[j] = P.tile_far_ub[tile];
+  }
+  // The exact scan of CSR slots [mb, me) for the lanes in `lanes`.
+  const auto scan = [&](std::size_t mb, std::size_t me, unsigned lanes) {
     if (pure_path_loss_ != nullptr) {
-      s.fallback.push_back(GridFallback{static_cast<std::uint32_t>(tile_u),
-                                        ordinal, u, close_sum, best, best_v});
+      kernel::AddGains(*pure_path_loss_, P.tx_sx.data(), P.tx_sy.data(), mb,
+                       me, G.x.data(), G.y.data(), lanes, G.close_sum.data(),
+                       G.best.data(), G.best_slot.data());
+      return;
+    }
+    for (std::size_t t = mb; t < me; ++t) {
+      const std::size_t v = P.tx_members[t];
+      for (unsigned rest = lanes; rest != 0; rest &= rest - 1) {
+        const auto j = static_cast<std::size_t>(std::countr_zero(rest));
+        const std::size_t u = G.node[j];
+        const double g =
+            gain_.empty() ? net.Gain(v, u) : gain_[v * net.size() + u];
+        G.close_sum[j] += g;
+        if (g > G.best[j]) {
+          G.best[j] = g;
+          G.best_slot[j] = t;
+        }
+      }
+    }
+  };
+
+  // Stage 1 — near tiles: exact member scan; mid tiles: envelope bounds.
+  const std::uint32_t close_begin = P.tile_close_begin[tile];
+  const std::uint32_t close_end = P.tile_close_end[tile];
+  if (G.near.size() < close_end - close_begin) {
+    G.near.resize(close_end - close_begin);
+  }
+  for (std::uint32_t c = close_begin; c < close_end; ++c) {
+    const int b = P.close_pool[c];
+    const Box box = grid.TileBox(b);
+    const std::size_t mb = P.tx_start[static_cast<std::size_t>(b)];
+    const std::size_t me = P.tx_start[static_cast<std::size_t>(b) + 1];
+    unsigned near = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      const Vec2 p{G.x[j], G.y[j]};
+      const double d2_lo = SpatialGrid::DistLoSq(p, box);
+      if (d2_lo <= near_sq) {
+        near |= 1u << j;
+        continue;
+      }
+      G.bound_lo[j] += static_cast<double>(me - mb) *
+                       min_gain_d2(SpatialGrid::DistHiSq(p, box));
+      G.gain_ub[j] = std::max(G.gain_ub[j], max_gain_d2(d2_lo));
+    }
+    G.near[c - close_begin] = static_cast<std::uint8_t>(near);
+    if (near != 0) scan(mb, me, near);
+  }
+
+  // Best-case SINR: the strongest any transmitter could be, against the
+  // least interference this listener could see. If even that misses
+  // beta, no reception is possible.
+  const auto cannot_receive = [&](double best_ub, double interference_lo) {
+    if (best_ub <= 0.0) return true;
+    const double i_lo = std::max(0.0, interference_lo - best_ub);
+    return (best_ub / (noise + i_lo)) * (1.0 + kPruneSlack) < beta;
+  };
+  unsigned live = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    if (cannot_receive(std::max(G.best[j], G.gain_ub[j]),
+                       G.close_sum[j] + G.bound_lo[j])) {
+      ++s.pruned;
+    } else {
+      live |= 1u << j;
+    }
+  }
+  if (live == 0) return;
+
+  // Stage 2 — scan the mid tiles exactly for the lanes stage 1 kept; only
+  // the shared far-field bound remains an estimate.
+  for (std::uint32_t c = close_begin; c < close_end; ++c) {
+    const unsigned mid = live & ~unsigned{G.near[c - close_begin]};
+    if (mid == 0) continue;
+    const auto b = static_cast<std::size_t>(P.close_pool[c]);
+    scan(P.tx_start[b], P.tx_start[b + 1], mid);
+  }
+
+  // Stage 2's prune, then stage 3 — a reception is genuinely possible:
+  // defer to the exact fallback (batched for the pure path-loss model).
+  for (unsigned rest = live; rest != 0; rest &= rest - 1) {
+    const auto j = static_cast<std::size_t>(std::countr_zero(rest));
+    if (cannot_receive(std::max(G.best[j], P.tile_far_ub[tile]),
+                       G.close_sum[j] + P.tile_far_lo[tile])) {
+      ++s.pruned;
+      continue;
+    }
+    ++s.exact_fallbacks;
+    const std::uint32_t ordinal = G.ordinal[j];
+    if (pure_path_loss_ != nullptr) {
+      s.fallback.push_back(GridFallback{
+          static_cast<std::uint32_t>(tile), ordinal, G.node[j],
+          G.close_sum[j], G.best[j], P.tx_members[G.best_slot[j]]});
     } else {
       ResolveExact(transmitters, listeners.subspan(ordinal, 1), s.exact,
                    [&](const Reception& r) {
@@ -901,12 +987,6 @@ void Engine::StepGridRange(const RoundPrologue& P,
                    });
     }
   }
-
-  if (!s.fallback.empty()) {
-    ResolveFallbacksBlocked(P, transmitters, s);
-  }
-  std::sort(s.pending.begin(), s.pending.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
 void Engine::MergeShards(int shards, std::vector<Reception>& out) const {

@@ -11,19 +11,24 @@
 //    reference and test oracle. One transmitter-major kernel
 //    (ResolveExact) does every exact resolution: it collects the in-reach
 //    listeners in listener order, adds each transmitter's gains at them
-//    (gathered from its row of the engine's gain table, or from
-//    Network::Gain above kGainMatrixLimit) into per-listener sums, in the
-//    order the round lists its transmitters, then computes every SINR in
-//    one pass. Its order rules keep every bit of the per-listener
-//    definition: a listener's sum starts from 0.0 + g and adds its gains
-//    in transmitter order; its strongest transmitter changes only on a
-//    strictly larger gain, so the first maximal one wins; and the kernel
-//    multiplies nothing, so no clone contracts an FMA.
+//    into per-listener sums, in the order the round lists its
+//    transmitters, then computes every SINR in one pass. The gains are
+//    gathered from each transmitter's row of the engine's gain table; above
+//    kGainMatrixLimit they are computed from the lanes' and the
+//    transmitters' coordinates by the gain kernel (sinr/gain_kernel.h) for
+//    pure path loss, and through Network::Gain for the other models. Its
+//    order rules keep every bit of the per-listener definition: a
+//    listener's sum starts from 0.0 + g and adds its gains in transmitter
+//    order; its strongest transmitter changes only on a strictly larger
+//    gain, so the first maximal one wins; the table gather multiplies
+//    nothing, so no clone contracts an FMA, and the gain kernel computes
+//    GainD2's correctly rounded bits in every variant.
 //  * kGrid — rounds of at most kExactMaxTransmitters transmitters run the
 //    exact kernel above, SINR bits and all (see "One rule per round"
 //    below). A larger round is resolved by the grid path: a uniform
 //    spatial index (common/spatial_grid.h) buckets the round's
-//    transmitters into tiles. Near-field tiles are scanned exactly;
+//    transmitters into tiles. Near-field tiles are scanned exactly (by the
+//    gain kernel for pure path loss, eight listeners of a tile at a time);
 //    mid- and far-field tiles contribute conservative interference bounds
 //    through the propagation model's distance envelope. The bounds prune
 //    listeners whose best-case SINR cannot clear beta (the common case in
@@ -101,7 +106,15 @@
 // hoisted per-listener-tile far-field state, all collected in the single
 // RoundPrologue member), then the shard fan-out (StepGridRange per shard,
 // reading the prologue; a serial round is one shard, run inline), then
-// the merge into listener order.
+// the merge into listener order. A shard resolves its slice in lane
+// groups: up to kernel::kGainLanes in-reach listeners of one tile, taken
+// in a row from the tile-sorted slice, run stage 1 (exact near-tile scans
+// and mid-tile bounds), its prune, stage 2 (exact mid-tile scans for the
+// lanes stage 1 kept) and its prune together (ResolveLaneGroup). Each lane
+// adds in the per-listener order (close-list order, CSR order within a
+// tile, the strongest changing only on a strictly larger gain), so its
+// sums, bounds and prune decisions keep every bit wherever a group or a
+// shard cut falls.
 #pragma once
 
 #include <cstddef>
@@ -152,13 +165,16 @@ class Engine {
   // subset, mean of 5 subsets; 4-core Xeon, avx512f, gcc 12.2, Release).
   // With the gain table (n = 1024 at side 5, n = 2048 at sides 7 and 20)
   // the exact kernel won at every |T| up to 512, by 3.3-19x. Without the
-  // table it won at |T| = 64 on every network: n = 4096,
-  // 2547 vs 3761 us at side 5 and 598 vs 946 us at side 28; n = 16384,
-  // where no reach is built, 10384 vs 18839 us at side 10 and 712 vs
-  // 1109 us at side 56. At |T| = 128 its lead shrank to 3-11% on three of
-  // those four (4630 vs 4770 us at n = 4096, side 5, where another sweep
-  // had the grid ahead), and the grid won all four at |T| = 256 or 512.
-  // 64 keeps a margin below every crossover measured.
+  // table, where both sides run the gain kernel (sinr/gain_kernel.h),
+  // exact against grid: n = 4096, side 5: 499 vs 1328 us at |T| = 64,
+  // 966 vs 1832 at 128, 1846 vs 2429 at 256, 3541 vs 3838 at 512; side 28:
+  // 105 vs 295, 364 vs 751, 1125 vs 1465, 2834 vs 2063; n = 16384, where
+  // no reach is built, side 10: 1902 vs 4576, 3820 vs 7325, 7178 vs 9723,
+  // 13970 vs 12784; side 56: 144 vs 552, 473 vs 1117, 1729 vs 2428, 6159
+  // vs 5104. So the exact kernel wins up to |T| = 256 on all four and the
+  // grid path at 512 on three. (Before the gain kernel the same sweep
+  // had the exact kernel ahead at 64 only, the grid ahead from 256.) 64
+  // keeps a margin below every crossover measured.
   static constexpr std::size_t kExactMaxTransmitters = 64;
 
   // Gain table limit: an engine on a network of 0 < n <= kGainMatrixLimit
@@ -324,15 +340,38 @@ class Engine {
     std::vector<double> sinr;
     std::vector<std::uint32_t> hit;   // the lanes whose SINR clears beta
     std::vector<const double*> rows;  // the transmitters' gain rows
+    // Without the table, for pure path loss: the lanes' and the
+    // transmitters' (in call order) coordinates.
+    std::vector<double> x, y, tx_x, tx_y;
   };
 
-  // One worker's whole mutable state for one round: the deferred-fallback
-  // queue, the exact kernel's lanes and the (ordinal, Reception) pairs it
-  // produced (shards read the per-listener-tile far-field state from the
-  // prologue, they never build it). Serial rounds use scratch_[0]; a
-  // K-shard round uses scratch_[0..K) with no sharing, which is what makes
-  // the fan-out race-free by construction.
+  // The grid path's lane group (StepGridRange): up to kernel::kGainLanes
+  // in-reach listeners of one tile, taken in a row from the shard's slice
+  // of the tile-sorted order and resolved together; entry j is lane j.
+  struct GridLanes {
+    GridLanes();  // sizes every per-lane vector to kernel::kGainLanes
+    std::vector<std::uint32_t> ordinal;  // the listener's ordinal...
+    std::vector<std::size_t> node;       // ...and node
+    std::vector<double> x, y;            // its position
+    std::vector<double> close_sum;       // exact near, then mid, gains...
+    std::vector<double> best;            // ...the strongest of them...
+    std::vector<std::size_t> best_slot;  // ...and its transmitter's CSR slot
+    std::vector<double> bound_lo;        // stage-1 interference lower bound
+    std::vector<double> gain_ub;         // stage-1 strongest-gain upper bound
+    // Per close tile of the group's tile, in close-list order: the lanes
+    // it is near (bit j: within the near radius of lane j's listener).
+    std::vector<std::uint8_t> near;
+  };
+
+  // One worker's whole mutable state for one round: the grid path's lane
+  // group, the deferred-fallback queue, the exact kernel's lanes and the
+  // (ordinal, Reception) pairs it produced (shards read the
+  // per-listener-tile far-field state from the prologue, they never build
+  // it). Serial rounds use scratch_[0]; a K-shard round uses
+  // scratch_[0..K) with no sharing, which is what makes the fan-out
+  // race-free by construction.
   struct RoundScratch {
+    GridLanes lanes;
     ExactLanes exact;
     std::vector<GridFallback> fallback;
     // Receptions tagged with their listener ordinal; sorted by ordinal at
@@ -394,6 +433,11 @@ class Engine {
   void ResolveExact(std::span<const std::size_t> transmitters,
                     std::span<const std::size_t> listeners, ExactLanes& L,
                     const Emit& emit) const;
+  // Step 2 of the exact kernel without the gain table, for pure path loss:
+  // adds every transmitter's gains at lanes [0, m) of L, computed by the
+  // gain kernel from their coordinates.
+  void AddCoordinateGains(std::span<const std::size_t> transmitters,
+                          std::size_t m, ExactLanes& L) const;
   // Builds prologue_ from (tx, listeners): buckets the transmitters into
   // tiles (CSR, occupied tiles ascending) and counting-sorts the listener
   // ordinals by tile into prologue_.order.
@@ -406,12 +450,20 @@ class Engine {
   void BuildTileState(std::span<const std::size_t> listeners) const;
   // Resolves the listeners named by `ordinals` (one shard's slice of
   // prologue_.order) into s.pending, tagged with their ordinal and
-  // ordinal-sorted. The body of one grid shard.
+  // ordinal-sorted, one lane group at a time. The body of one grid shard.
   void StepGridRange(const RoundPrologue& P,
                      std::span<const std::size_t> transmitters,
                      std::span<const std::size_t> listeners,
                      std::span<const std::uint32_t> ordinals,
                      RoundScratch& s) const;
+  // Stages 1-3 of the grid path for the m listeners of s.lanes, all in
+  // `tile`: prunes them, queues them for the batched fallback, or resolves
+  // them with the exact kernel.
+  void ResolveLaneGroup(const RoundPrologue& P,
+                        std::span<const std::size_t> transmitters,
+                        std::span<const std::size_t> listeners,
+                        std::size_t tile, std::size_t m,
+                        RoundScratch& s) const;
   // kGrid's batched exact fallback for the pure path-loss model: resolves
   // s.fallback tile by tile, sweeping each tile group's far-field
   // transmitter ranges once per kChunk-listener chunk (kChunk is defined in
@@ -451,6 +503,13 @@ class Engine {
   // new set of positions and read-only during a round.
   mutable std::vector<double> gain_;
 
+  // Set iff the network's model is exactly PathLossModel (both modes): the
+  // grid path's close scans and the exact kernel without the gain table
+  // then run the gain kernel (sinr/gain_kernel.h) on coordinates, and the
+  // bounds inline PathLossModel::GainD2, instead of dispatching through the
+  // virtual GainFromDistanceSq per link.
+  const PathLossModel* pure_path_loss_ = nullptr;
+
   // --- Reception reach (both modes). ---
   // Infinity when unused: the envelope never drops below the threshold, or
   // (kGrid) r exceeds near_radius_.
@@ -462,10 +521,6 @@ class Engine {
   mutable std::optional<SpatialGrid> grid_;  // re-tiled by FollowPositions
   double near_radius_ = 0.0;  // exact-scan distance
   double far_start_ = 0.0;    // beyond this, tiles share per-listener-tile bounds
-  // Set iff the network's model is exactly PathLossModel: the grid hot
-  // loops then inline PathLossModel::GainD2 instead of dispatching through
-  // the virtual GainFromDistanceSq per link.
-  const PathLossModel* pure_path_loss_ = nullptr;
 
   // The round prologue: rebuilt at the top of every grid round, then read
   // by that round's shards.

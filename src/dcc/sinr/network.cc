@@ -42,7 +42,8 @@ void Network::SetPositions(std::span<const Vec2> pts) {
               "SetPositions: size mismatch (node count is fixed)");
   std::copy(pts.begin(), pts.end(), pos_.begin());
   ++positions_version_;
-  comm_graph_.clear();
+  comm_graph_.offsets_.assign(1, 0);
+  comm_graph_.neighbors_.clear();
 }
 
 std::size_t Network::IndexOf(NodeId id) const {
@@ -51,25 +52,30 @@ std::size_t Network::IndexOf(NodeId id) const {
   return it->second;
 }
 
-const std::vector<std::vector<std::size_t>>& Network::CommGraph() const {
-  if (comm_graph_.empty() && !pos_.empty()) {
+const Adjacency& Network::CommGraph() const {
+  Adjacency& g = comm_graph_;
+  if (g.size() == 0 && !pos_.empty()) {
     const double r = params_.CommRadius();
-    comm_graph_.resize(pos_.size());
     const PointGrid grid(pos_, std::max(r, 1e-9));
+    g.offsets_.resize(pos_.size() + 1);
     for (std::size_t i = 0; i < pos_.size(); ++i) {
+      const std::size_t first = g.neighbors_.size();
       grid.ForNear(pos_[i], r, [&](std::size_t j) {
-        if (j != i) comm_graph_[i].push_back(j);
+        if (j != i) g.neighbors_.push_back(j);
       });
-      std::sort(comm_graph_[i].begin(), comm_graph_[i].end());
+      std::sort(g.neighbors_.begin() + static_cast<std::ptrdiff_t>(first),
+                g.neighbors_.end());
+      g.offsets_[i + 1] = g.neighbors_.size();
     }
   }
-  return comm_graph_;
+  return g;
 }
 
 int Network::MaxDegree() const {
+  const Adjacency& g = CommGraph();
   int deg = 0;
-  for (const auto& adj : CommGraph()) {
-    deg = std::max(deg, static_cast<int>(adj.size()));
+  for (std::size_t u = 0; u < g.size(); ++u) {
+    deg = std::max(deg, static_cast<int>(g[u].size()));
   }
   return deg;
 }

@@ -32,6 +32,24 @@ struct Shadowing {
   std::uint64_t seed = 0;
 };
 
+// An undirected graph over node indices 0..size()-1 as one CSR: g[u]
+// lists u's neighbors in ascending order, and they start at g.offset(u) of
+// one array holding every node's neighbors in node order.
+class Adjacency {
+ public:
+  std::size_t size() const { return offsets_.size() - 1; }
+  std::span<const std::size_t> operator[](std::size_t u) const {
+    return std::span(neighbors_).subspan(offsets_[u],
+                                         offsets_[u + 1] - offsets_[u]);
+  }
+  std::size_t offset(std::size_t u) const { return offsets_[u]; }
+
+ private:
+  friend class Network;
+  std::vector<std::size_t> offsets_{0};  // size() + 1 entries
+  std::vector<std::size_t> neighbors_;
+};
+
 class Network {
  public:
   // IDs must be unique and within [1, params.id_space]; positions and ids
@@ -87,10 +105,11 @@ class Network {
   const PropagationModel& propagation() const { return *model_; }
 
   // --- Communication graph: edges {u,v} with d(u,v) <= 1 - eps. ---
-  // Built on first use (this call, MaxDegree, HopDistances, Diameter or
+  // One CSR (Adjacency), filled by one PointGrid query per node. Built on
+  // first use (this call, MaxDegree, HopDistances, Diameter or
   // Connected), and that first call writes the network: build it before
   // threads share the network (scenario::BuildScenarioNetwork does).
-  const std::vector<std::vector<std::size_t>>& CommGraph() const;
+  const Adjacency& CommGraph() const;
 
   // Degree of the communication graph (max over nodes).
   int MaxDegree() const;
@@ -118,7 +137,7 @@ class Network {
   Params params_;
   std::shared_ptr<const PropagationModel> model_;
   std::unordered_map<NodeId, std::size_t> index_of_;
-  mutable std::vector<std::vector<std::size_t>> comm_graph_;  // lazy
+  mutable Adjacency comm_graph_;  // lazy: built while it has no nodes
 };
 
 }  // namespace dcc::sinr

@@ -92,8 +92,15 @@ TEST(NetworkTest, CommGraphUsesOneMinusEps) {
   // pitch 0.5, eps 0.2 -> comm radius 0.8: neighbors at 0.5, not at 1.0.
   const Network net = LineNetwork(4, 0.5);
   const auto& g = net.CommGraph();
-  EXPECT_EQ(g[0], (std::vector<std::size_t>{1}));
-  EXPECT_EQ(g[1], (std::vector<std::size_t>{0, 2}));
+  const auto neighbors = [&](std::size_t u) {
+    return std::vector<std::size_t>(g[u].begin(), g[u].end());
+  };
+  ASSERT_EQ(g.size(), 4u);
+  EXPECT_EQ(neighbors(0), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(neighbors(1), (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(neighbors(3), (std::vector<std::size_t>{2}));
+  EXPECT_EQ(g.offset(1), 1u);  // one CSR: node 1's neighbors follow node 0's
+  EXPECT_EQ(g.offset(4), 6u);
   EXPECT_EQ(net.MaxDegree(), 2);
 }
 

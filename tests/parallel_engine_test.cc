@@ -174,8 +174,16 @@ void ExpectParallelMatchesSerial(const Network& net, Engine::Options base,
   const Engine serial(net, serial_opts);
   std::vector<std::size_t> tx, listeners;
   std::vector<Reception> want, got;
-  for (const int period : {2, 7}) {
+  // Dense and mid splits, and one of at most kExactMaxTransmitters
+  // transmitters, which every mode resolves with the exact kernel.
+  const auto sparse = static_cast<int>(
+      (net.size() + Engine::kExactMaxTransmitters - 1) /
+      Engine::kExactMaxTransmitters);
+  for (const int period : {2, 7, std::max(sparse, 2)}) {
     SplitTxListeners(net.size(), period, tx, listeners);
+    if (period == sparse) {
+      ASSERT_LE(tx.size(), Engine::kExactMaxTransmitters);
+    }
     serial.ResetStats();
     serial.StepInto(tx, listeners, want);
     for (const int threads : thread_counts) {
@@ -212,6 +220,17 @@ TEST(ParallelEngineTest, ExactBitIdenticalAcrossThreadCounts) {
   const Network net = MakeUniformNet(400, 10.0, 0.0, 99);
   ExpectParallelMatchesSerial(net, {.mode = Engine::Mode::kExact},
                               {1, 2, 3, 5, 7, 8, 16}, "exact");
+}
+
+TEST(ParallelEngineTest, BitIdenticalAboveTheGainTableLimit) {
+  // No gain table: the exact kernel and the grid path's close scans read
+  // coordinates through the gain kernel, in every shard.
+  const Network net = MakeUniformNet(2200, 20.0, 0.0, 4242);
+  ASSERT_GT(net.size(), Engine::kGainMatrixLimit);
+  ExpectParallelMatchesSerial(net, {.mode = Engine::Mode::kExact},
+                              {1, 2, 3, 7}, "exact above the table");
+  ExpectParallelMatchesSerial(net, {.mode = Engine::Mode::kGrid},
+                              {1, 2, 3, 7}, "grid above the table");
 }
 
 TEST(ParallelEngineTest, ShadowingModelTakesTheVirtualPathIdentically) {

@@ -321,7 +321,8 @@ TEST(SharedNetworkTest, GraphReadersOnTwoThreadsNeverWrite) {
   int diameter = -1;
   std::size_t degree_sum = 0;
   std::thread reader([&] { diameter = net.Diameter(); });
-  for (const auto& adj : net.CommGraph()) degree_sum += adj.size();
+  const sinr::Adjacency& g = net.CommGraph();
+  for (std::size_t u = 0; u < g.size(); ++u) degree_sum += g[u].size();
   reader.join();
   EXPECT_GT(diameter, 0);
   EXPECT_EQ(diameter, net.Diameter());

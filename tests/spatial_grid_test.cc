@@ -26,10 +26,10 @@ TEST(SpatialGridTest, PointToTileBoundsAreSound) {
   const auto probes = RandomPoints(20, 14.0, 4);
   for (const Vec2 p : probes) {
     for (std::size_t i = 0; i < pts.size(); ++i) {
-      const int t = grid.TileOfPoint(i);
+      const Box box = grid.TileBox(grid.TileOfPoint(i));
       const double d2 = Dist2(p, pts[i]);
-      EXPECT_LE(grid.DistLoSq(p, t), d2 + 1e-12);
-      EXPECT_GE(grid.DistHiSq(p, t), d2 - 1e-12);
+      EXPECT_LE(SpatialGrid::DistLoSq(p, box), d2 + 1e-12);
+      EXPECT_GE(SpatialGrid::DistHiSq(p, box), d2 - 1e-12);
     }
   }
 }
