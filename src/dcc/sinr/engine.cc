@@ -45,26 +45,21 @@ constexpr std::size_t kReachEntriesPerNode = 64;
 constexpr std::size_t kMinReachEntries = std::size_t{1} << 22;
 
 // Fallback listeners are resolved in chunks of kernel::kGainLanes per
-// far-field sweep: the lanes are independent accumulators, so the sweep
-// vectorizes without any floating-point reassociation (one zmm/ymm lane
-// group per transmitter) and each transmitter load is amortized across the
-// chunk.
+// far-field sweep: the lanes are independent accumulators, so each
+// transmitter load is amortized across the chunk.
 constexpr std::size_t kChunk = kernel::kGainLanes;
 
 // target_clones emits an ifunc whose resolver runs during relocation,
 // before sanitizer runtimes initialize — under ThreadSanitizer that is a
 // load-time crash, so sanitized builds take the plain (still vectorizable)
-// definition.
+// definition. The exact kernel's loops multiply nothing, so the avx512f
+// clone (which has FMA) cannot contract anything either: every clone
+// computes the same bits.
 #if defined(DCC_X86_DISPATCH) && !defined(__clang__) && \
     !defined(__SANITIZE_THREAD__)
-#define DCC_TARGET_CLONES __attribute__((target_clones("avx2", "default")))
-// The exact kernel's loops multiply nothing, so the avx512f clone (which
-// has FMA) cannot contract anything either: every clone computes the same
-// bits.
 #define DCC_EXACT_CLONES \
   __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
-#define DCC_TARGET_CLONES
 #define DCC_EXACT_CLONES
 #endif
 
@@ -100,41 +95,11 @@ void LaneSinr(const double* __restrict total, const double* __restrict best,
   }
 }
 
-// Sweeps the far-field transmitter ranges for one chunk of listeners under
-// the alpha = 3 path-loss kernel; AVX-512 hosts run FarSweepAlpha3Avx512
-// instead. div and sqrt vectorize to their packed forms, which are
-// correctly rounded, and neither clone's target has FMA to contract
-// dx * dx + dy * dy, so results are bit-identical across the clones.
-DCC_TARGET_CLONES
-void FarSweepAlpha3(const double* __restrict xs, const double* __restrict ys,
-                    const std::pair<std::size_t, std::size_t>* ranges,
-                    std::size_t n_ranges, double p, const double* __restrict lx,
-                    const double* __restrict ly, double* __restrict total,
-                    double* __restrict best,
-                    std::size_t* __restrict best_slot) {
-  for (std::size_t r = 0; r < n_ranges; ++r) {
-    for (std::size_t s = ranges[r].first; s < ranges[r].second; ++s) {
-      const double vx = xs[s];
-      const double vy = ys[s];
-      for (std::size_t j = 0; j < kChunk; ++j) {
-        const double dx = vx - lx[j];
-        const double dy = vy - ly[j];
-        double d2 = dx * dx + dy * dy;
-        d2 = d2 < PathLossModel::kMinDistanceSq ? PathLossModel::kMinDistanceSq
-                                                : d2;
-        const double g = p / (d2 * std::sqrt(d2));
-        total[j] += g;
-        const bool upd = g > best[j];
-        best[j] = upd ? g : best[j];
-        best_slot[j] = upd ? s : best_slot[j];
-      }
-    }
-  }
-}
-
 #ifdef DCC_X86_DISPATCH
-// AVX-512 variant of the sweep above: d2^{-3/2} from vrsqrt14pd refined by
-// two Newton steps — a pure multiply/FMA pipeline with no divider pressure.
+// The far-field sweep of one chunk of fallback listeners under the alpha = 3
+// path-loss kernel on AVX-512 hosts (every other host and alpha sweeps with
+// kernel::AddGains): d2^{-3/2} from vrsqrt14pd refined by two Newton steps,
+// a pure multiply/FMA pipeline with no divider pressure.
 // Error after refinement is ~1.5 * (5e-9)^2, i.e. below double epsilon, so
 // gains agree with the scalar kernel to ~2 ulp (well inside the engine's
 // documented 1e-9 SINR tolerance and the pruning slack).
@@ -547,13 +512,19 @@ void Engine::ResolveExact(std::span<const std::size_t> transmitters,
                           ExactLanes& L, const Emit& emit) const {
   const Network& net = *net_;
   const std::size_t count = listeners.size();
-  if (L.node.size() < count) {
-    L.node.resize(count);
-    L.total.resize(count);
-    L.best.resize(count);
-    L.best_k.resize(count);
-    L.sinr.resize(count);
-    L.hit.resize(count);
+  // The gain kernel (AddCoordinateGains) reads and writes whole groups of
+  // lanes, so the lanes are padded to a multiple of kGainLanes.
+  const std::size_t padded = (count + kernel::kGainLanes - 1) /
+                             kernel::kGainLanes * kernel::kGainLanes;
+  if (L.node.size() < padded) {
+    L.node.resize(padded);
+    L.total.resize(padded);
+    L.best.resize(padded);
+    L.best_k.resize(padded);
+    L.sinr.resize(padded);
+    L.hit.resize(padded);
+    L.x.resize(padded);
+    L.y.resize(padded);
   }
 
   // Step 1: the in-reach listeners, in listener order, become the lanes.
@@ -614,17 +585,10 @@ void Engine::ResolveExact(std::span<const std::size_t> transmitters,
 void Engine::AddCoordinateGains(std::span<const std::size_t> transmitters,
                                 std::size_t m, ExactLanes& L) const {
   const Network& net = *net_;
-  // The kernel reads and writes whole groups of lanes; the padding lanes
-  // repeat lane 0's position.
+  // The lanes past m, up to the next multiple of kGainLanes (ResolveExact
+  // sizes L for it), repeat lane 0's position.
   const std::size_t padded = (m + kernel::kGainLanes - 1) /
                              kernel::kGainLanes * kernel::kGainLanes;
-  if (L.total.size() < padded) {
-    L.total.resize(padded);
-    L.best.resize(padded);
-    L.best_k.resize(padded);
-  }
-  L.x.resize(padded);
-  L.y.resize(padded);
   for (std::size_t j = 0; j < padded; ++j) {
     const Vec2 p = net.position(L.node[j < m ? j : 0]);
     L.x[j] = p.x;
@@ -746,24 +710,14 @@ void Engine::ResolveFallbacksBlocked(
         total[j] = 0.0;
         far_best[j] = -1.0;
       }
-      if (plm.alpha_is_three()) {
 #ifdef DCC_X86_DISPATCH
-        if (kernel::HasAvx512()) {
-          FarSweepAlpha3Avx512(P.tx_sx.data(), P.tx_sy.data(),
-                               s.far_ranges.data(), s.far_ranges.size(),
-                               plm.power(), lx, ly, total, far_best,
-                               far_best_v);
-        } else {
-          FarSweepAlpha3(P.tx_sx.data(), P.tx_sy.data(), s.far_ranges.data(),
-                         s.far_ranges.size(), plm.power(), lx, ly, total,
-                         far_best, far_best_v);
-        }
-#else
-        FarSweepAlpha3(P.tx_sx.data(), P.tx_sy.data(), s.far_ranges.data(),
-                       s.far_ranges.size(), plm.power(), lx, ly, total,
-                       far_best, far_best_v);
+      if (plm.alpha_is_three() && kernel::HasAvx512()) {
+        FarSweepAlpha3Avx512(P.tx_sx.data(), P.tx_sy.data(),
+                             s.far_ranges.data(), s.far_ranges.size(),
+                             plm.power(), lx, ly, total, far_best, far_best_v);
+      } else
 #endif
-      } else {
+      {
         for (const auto& [mb, me] : s.far_ranges) {
           kernel::AddGains(plm, P.tx_sx.data(), P.tx_sy.data(), mb, me, lx,
                            ly, (1u << m) - 1, total, far_best, far_best_v);

@@ -33,7 +33,8 @@
 //    through the propagation model's distance envelope. The bounds prune
 //    listeners whose best-case SINR cannot clear beta (the common case in
 //    dense rounds); every listener that might receive is resolved exactly
-//    by a batched far-field sweep (vectorized where the host supports it),
+//    by a batched far-field sweep (a hand-written AVX-512 one for alpha = 3
+//    on avx512f hosts, the gain kernel otherwise),
 //    so the reception set matches kExact and reported SINR values agree to
 //    >= 9 significant digits (floating-point reassociation only; at extreme
 //    SINRs the agreement degrades by an additional eps * |T| * sinr factor

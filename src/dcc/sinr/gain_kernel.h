@@ -2,8 +2,9 @@
 // (engine.cc): PathLossModel::GainD2(Dist2(v, u)) for kGainLanes listeners
 // u at once, against a range of transmitters v, folded into each lane's
 // running sum and strongest transmitter. The grid path's close-tile scans,
-// its far sweep for alpha != 3 and the exact kernel's rounds above
-// Engine::kGainMatrixLimit run it.
+// its far sweep (except for alpha = 3 on avx512f hosts, which run the
+// engine's approximate FarSweepAlpha3Avx512) and the exact kernel's rounds
+// above Engine::kGainMatrixLimit run it.
 //
 // Bit contract: for every lane, each variant computes the bits of the
 // scalar loop
