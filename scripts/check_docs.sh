@@ -35,6 +35,11 @@
 #      name a member the code dropped. Of a longer chain
 #      (sinr::Network::Gain) the last two parts count; a lowercase first
 #      part is a namespace (scenario::RunScenario) and is skipped.
+#   9. Bare names — every name in backticks made of two or more
+#      capitalised parts (`FarFieldPyramid`, `RunScenario`) those same docs
+#      mention must appear as a whole word in src/, tools/, bench/, tests/
+#      or examples/, so the docs cannot name a class or function the code
+#      dropped (check 8 sees only Class::member names).
 #
 # Usage: scripts/check_docs.sh [path-to-dcc_run]   (default: build/dcc_run;
 # dccd and dcc_load are expected next to it)
@@ -218,6 +223,15 @@ while IFS=: read -r doc name; do
     err "$(basename "$doc"): mentions $owner::$member, which no header under src/ declaring class or struct $owner names"
 done < <(grep -oHE '[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' \
            "${DOCS_AND_SKILLS[@]}" | sort -u)
+
+# --- 9. bare CamelCase names vs the code -------------------------------------
+while IFS=: read -r doc name; do
+  name="${name//\`/}"
+  grep -rqwF -- "$name" "$ROOT/src" "$ROOT/tools" "$ROOT/bench" \
+      "$ROOT/tests" "$ROOT/examples" ||
+    err "$(basename "$doc"): mentions $name, which nothing in src/, tools/, bench/, tests/ or examples/ names"
+done < <(grep -oHE '`[A-Z][a-z0-9]+([A-Z][a-z0-9]*)+`' "${DOCS_AND_SKILLS[@]}" |
+           sort -u)
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2

@@ -131,6 +131,9 @@ ScenarioSpec ScenarioSpec::FromArgs(const std::vector<std::string>& args) {
           ParseDouble(val.substr(0, colon == std::string::npos ? val.size()
                                                                : colon),
                       key);
+      if (spec.shadowing.spread < 0.0) {
+        throw InvalidArgument("--shadowing: spread must be >= 0");
+      }
       spec.shadowing.seed =
           colon == std::string::npos ? 0 : ParseUint64(val.substr(colon + 1), key);
     } else if (key == "--engine") {

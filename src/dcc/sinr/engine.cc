@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <typeinfo>
 
 #include "dcc/obs/metrics.h"
 #include "dcc/obs/trace.h"
@@ -163,22 +162,22 @@ double AutoCell(const Network& net, const std::optional<Box>& coverage) {
 }
 
 // The reach radius: the smallest r, to bisection precision, with
-// MaxGain(r) < beta * noise * (1 - kReachMargin). MaxGain(r) bounds every
-// link of length >= r and every model's envelope is non-increasing, so no
-// such link can carry a reception. Infinity when the envelope never drops
-// below the threshold.
-double ReachRadius(const PropagationModel& model, const Params& params) {
+// MaxGainD2(r * r) < beta * noise * (1 - kReachMargin). MaxGainD2(r * r)
+// bounds every link of length >= r and the envelope is non-increasing, so
+// no such link can carry a reception. Infinity when the envelope never
+// drops below the threshold.
+double ReachRadius(const PathLossModel& model, const Params& params) {
   const double threshold = params.beta * params.noise * (1.0 - kReachMargin);
   double hi = 1.0;
-  while (!(model.MaxGain(hi) < threshold)) {
+  while (!(model.MaxGainD2(hi * hi) < threshold)) {
     if (hi > 1e300) return std::numeric_limits<double>::infinity();
     hi *= 2.0;
   }
-  double lo = 0.0;  // MaxGain(hi) < threshold holds throughout
+  double lo = 0.0;  // MaxGainD2(hi * hi) < threshold holds throughout
   for (int i = 0; i < 200; ++i) {
     const double mid = 0.5 * (lo + hi);
     if (!(mid > lo && mid < hi)) break;
-    (model.MaxGain(mid) < threshold ? hi : lo) = mid;
+    (model.MaxGainD2(mid * mid) < threshold ? hi : lo) = mid;
   }
   return hi;
 }
@@ -214,9 +213,6 @@ Engine::Engine(const Network& net, Options options)
     }
     near_radius_ = std::max(cell, 2.0);
     far_start_ = 2.0 * near_radius_;
-  }
-  if (typeid(net.propagation()) == typeid(PathLossModel)) {
-    pure_path_loss_ = static_cast<const PathLossModel*>(&net.propagation());
   }
   is_tx_.assign(net.size(), 0);
   if (grid_) {
@@ -258,7 +254,7 @@ void Engine::FillGains() const {
   // One Gain call per ordered pair, so the writes run in memory order.
   // Mirroring each gain into its column halves the calls but writes
   // n * 8 bytes apart: 62-64 ms against 34 ms at n = 2048 (4-core Xeon,
-  // gcc 12.2, Release). The models are symmetric to the bit, so both
+  // gcc 12.2, Release). The model is symmetric to the bit, so both
   // fills give the same table.
   for (std::size_t i = 0; i < n; ++i) {
     double* row = gain_.data() + i * n;
@@ -427,8 +423,7 @@ void Engine::BuildPrologue(std::span<const std::size_t> tx,
 void Engine::BuildTileState(std::span<const std::size_t> listeners) const {
   DCC_TRACE_SPAN("engine.farfield");
   RoundPrologue& P = prologue_;
-  const Network& net = *net_;
-  const PropagationModel& model = net.propagation();
+  const PathLossModel& model = net_->propagation();
   const SpatialGrid& grid = *grid_;
   const auto tiles = static_cast<std::size_t>(grid.tile_count());
 
@@ -452,17 +447,6 @@ void Engine::BuildTileState(std::span<const std::size_t> listeners) const {
     P.tile_close_end.assign(tiles, 0);
   }
   P.close_pool.clear();
-
-  // Envelope bounds as a function of squared distance, devirtualized for
-  // the pure path-loss model (same kernels StepGridRange uses).
-  const auto min_gain_d2 = [&](double d2_hi) {
-    return pure_path_loss_ != nullptr ? pure_path_loss_->GainD2(d2_hi)
-                                      : model.MinGain(std::sqrt(d2_hi));
-  };
-  const auto max_gain_d2 = [&](double d2_lo) {
-    return pure_path_loss_ != nullptr ? pure_path_loss_->GainD2(d2_lo)
-                                      : model.MaxGain(std::sqrt(d2_lo));
-  };
   const double far_sq = far_start_ * far_start_;
 
   if (P.occupied_tx.size() >= options_.pyramid_min_occupied) {
@@ -474,8 +458,8 @@ void Engine::BuildTileState(std::span<const std::size_t> listeners) const {
       const auto tile = static_cast<std::size_t>(t);
       double far_lo = 0.0, far_ub = 0.0;
       P.tile_close_begin[tile] = static_cast<std::uint32_t>(P.close_pool.size());
-      pyramid_.Accumulate(grid, t, far_sq, min_gain_d2, max_gain_d2,
-                          P.close_pool, far_lo, far_ub);
+      pyramid_.Accumulate(grid, t, far_sq, model, P.close_pool, far_lo,
+                          far_ub);
       P.tile_close_end[tile] = static_cast<std::uint32_t>(P.close_pool.size());
       P.tile_far_lo[tile] = far_lo;
       P.tile_far_ub[tile] = far_ub;
@@ -493,8 +477,8 @@ void Engine::BuildTileState(std::span<const std::size_t> listeners) const {
           const auto cnt = static_cast<double>(
               P.tx_start[static_cast<std::size_t>(b) + 1] -
               P.tx_start[static_cast<std::size_t>(b)]);
-          far_lo += cnt * min_gain_d2(grid.TileDistHiSq(t, b));
-          far_ub = std::max(far_ub, max_gain_d2(d2_lo));
+          far_lo += cnt * model.MinGainD2(grid.TileDistHiSq(t, b));
+          far_ub = std::max(far_ub, model.MaxGainD2(d2_lo));
         } else {
           P.close_pool.push_back(b);
         }
@@ -550,7 +534,7 @@ void Engine::ResolveExact(std::span<const std::size_t> transmitters,
     }
     AddTableRows(L.rows.data(), transmitters.size(), L.node.data(), m,
                  L.total.data(), L.best.data(), L.best_k.data());
-  } else if (pure_path_loss_ != nullptr) {
+  } else if (!net.propagation().shadowed()) {
     AddCoordinateGains(transmitters, m, L);
   } else {
     for (std::size_t k = 0; k < transmitters.size(); ++k) {
@@ -603,7 +587,7 @@ void Engine::AddCoordinateGains(std::span<const std::size_t> transmitters,
   }
   for (std::size_t j = 0; j < m; j += kernel::kGainLanes) {
     const std::size_t lanes = std::min(kernel::kGainLanes, m - j);
-    kernel::AddGains(*pure_path_loss_, L.tx_x.data(), L.tx_y.data(), 0,
+    kernel::AddGains(net.propagation(), L.tx_x.data(), L.tx_y.data(), 0,
                      transmitters.size(), &L.x[j], &L.y[j], (1u << lanes) - 1,
                      &L.total[j], &L.best[j], &L.best_k[j]);
   }
@@ -654,19 +638,15 @@ void Engine::ResolveFallbacksBlocked(
     const RoundPrologue& P, std::span<const std::size_t> transmitters,
     RoundScratch& s) const {
   const Network& net = *net_;
-  const PathLossModel& plm = *pure_path_loss_;
+  const PathLossModel& plm = net.propagation();
   const double beta = net.params().beta;
   const double noise = net.params().noise;
 
-  // Group the deferred listeners by tile so each group shares one far-range
-  // scan; ordinals restore the caller's listener order at the end (the
-  // caller sorts s.pending).
-  std::sort(s.fallback.begin(), s.fallback.end(),
-            [](const GridFallback& a, const GridFallback& b) {
-              return a.tile != b.tile ? a.tile < b.tile
-                                      : a.ordinal < b.ordinal;
-            });
-
+  // s.fallback is already in (tile, ordinal) order: the lane groups walk
+  // the shard's slice of the prologue's stable tile-sorted order, and each
+  // group queues its lanes in that order. So each tile's deferred listeners
+  // form one run that shares one far-range scan; the caller sorts
+  // s.pending back into listener order.
   for (std::size_t i = 0; i < s.fallback.size();) {
     const std::uint32_t tile = s.fallback[i].tile;
     std::size_t group_end = i;
@@ -808,23 +788,11 @@ void Engine::ResolveLaneGroup(const RoundPrologue& P,
                               std::size_t tile, std::size_t m,
                               RoundScratch& s) const {
   const Network& net = *net_;
-  const PropagationModel& model = net.propagation();
+  const PathLossModel& model = net.propagation();
   const SpatialGrid& grid = *grid_;
   const double beta = net.params().beta;
   const double noise = net.params().noise;
   GridLanes& G = s.lanes;
-
-  // Envelope bounds as a function of squared distance, devirtualized for
-  // the pure path-loss model (no per-link structure, so the envelope IS the
-  // gain kernel).
-  const auto min_gain_d2 = [&](double d2_hi) {
-    return pure_path_loss_ != nullptr ? pure_path_loss_->GainD2(d2_hi)
-                                      : model.MinGain(std::sqrt(d2_hi));
-  };
-  const auto max_gain_d2 = [&](double d2_lo) {
-    return pure_path_loss_ != nullptr ? pure_path_loss_->GainD2(d2_lo)
-                                      : model.MaxGain(std::sqrt(d2_lo));
-  };
   const double near_sq = near_radius_ * near_radius_;
 
   // Every lane adds in the per-listener order: close-list order, CSR order
@@ -842,9 +810,9 @@ void Engine::ResolveLaneGroup(const RoundPrologue& P,
   }
   // The exact scan of CSR slots [mb, me) for the lanes in `lanes`.
   const auto scan = [&](std::size_t mb, std::size_t me, unsigned lanes) {
-    if (pure_path_loss_ != nullptr) {
-      kernel::AddGains(*pure_path_loss_, P.tx_sx.data(), P.tx_sy.data(), mb,
-                       me, G.x.data(), G.y.data(), lanes, G.close_sum.data(),
+    if (!model.shadowed()) {
+      kernel::AddGains(model, P.tx_sx.data(), P.tx_sy.data(), mb, me,
+                       G.x.data(), G.y.data(), lanes, G.close_sum.data(),
                        G.best.data(), G.best_slot.data());
       return;
     }
@@ -884,8 +852,8 @@ void Engine::ResolveLaneGroup(const RoundPrologue& P,
         continue;
       }
       G.bound_lo[j] += static_cast<double>(me - mb) *
-                       min_gain_d2(SpatialGrid::DistHiSq(p, box));
-      G.gain_ub[j] = std::max(G.gain_ub[j], max_gain_d2(d2_lo));
+                       model.MinGainD2(SpatialGrid::DistHiSq(p, box));
+      G.gain_ub[j] = std::max(G.gain_ub[j], model.MaxGainD2(d2_lo));
     }
     G.near[c - close_begin] = static_cast<std::uint8_t>(near);
     if (near != 0) scan(mb, me, near);
@@ -920,7 +888,7 @@ void Engine::ResolveLaneGroup(const RoundPrologue& P,
   }
 
   // Stage 2's prune, then stage 3 — a reception is genuinely possible:
-  // defer to the exact fallback (batched for the pure path-loss model).
+  // defer to the exact fallback (batched without shadowing).
   for (unsigned rest = live; rest != 0; rest &= rest - 1) {
     const auto j = static_cast<std::size_t>(std::countr_zero(rest));
     if (cannot_receive(std::max(G.best[j], P.tile_far_ub[tile]),
@@ -930,7 +898,7 @@ void Engine::ResolveLaneGroup(const RoundPrologue& P,
     }
     ++s.exact_fallbacks;
     const std::uint32_t ordinal = G.ordinal[j];
-    if (pure_path_loss_ != nullptr) {
+    if (!model.shadowed()) {
       s.fallback.push_back(GridFallback{
           static_cast<std::uint32_t>(tile), ordinal, G.node[j],
           G.close_sum[j], G.best[j], P.tx_members[G.best_slot[j]]});

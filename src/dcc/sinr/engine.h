@@ -15,8 +15,8 @@
 //    transmitters, then computes every SINR in one pass. The gains are
 //    gathered from each transmitter's row of the engine's gain table; above
 //    kGainMatrixLimit they are computed from the lanes' and the
-//    transmitters' coordinates by the gain kernel (sinr/gain_kernel.h) for
-//    pure path loss, and through Network::Gain for the other models. Its
+//    transmitters' coordinates by the gain kernel (sinr/gain_kernel.h)
+//    without shadowing, and through Network::Gain under shadowing. Its
 //    order rules keep every bit of the per-listener definition: a
 //    listener's sum starts from 0.0 + g and adds its gains in transmitter
 //    order; its strongest transmitter changes only on a strictly larger
@@ -28,7 +28,7 @@
 //    below). A larger round is resolved by the grid path: a uniform
 //    spatial index (common/spatial_grid.h) buckets the round's
 //    transmitters into tiles. Near-field tiles are scanned exactly (by the
-//    gain kernel for pure path loss, eight listeners of a tile at a time);
+//    gain kernel without shadowing, eight listeners of a tile at a time);
 //    mid- and far-field tiles contribute conservative interference bounds
 //    through the propagation model's distance envelope. The bounds prune
 //    listeners whose best-case SINR cannot clear beta (the common case in
@@ -55,11 +55,11 @@
 // Every reception has a gain of at least beta * noise (SINR <= gain /
 // noise), so no listener farther than the reach radius r from every
 // transmitter can receive: r is the smallest distance (to bisection
-// precision) with PropagationModel::MaxGain(r) < beta * noise * (1 - 1e-6),
-// about 1 at the paper's P = N * beta. Each engine keeps, for every node,
-// the nodes within r of it (itself included) as a CSR, built by one
-// PointGrid::ForNear query per node (common/geometry.h), and each round
-// stamps its transmitters' reach into a per-node mark; an unmarked
+// precision) with PathLossModel::MaxGainD2(r * r) < beta * noise *
+// (1 - 1e-6), about 1 at the paper's P = N * beta. Each engine keeps, for
+// every node, the nodes within r of it (itself included) as a CSR, built
+// by one PointGrid::ForNear query per node (common/geometry.h), and each
+// round stamps its transmitters' reach into a per-node mark; an unmarked
 // listener is skipped without a gain evaluation, after the
 // transmitter-cannot-listen check (in the exact kernel, its first step:
 // every listener is checked, and only the marked ones become its lanes,
@@ -341,8 +341,8 @@ class Engine {
     std::vector<double> sinr;
     std::vector<std::uint32_t> hit;   // the lanes whose SINR clears beta
     std::vector<const double*> rows;  // the transmitters' gain rows
-    // Without the table, for pure path loss: the lanes' and the
-    // transmitters' (in call order) coordinates.
+    // Without the table or shadowing: the lanes' and the transmitters' (in
+    // call order) coordinates.
     std::vector<double> x, y, tx_x, tx_y;
   };
 
@@ -426,17 +426,16 @@ class Engine {
                 std::span<const std::size_t> listeners, int shards,
                 std::vector<Reception>& out) const;
   // The exact kernel (kExact, above), shared by kExact rounds and shards,
-  // kGrid's fallback for models without a devirtualized kernel, and the
-  // near-threshold recheck: resolves `listeners` against every transmitter
-  // in the lanes L and calls emit(reception) for each reception, in
-  // listener order.
+  // kGrid's fallback under shadowing, and the near-threshold recheck:
+  // resolves `listeners` against every transmitter in the lanes L and calls
+  // emit(reception) for each reception, in listener order.
   template <typename Emit>
   void ResolveExact(std::span<const std::size_t> transmitters,
                     std::span<const std::size_t> listeners, ExactLanes& L,
                     const Emit& emit) const;
-  // Step 2 of the exact kernel without the gain table, for pure path loss:
-  // adds every transmitter's gains at lanes [0, m) of L, computed by the
-  // gain kernel from their coordinates.
+  // Step 2 of the exact kernel without the gain table or shadowing: adds
+  // every transmitter's gains at lanes [0, m) of L, computed by the gain
+  // kernel from their coordinates.
   void AddCoordinateGains(std::span<const std::size_t> transmitters,
                           std::size_t m, ExactLanes& L) const;
   // Builds prologue_ from (tx, listeners): buckets the transmitters into
@@ -465,7 +464,7 @@ class Engine {
                         std::span<const std::size_t> listeners,
                         std::size_t tile, std::size_t m,
                         RoundScratch& s) const;
-  // kGrid's batched exact fallback for the pure path-loss model: resolves
+  // kGrid's batched exact fallback without shadowing: resolves
   // s.fallback tile by tile, sweeping each tile group's far-field
   // transmitter ranges once per kChunk-listener chunk (kChunk is defined in
   // engine.cc; one AVX-512 register of lanes). Near-threshold SINRs are
@@ -503,13 +502,6 @@ class Engine {
   // The gain table (see kGainMatrixLimit; both modes), refilled for every
   // new set of positions and read-only during a round.
   mutable std::vector<double> gain_;
-
-  // Set iff the network's model is exactly PathLossModel (both modes): the
-  // grid path's close scans and the exact kernel without the gain table
-  // then run the gain kernel (sinr/gain_kernel.h) on coordinates, and the
-  // bounds inline PathLossModel::GainD2, instead of dispatching through the
-  // virtual GainFromDistanceSq per link.
-  const PathLossModel* pure_path_loss_ = nullptr;
 
   // --- Reception reach (both modes). ---
   // Infinity when unused: the envelope never drops below the threshold, or

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "dcc/common/spatial_grid.h"
+#include "dcc/sinr/propagation.h"
 
 namespace dcc::sinr {
 
@@ -80,13 +81,11 @@ class FarFieldPyramid {
   // beyond far_sq contribute their whole count to the far-field bounds at
   // their level; cells that might be close refine, and close *leaves* are
   // appended to `close_out` (sorted ascending before returning, matching
-  // the flat walk's occupied-ascending order). min_gain_d2/max_gain_d2 map
-  // a squared distance to the model's envelope gains.
-  template <class MinGain, class MaxGain>
+  // the flat walk's occupied-ascending order). The bounds are the model's
+  // envelope gains (MinGainD2, MaxGainD2).
   void Accumulate(const SpatialGrid& grid, int tile, double far_sq,
-                  MinGain&& min_gain_d2, MaxGain&& max_gain_d2,
-                  std::vector<int>& close_out, double& far_lo,
-                  double& far_ub) const {
+                  const PathLossModel& model, std::vector<int>& close_out,
+                  double& far_lo, double& far_ub) const {
     const std::size_t close_begin = close_out.size();
     stack_.clear();
     const int top = static_cast<int>(levels_.size()) - 1;
@@ -107,9 +106,9 @@ class FarFieldPyramid {
             lv.count[static_cast<std::size_t>(c.y) *
                          static_cast<std::size_t>(lv.nx) +
                      static_cast<std::size_t>(c.x)]);
-        far_lo += cnt * min_gain_d2(
+        far_lo += cnt * model.MinGainD2(
                             grid.TileRangeDistHiSq(tile, bx0, by0, bx1, by1));
-        far_ub = std::max(far_ub, max_gain_d2(d2_lo));
+        far_ub = std::max(far_ub, model.MaxGainD2(d2_lo));
       } else if (c.level == 0) {
         close_out.push_back(by0 * nx0_ + bx0);
       } else {

@@ -1,10 +1,12 @@
 // The engine's one kernel for gains it computes without its gain table
 // (engine.cc): PathLossModel::GainD2(Dist2(v, u)) for kGainLanes listeners
 // u at once, against a range of transmitters v, folded into each lane's
-// running sum and strongest transmitter. The grid path's close-tile scans,
-// its far sweep (except for alpha = 3 on avx512f hosts, which run the
-// engine's approximate FarSweepAlpha3Avx512) and the exact kernel's rounds
-// above Engine::kGainMatrixLimit run it.
+// running sum and strongest transmitter. GainD2 is the pure law, so only
+// a model that is not shadowed runs it (a shadowed gain carries its
+// link's factor and goes through Network::Gain, pair by pair). The grid
+// path's close-tile scans, its far sweep (except for alpha = 3 on avx512f
+// hosts, which run the engine's approximate FarSweepAlpha3Avx512) and the
+// exact kernel's rounds above Engine::kGainMatrixLimit run it.
 //
 // Bit contract: for every lane, each variant computes the bits of the
 // scalar loop

@@ -7,18 +7,10 @@ namespace dcc::sinr {
 
 Network::Network(std::vector<Vec2> positions, std::vector<NodeId> ids,
                  Params params, Shadowing shadowing)
-    : Network(std::move(positions), std::move(ids), params,
-              MakeDefaultModel(params, shadowing)) {}
-
-Network::Network(std::vector<Vec2> positions, std::vector<NodeId> ids,
-                 Params params,
-                 std::shared_ptr<const PropagationModel> model)
     : pos_(std::move(positions)),
       ids_(std::move(ids)),
       params_(params),
-      model_(std::move(model)) {
-  DCC_REQUIRE(model_ != nullptr, "Network: propagation model must be non-null");
-  params_.Validate();
+      model_(params, shadowing) {
   DCC_REQUIRE(pos_.size() == ids_.size(),
               "Network: positions and ids must have equal length");
   index_of_.reserve(ids_.size());

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -20,17 +19,6 @@
 #include "dcc/sinr/propagation.h"
 
 namespace dcc::sinr {
-
-// Optional deterministic shadowing: per-link multiplicative gain
-// perturbation, log-uniform in [1/(1+spread), 1+spread], seeded and
-// symmetric. Models the idealized-SINR / real-radio gap (obstacles,
-// antenna variation) while keeping runs reproducible. spread = 0 disables.
-// (Convenience wrapper over LogUniformShadowingModel; pass a model directly
-// for anything beyond that.)
-struct Shadowing {
-  double spread = 0.0;
-  std::uint64_t seed = 0;
-};
 
 // An undirected graph over node indices 0..size()-1 as one CSR: g[u]
 // lists u's neighbors in ascending order, and they start at g.offset(u) of
@@ -53,13 +41,10 @@ class Adjacency {
 class Network {
  public:
   // IDs must be unique and within [1, params.id_space]; positions and ids
-  // must have equal length.
+  // must have equal length. Gains follow PathLossModel(params, shadowing)
+  // (sinr/propagation.h); a negative spread is rejected.
   Network(std::vector<Vec2> positions, std::vector<NodeId> ids, Params params,
           Shadowing shadowing = {});
-
-  // Same, with an explicit propagation model (must be non-null).
-  Network(std::vector<Vec2> positions, std::vector<NodeId> ids, Params params,
-          std::shared_ptr<const PropagationModel> model);
 
   // Assigns IDs 1..n in position order (convenience for tests/workloads).
   static Network WithSequentialIds(std::vector<Vec2> positions, Params params);
@@ -94,15 +79,15 @@ class Network {
   }
 
   // Received power at j of a transmission from i, computed by the
-  // propagation model on every call (P / d(i,j)^alpha for the default
-  // path-loss model); 0 for i == j.
+  // propagation model on every call (P / d(i,j)^alpha, times the link's
+  // shadowing factor when shadowed); 0 for i == j.
   double Gain(std::size_t i, std::size_t j) const {
     if (i == j) return 0.0;
-    return model_->Gain(pos_[i], pos_[j], ids_[i], ids_[j]);
+    return model_.Gain(Dist2(pos_[i], pos_[j]), ids_[i], ids_[j]);
   }
 
   // The propagation model gains are computed under.
-  const PropagationModel& propagation() const { return *model_; }
+  const PathLossModel& propagation() const { return model_; }
 
   // --- Communication graph: edges {u,v} with d(u,v) <= 1 - eps. ---
   // One CSR (Adjacency), filled by one PointGrid query per node. Built on
@@ -135,7 +120,7 @@ class Network {
   std::uint64_t positions_version_ = 0;
   std::vector<NodeId> ids_;
   Params params_;
-  std::shared_ptr<const PropagationModel> model_;
+  PathLossModel model_;
   std::unordered_map<NodeId, std::size_t> index_of_;
   mutable Adjacency comm_graph_;  // lazy: built while it has no nodes
 };

@@ -4,96 +4,26 @@
 #include <cmath>
 
 #include "dcc/common/rng.h"
-#include "dcc/sinr/network.h"
 
 namespace dcc::sinr {
 
-// --- PathLossModel ----------------------------------------------------------
-
-PathLossModel::PathLossModel(const Params& params)
+PathLossModel::PathLossModel(const Params& params, Shadowing shadowing)
     : power_(params.power),
       alpha_(params.alpha),
-      alpha_is_3_(params.alpha == 3.0) {
+      alpha_is_3_(params.alpha == 3.0),
+      spread_(shadowing.spread),
+      seed_(shadowing.seed) {
+  DCC_REQUIRE(spread_ >= 0.0, "shadowing spread must be >= 0");
   params.Validate();
 }
 
-double PathLossModel::GainFromDistanceSq(double d2, NodeId, NodeId) const {
-  return GainD2(d2);
-}
-
-double PathLossModel::MaxGain(double d_lo) const {
-  return GainD2(d_lo * d_lo);
-}
-
-double PathLossModel::MinGain(double d_hi) const {
-  return GainD2(d_hi * d_hi);
-}
-
-// --- LogUniformShadowingModel -----------------------------------------------
-
-LogUniformShadowingModel::LogUniformShadowingModel(const Params& params,
-                                                   double spread,
-                                                   std::uint64_t seed)
-    : PathLossModel(params), spread_(spread), seed_(seed) {
-  DCC_REQUIRE(spread_ > 0.0, "shadowing spread must be > 0");
-}
-
-double LogUniformShadowingModel::Factor(NodeId id_a, NodeId id_b) const {
+double PathLossModel::Factor(NodeId id_a, NodeId id_b) const {
   const auto lo = static_cast<std::uint64_t>(std::min(id_a, id_b));
   const auto hi = static_cast<std::uint64_t>(std::max(id_a, id_b));
   const double u =
       static_cast<double>(HashWords(seed_, lo, hi) >> 11) * 0x1.0p-53;
   const double log_span = std::log(1.0 + spread_);
   return std::exp((2.0 * u - 1.0) * log_span);
-}
-
-double LogUniformShadowingModel::GainFromDistanceSq(double d2, NodeId id_a,
-                                                    NodeId id_b) const {
-  return GainD2(d2) * Factor(id_a, id_b);
-}
-
-double LogUniformShadowingModel::MaxGain(double d_lo) const {
-  return GainD2(d_lo * d_lo) * (1.0 + spread_);
-}
-
-double LogUniformShadowingModel::MinGain(double d_hi) const {
-  return GainD2(d_hi * d_hi) / (1.0 + spread_);
-}
-
-// --- TheoryModel ------------------------------------------------------------
-
-TheoryModel::TheoryModel(const Params& params, double cutoff)
-    : PathLossModel(params),
-      cutoff_(cutoff > 0.0 ? cutoff : 8.0 * params.TransmissionRange()) {
-  DCC_REQUIRE(cutoff_ >= params.TransmissionRange(),
-              "theory cutoff must cover the transmission range");
-}
-
-double TheoryModel::GainFromDistanceSq(double d2, NodeId, NodeId) const {
-  if (d2 > cutoff_ * cutoff_) return 0.0;
-  return GainD2(d2);
-}
-
-double TheoryModel::MaxGain(double d_lo) const {
-  if (d_lo > cutoff_) return 0.0;
-  return GainD2(d_lo * d_lo);
-}
-
-double TheoryModel::MinGain(double d_hi) const {
-  if (d_hi > cutoff_) return 0.0;
-  return GainD2(d_hi * d_hi);
-}
-
-// --- Factory ----------------------------------------------------------------
-
-std::shared_ptr<const PropagationModel> MakeDefaultModel(
-    const Params& params, const Shadowing& shadowing) {
-  DCC_REQUIRE(shadowing.spread >= 0.0, "shadowing spread must be >= 0");
-  if (shadowing.spread > 0.0) {
-    return std::make_shared<LogUniformShadowingModel>(params, shadowing.spread,
-                                                      shadowing.seed);
-  }
-  return std::make_shared<PathLossModel>(params);
 }
 
 }  // namespace dcc::sinr

@@ -1,145 +1,90 @@
 // The propagation layer: how transmit power turns into received power.
 //
-// `Network` composes a PropagationModel instead of baking the power law in,
-// so experiments can swap radio conditions (pure path loss, deterministic
-// shadowing, theory-mode truncation) without touching the interference or
-// execution layers. Models are immutable and shared by const reference.
+// One model: the paper's power law P / d^alpha (Eq. 1), optionally
+// perturbed by a deterministic per-link shadowing factor. `Network` holds
+// it by value and every gain, the engine's included, is computed by it.
 //
-// Besides point-to-point gains, a model exposes a distance *envelope* —
-// upper/lower bounds on the gain of any link whose length falls in a given
-// interval. The grid-indexed SINR engine uses the envelope to bound the
-// aggregate interference of whole tiles without enumerating their members;
-// envelopes must therefore be conservative for every id pair.
+// Besides point-to-point gains, the model exposes a distance *envelope* —
+// upper/lower bounds on the gain of any link whose squared length falls in
+// a given interval. The grid-indexed SINR engine uses the envelope to bound
+// the aggregate interference of whole tiles without enumerating their
+// members, so it is conservative for every id pair.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
 
-#include "dcc/common/geometry.h"
 #include "dcc/common/types.h"
 #include "dcc/sinr/params.h"
 
 namespace dcc::sinr {
 
-// Forward-declared here so network.h can keep including only params.h.
-struct Shadowing;
-
-class PropagationModel {
- public:
-  virtual ~PropagationModel() = default;
-
-  // The primitive: received power over a link of squared length `d2`
-  // between nodes `id_a` and `id_b`. Ids identify the link for models with
-  // per-link structure (shadowing); gains are symmetric in id order, to the
-  // bit.
-  // Working in squared distance lets callers skip the sqrt of the hot
-  // distance computation.
-  virtual double GainFromDistanceSq(double d2, NodeId id_a,
-                                    NodeId id_b) const = 0;
-
-  // Received power at `b` of a transmission from `a`. Distinct co-located
-  // nodes fall into the kMinDistanceSq clamp (a huge but finite gain),
-  // matching the engine's devirtualized kernels; "no self-gain" is the
-  // Network layer's job, keyed on node identity, not position.
-  double Gain(Vec2 a, Vec2 b, NodeId id_a, NodeId id_b) const {
-    return GainFromDistanceSq(Dist2(a, b), id_a, id_b);
-  }
-
-  // Envelope: an upper bound on Gain over every link of length >= d_lo, and
-  // a lower bound over every link of length <= d_hi (0 < d_lo, d_hi).
-  virtual double MaxGain(double d_lo) const = 0;
-  virtual double MinGain(double d_hi) const = 0;
-
-  virtual const char* name() const = 0;
+// Optional deterministic shadowing: per-link multiplicative gain
+// perturbation, log-uniform in [1/(1+spread), 1+spread], seeded and
+// symmetric. Models the idealized-SINR / real-radio gap (obstacles,
+// antenna variation) while keeping runs reproducible. spread = 0 disables.
+struct Shadowing {
+  double spread = 0.0;
+  std::uint64_t seed = 0;
 };
 
-// Pure power law: P / d^alpha (the paper's model, Eq. 1). Co-located points
-// are clamped to a tiny distance defensively; the model places distinct
-// nodes at distinct positions.
-//
-// The engine devirtualizes its hot loops onto GainD2 when the network's
-// model is exactly this class, so GainD2 is the single arithmetic kernel
-// all gain paths (the engine's gain table, on-the-fly, grid scans) agree
-// on.
-class PathLossModel : public PropagationModel {
+// P / d^alpha, times the link's shadowing factor when shadowed. Co-located
+// points are clamped to a tiny distance defensively; the model places
+// distinct nodes at distinct positions.
+class PathLossModel {
  public:
-  explicit PathLossModel(const Params& params);
+  // Rejects a negative spread and invalid params.
+  explicit PathLossModel(const Params& params, Shadowing shadowing = {});
 
-  // P / d2^{alpha/2}, with the common alpha = 3 specialized to
-  // multiply+sqrt instead of pow.
+  // The pure law: P / d2^{alpha/2}, with the common alpha = 3 specialized
+  // to multiply+sqrt instead of pow. Without shadowing, the engine's gain
+  // table, its gain kernel (sinr/gain_kernel.h) and its bounds all hold
+  // these bits.
   double GainD2(double d2) const {
     d2 = d2 < kMinDistanceSq ? kMinDistanceSq : d2;
     if (alpha_is_3_) return power_ / (d2 * std::sqrt(d2));
     return power_ * std::pow(d2, -0.5 * alpha_);
   }
 
-  double GainFromDistanceSq(double d2, NodeId id_a,
-                            NodeId id_b) const override;
-  double MaxGain(double d_lo) const override;
-  double MinGain(double d_hi) const override;
-  const char* name() const override { return "path_loss"; }
+  // Received power over a link of squared length `d2` between nodes `id_a`
+  // and `id_b`: GainD2(d2), times Factor(id_a, id_b) when shadowed. Gains
+  // are symmetric in id order, to the bit. Distinct co-located nodes fall
+  // into the kMinDistanceSq clamp (a huge but finite gain); "no self-gain"
+  // is the Network layer's job, keyed on node identity, not position.
+  double Gain(double d2, NodeId id_a, NodeId id_b) const {
+    const double g = GainD2(d2);
+    return shadowed() ? g * Factor(id_a, id_b) : g;
+  }
 
+  // The per-link shadowing factor, in [1/(1+spread), 1+spread] (1 when
+  // not shadowed).
+  double Factor(NodeId id_a, NodeId id_b) const;
+
+  // Envelope: an upper bound on Gain over every link of squared length
+  // >= d2_lo, and a lower bound over every link of squared length <= d2_hi.
+  // Both are GainD2's bits when not shadowed.
+  double MaxGainD2(double d2_lo) const {
+    const double g = GainD2(d2_lo);
+    return shadowed() ? g * (1.0 + spread_) : g;
+  }
+  double MinGainD2(double d2_hi) const {
+    const double g = GainD2(d2_hi);
+    return shadowed() ? g / (1.0 + spread_) : g;
+  }
+
+  bool shadowed() const { return spread_ > 0.0; }
   double power() const { return power_; }
   double alpha() const { return alpha_; }
   bool alpha_is_three() const { return alpha_is_3_; }
 
   static constexpr double kMinDistanceSq = 1e-18;
 
- protected:
+ private:
   double power_;
   double alpha_;
   bool alpha_is_3_;
-};
-
-// Path loss perturbed by a deterministic per-link multiplicative factor,
-// log-uniform in [1/(1+spread), 1+spread], symmetric and seeded. Models the
-// idealized-SINR / real-radio gap while keeping runs reproducible.
-class LogUniformShadowingModel : public PathLossModel {
- public:
-  LogUniformShadowingModel(const Params& params, double spread,
-                           std::uint64_t seed);
-
-  double GainFromDistanceSq(double d2, NodeId id_a,
-                            NodeId id_b) const override;
-  double MaxGain(double d_lo) const override;
-  double MinGain(double d_hi) const override;
-  const char* name() const override { return "log_uniform_shadowing"; }
-
-  // The per-link factor alone (exposed for tests).
-  double Factor(NodeId id_a, NodeId id_b) const;
-
-  double spread() const { return spread_; }
-
- private:
   double spread_;
   std::uint64_t seed_;
 };
-
-// Theory mode: the power law of the proofs with interference truncated to
-// zero beyond `cutoff` — the bounded-interference idealization several of
-// the paper's lemmas reason in. Useful for isolating how much of a
-// protocol's behavior is due to far-field interference the analysis
-// ignores. `cutoff` defaults to 8x the transmission range.
-class TheoryModel : public PathLossModel {
- public:
-  explicit TheoryModel(const Params& params, double cutoff = 0.0);
-
-  double GainFromDistanceSq(double d2, NodeId id_a,
-                            NodeId id_b) const override;
-  double MaxGain(double d_lo) const override;
-  double MinGain(double d_hi) const override;
-  const char* name() const override { return "theory"; }
-
-  double cutoff() const { return cutoff_; }
-
- private:
-  double cutoff_;
-};
-
-// The model matching the legacy (params, shadowing) Network constructor:
-// LogUniformShadowingModel when spread > 0, else PathLossModel.
-std::shared_ptr<const PropagationModel> MakeDefaultModel(
-    const Params& params, const Shadowing& shadowing);
 
 }  // namespace dcc::sinr

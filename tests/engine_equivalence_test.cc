@@ -15,7 +15,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -87,11 +86,11 @@ void ExpectSameReceptions(const std::vector<Reception>& exact,
   for (std::size_t k = 0; k < exact.size(); ++k) {
     EXPECT_EQ(exact[k].listener, grid[k].listener) << label << " k=" << k;
     EXPECT_EQ(exact[k].sender, grid[k].sender) << label << " k=" << k;
-    // Grid mode's devirtualized gain kernel may reassociate floating-point
-    // operations: SINR values agree to >= 9 significant digits, except that
-    // at extreme SINRs the `total - best` interference subtraction
-    // amplifies summation-order noise by ~sinr (in both modes), hence the
-    // eps * |T| * sinr cancellation term.
+    // Grid mode sums a listener's close and far gains apart, which
+    // reassociates the sum: SINR values agree to >= 9 significant digits,
+    // except that at extreme SINRs the `total - best` interference
+    // subtraction amplifies summation-order noise by ~sinr (in both
+    // modes), hence the eps * |T| * sinr cancellation term.
     const double s = exact[k].sinr;
     const double tol =
         s * (1e-9 + std::numeric_limits<double>::epsilon() *
@@ -245,35 +244,14 @@ TEST(EngineEquivalenceTest, LargeNetworkBeyondGainMatrix) {
   ExpectMatchesBruteForce(exact, automatic, tx, listeners, "large");
 }
 
-TEST(EngineEquivalenceTest, TheoryModelEquivalence) {
-  // The truncated theory-mode propagation has a discontinuous envelope;
-  // grid pruning must stay sound across the cutoff.
-  Params params = Params::Default();
-  auto pts = workload::UniformSquare(200, 14.0, 23);
-  std::vector<NodeId> ids(pts.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<NodeId>(i + 1);
-  const Network net(pts, ids, params,
-                    std::make_shared<TheoryModel>(params, /*cutoff=*/4.0));
-
-  const Engine exact(net, {.mode = Engine::Mode::kExact});
-  const Engine grid(net, {.mode = Engine::Mode::kGrid, .cell = 1.0});
-  std::vector<std::size_t> tx, listeners;
-  SplitTxListeners(net.size(), 4, tx, listeners);
-  ExpectMatchesBruteForce(exact, grid, tx, listeners, "theory");
-  // The complement split, crowded enough for the grid path.
-  SplitTxListeners(net.size(), 3, listeners, tx);
-  ASSERT_GT(tx.size(), Engine::kExactMaxTransmitters);
-  ExpectMatchesBruteForce(exact, grid, tx, listeners, "theory crowded");
-}
-
 TEST(EngineEquivalenceTest, ReachKeepsEveryReceivableListener) {
   // Four transmitters 10 apart, each ringed by listeners at distances
   // 0.80, 0.81, ..., 1.40, which spans the edge of reception under the
-  // paper's range, a larger power (range ~1.3), shadowed gains (up to
-  // 1.5x, range ~1.14) and the truncated theory model: a reach even 2%
-  // short drops receptions the brute force keeps. The same rings are also
-  // heard with 61 more transmitters in a block about 40 away, a round of 65
-  // that the grid engine resolves on its grid path, reach included.
+  // paper's range, a larger power (range ~1.3) and shadowed gains (up to
+  // 1.5x, range ~1.14): a reach even 2% short drops receptions the brute
+  // force keeps. The same rings are also heard with 61 more transmitters
+  // in a block about 40 away, a round of 65 that the grid engine resolves
+  // on its grid path, reach included.
   std::vector<Vec2> pts;
   std::vector<std::size_t> tx, listeners;
   for (const Vec2 c : {Vec2{0, 0}, Vec2{10, 0}, Vec2{0, 10}, Vec2{10, 10}}) {
@@ -300,8 +278,7 @@ TEST(EngineEquivalenceTest, ReachKeepsEveryReceivableListener) {
   const std::vector<std::pair<std::string, Network>> nets = {
       {"default", Network(pts, ids, def)},
       {"power3.3", Network(pts, ids, strong)},
-      {"shadowed", Network(pts, ids, def, Shadowing{0.5, 11})},
-      {"theory", Network(pts, ids, def, std::make_shared<TheoryModel>(def))}};
+      {"shadowed", Network(pts, ids, def, Shadowing{0.5, 11})}};
   for (const auto& [label, net] : nets) {
     const Engine exact(net, {.mode = Engine::Mode::kExact});
     const Engine grid(net, {.mode = Engine::Mode::kGrid, .cell = 1.0});

@@ -32,6 +32,7 @@ using sinr::Engine;
 using sinr::FarFieldPyramid;
 using sinr::Network;
 using sinr::Params;
+using sinr::PathLossModel;
 using sinr::Reception;
 using sinr::Shadowing;
 
@@ -92,13 +93,11 @@ TEST(FarFieldRangeBoundsTest, RangeBoundsContainEveryMemberTile) {
 // Flat reference: the exact walk BuildTileState performs below
 // pyramid_min_occupied (occupied ascending; far tiles accumulate
 // count-scaled envelope bounds, close tiles are listed).
-template <class MinGain, class MaxGain>
 void FlatAccumulate(const SpatialGrid& grid, int tile, double far_sq,
                     const std::vector<int>& occupied,
                     const std::vector<std::uint32_t>& count,
-                    MinGain&& min_gain_d2, MaxGain&& max_gain_d2,
-                    std::vector<int>& close_out, double& far_lo,
-                    double& far_ub) {
+                    const PathLossModel& model, std::vector<int>& close_out,
+                    double& far_lo, double& far_ub) {
   far_lo = 0.0;
   far_ub = 0.0;
   close_out.clear();
@@ -106,8 +105,8 @@ void FlatAccumulate(const SpatialGrid& grid, int tile, double far_sq,
     const double d2_lo = grid.TileDistLoSq(tile, b);
     if (d2_lo > far_sq) {
       far_lo += static_cast<double>(count[static_cast<std::size_t>(b)]) *
-                min_gain_d2(grid.TileDistHiSq(tile, b));
-      far_ub = std::max(far_ub, max_gain_d2(d2_lo));
+                model.MinGainD2(grid.TileDistHiSq(tile, b));
+      far_ub = std::max(far_ub, model.MaxGainD2(d2_lo));
     } else {
       close_out.push_back(b);
     }
@@ -119,8 +118,8 @@ void RunConservativenessProperty(double shadowing_spread, std::uint64_t seed) {
   constexpr double kCell = 1.0;
   const SpatialGrid grid = MakeGrid(kNx, kNy, kCell);
 
-  // A real propagation model supplies the envelope kernels; shadowing
-  // widens them (Min/MaxGain diverge) without changing any invariant.
+  // A real propagation model supplies the envelope; shadowing widens it
+  // (MinGainD2 and MaxGainD2 diverge) without changing any invariant.
   Params params = Params::Default();
   auto pts = workload::UniformSquare(16, kNx * kCell, seed);
   std::vector<NodeId> ids(pts.size());
@@ -129,13 +128,7 @@ void RunConservativenessProperty(double shadowing_spread, std::uint64_t seed) {
   }
   const Network net(std::move(pts), std::move(ids), params,
                     Shadowing{shadowing_spread, /*seed=*/5});
-  const auto& model = net.propagation();
-  const auto min_gain_d2 = [&](double d2_hi) {
-    return model.MinGain(std::sqrt(d2_hi));
-  };
-  const auto max_gain_d2 = [&](double d2_lo) {
-    return model.MaxGain(std::sqrt(d2_lo));
-  };
+  const PathLossModel& model = net.propagation();
 
   FarFieldPyramid pyr;
   pyr.Reset(grid);
@@ -167,11 +160,10 @@ void RunConservativenessProperty(double shadowing_spread, std::uint64_t seed) {
         static_cast<int>(rng.NextBelow(static_cast<std::uint64_t>(kNx) * kNy));
 
     double flat_lo, flat_ub, pyr_lo = 0.0, pyr_ub = 0.0;
-    FlatAccumulate(grid, tile, far_sq, occupied, count, min_gain_d2,
-                   max_gain_d2, close_flat, flat_lo, flat_ub);
+    FlatAccumulate(grid, tile, far_sq, occupied, count, model, close_flat,
+                   flat_lo, flat_ub);
     close_pyr.clear();
-    pyr.Accumulate(grid, tile, far_sq, min_gain_d2, max_gain_d2, close_pyr,
-                   pyr_lo, pyr_ub);
+    pyr.Accumulate(grid, tile, far_sq, model, close_pyr, pyr_lo, pyr_ub);
 
     // Leaf classification is exact: same close set, same (ascending) order.
     ASSERT_EQ(close_flat, close_pyr) << "it=" << it << " tile=" << tile;

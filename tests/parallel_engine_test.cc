@@ -234,9 +234,9 @@ TEST(ParallelEngineTest, BitIdenticalAboveTheGainTableLimit) {
 }
 
 TEST(ParallelEngineTest, ShadowingModelTakesTheVirtualPathIdentically) {
-  // Shadowing defeats the devirtualized kernel: grid mode resolves through
-  // the virtual per-listener fallback, whose parallel form must also be
-  // bit-identical.
+  // Under shadowing the grid path scans pair by pair and resolves each
+  // listener its bounds keep with the exact kernel, whose parallel form
+  // must also be bit-identical.
   const Network net = MakeUniformNet(500, 11.0, 0.4, 7);
   ExpectParallelMatchesSerial(net, {.mode = Engine::Mode::kGrid},
                               {2, 3, 8}, "grid+shadowing");

@@ -108,12 +108,13 @@ TEST(ScenarioSpecTest, RejectsUnknownOrMalformedFlags) {
   EXPECT_THROW(ScenarioSpec::FromArgs({"--cell=-1"}), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::FromArgs({"--seeds="}), InvalidArgument);
   // Integers past int's range are rejected, not wrapped, a round budget
-  // cannot be negative (0 still means the default budget), no number may
-  // be infinite or NaN, and a number must be all number.
+  // cannot be negative (0 still means the default budget), nor can a
+  // shadowing spread, no number may be infinite or NaN, and a number must
+  // be all number.
   for (const std::string bad :
        {"--faults=4294967297", "--threads=4294967298", "--rounds=-5",
-        "--power=inf", "--alpha=inf", "--cell=inf", "--noise=nan",
-        "--cell=2.5x", "--threads=four"}) {
+        "--shadowing=-0.5", "--power=inf", "--alpha=inf", "--cell=inf",
+        "--noise=nan", "--cell=2.5x", "--threads=four"}) {
     try {
       ScenarioSpec::FromArgs({bad});
       ADD_FAILURE() << bad << " was accepted";

@@ -4,12 +4,16 @@
 // guarantees survive.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 
 #include "dcc/bcast/local_broadcast.h"
 #include "dcc/cluster/clustering.h"
 #include "dcc/cluster/validate.h"
+#include "dcc/common/rng.h"
 #include "dcc/sinr/engine.h"
 #include "dcc/workload/generators.h"
 
@@ -52,6 +56,47 @@ TEST(ShadowingTest, DeterministicInSeed) {
   const sinr::Network c(pts, ids, params, sinr::Shadowing{0.3, 8});
   EXPECT_DOUBLE_EQ(a.Gain(0, 1), b.Gain(0, 1));
   EXPECT_NE(a.Gain(0, 1), c.Gain(0, 1));
+}
+
+// The grid path prunes on the model's envelope, so the envelope must bound
+// every link's gain: MinGainD2(d2_hi) <= Gain(d2, a, b) <= MaxGainD2(d2_lo)
+// whenever d2_lo <= d2 <= d2_hi, for every id pair. Without shadowing
+// both bounds are GainD2's bits.
+TEST(ShadowingTest, EnvelopeBoundsEveryGain) {
+  constexpr double kRel = 1e-12;  // far inside the engine's 1e-9 prune slack
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  Xoshiro256ss rng(17);
+  for (const double alpha : {3.0, 4.0}) {
+    sinr::Params params = sinr::Params::Default(alpha);
+    params.id_space = 1 << 12;
+    for (const double spread : {0.0, 0.5}) {
+      const sinr::PathLossModel model(params, sinr::Shadowing{spread, 9});
+      EXPECT_EQ(model.shadowed(), spread > 0.0);
+      for (int it = 0; it < 5000; ++it) {
+        const auto a = static_cast<NodeId>(
+            1 + rng.NextBelow(static_cast<std::uint64_t>(params.id_space)));
+        const auto b = static_cast<NodeId>(
+            1 + rng.NextBelow(static_cast<std::uint64_t>(params.id_space)));
+        // Squared lengths from 1e-20 (inside the distance clamp) to 1e4.
+        double d2[3];
+        for (double& x : d2) x = std::pow(10.0, 24.0 * rng.NextDouble() - 20);
+        std::sort(std::begin(d2), std::end(d2));
+        if (it % 7 == 0) d2[0] = d2[2] = d2[1];  // a degenerate interval
+        const double g = model.Gain(d2[1], a, b);
+        EXPECT_LE(model.MinGainD2(d2[2]), g * (1.0 + kRel))
+            << "alpha=" << alpha << " spread=" << spread << " it=" << it;
+        EXPECT_LE(g, model.MaxGainD2(d2[0]) * (1.0 + kRel))
+            << "alpha=" << alpha << " spread=" << spread << " it=" << it;
+        if (spread == 0.0) {
+          for (const double x : d2) {
+            EXPECT_EQ(bits(model.MinGainD2(x)), bits(model.GainD2(x)));
+            EXPECT_EQ(bits(model.MaxGainD2(x)), bits(model.GainD2(x)));
+          }
+          EXPECT_EQ(bits(g), bits(model.GainD2(d2[1])));
+        }
+      }
+    }
+  }
 }
 
 class ShadowedClusteringSweep : public ::testing::TestWithParam<double> {};
