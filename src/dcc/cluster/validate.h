@@ -33,6 +33,14 @@ struct ClusteringCheck {
     return assigned == members && centers_exist && max_radius <= r + 1e-9 &&
            min_center_sep >= (1.0 - eps) - 1e-9;
   }
+  // ValidRClustering(1, eps) on the reception range `net`'s shadowing
+  // gives: radius <= s and center separation >= (1 - eps) / s, with
+  // s = PathLossModel::RangeStretch(), exactly 1 without shadowing.
+  bool ValidOn(const sinr::Network& net) const {
+    const double s = net.propagation().RangeStretch();
+    return assigned == members && centers_exist && max_radius <= s + 1e-9 &&
+           min_center_sep >= (1.0 - net.params().eps) / s - 1e-9;
+  }
 };
 
 ClusteringCheck CheckClustering(const sinr::Network& net,

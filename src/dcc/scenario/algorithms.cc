@@ -70,8 +70,7 @@ RunReport RunClustering(RunContext& ctx) {
                                             ctx.gamma, ctx.nonce);
   const auto chk = cluster::CheckClustering(ctx.net, ctx.members,
                                             res.cluster_of);
-  rep.ok = chk.ValidRClustering(1.0, ctx.net.params().eps) &&
-           res.unassigned == 0;
+  rep.ok = chk.ValidOn(ctx.net) && res.unassigned == 0;
   rep.metrics.Set("rounds", static_cast<double>(res.rounds));
   rep.metrics.Set("levels", res.levels);
   rep.metrics.Set("unassigned", static_cast<double>(res.unassigned));

@@ -95,10 +95,11 @@ void LaneSinr(const double* __restrict total, const double* __restrict best,
 }
 
 #ifdef DCC_X86_DISPATCH
-// The far-field sweep of one chunk of fallback listeners under the alpha = 3
-// path-loss kernel on AVX-512 hosts (every other host and alpha sweeps with
-// kernel::AddGains): d2^{-3/2} from vrsqrt14pd refined by two Newton steps,
-// a pure multiply/FMA pipeline with no divider pressure.
+// The far-field sweep of one chunk of fallback listeners for alpha = 3
+// without shadowing on AVX-512 hosts (every other host, alpha and shadowed
+// model sweeps with kernel::AddGains): d2^{-3/2} from vrsqrt14pd refined
+// by two Newton steps, a pure multiply/FMA pipeline with no divider
+// pressure.
 // Error after refinement is ~1.5 * (5e-9)^2, i.e. below double epsilon, so
 // gains agree with the scalar kernel to ~2 ulp (well inside the engine's
 // documented 1e-9 SINR tolerance and the pruning slack).
@@ -393,6 +394,7 @@ void Engine::BuildPrologue(std::span<const std::size_t> tx,
   P.tx_members.resize(tx.size());
   P.tx_sx.resize(tx.size());
   P.tx_sy.resize(tx.size());
+  P.tx_id.resize(tx.size());
   P.tx_fill.assign(P.tx_start.begin(), P.tx_start.end() - 1);
   for (const std::size_t v : tx) {
     const std::size_t slot =
@@ -401,6 +403,7 @@ void Engine::BuildPrologue(std::span<const std::size_t> tx,
     const Vec2 p = net.position(v);
     P.tx_sx[slot] = p.x;
     P.tx_sy[slot] = p.y;
+    P.tx_id[slot] = net.id(v);
   }
 
   // Stable counting sort of the listener ordinals by tile; O(tiles + n).
@@ -509,6 +512,7 @@ void Engine::ResolveExact(std::span<const std::size_t> transmitters,
     L.hit.resize(padded);
     L.x.resize(padded);
     L.y.resize(padded);
+    L.id.resize(padded);
   }
 
   // Step 1: the in-reach listeners, in listener order, become the lanes.
@@ -534,20 +538,8 @@ void Engine::ResolveExact(std::span<const std::size_t> transmitters,
     }
     AddTableRows(L.rows.data(), transmitters.size(), L.node.data(), m,
                  L.total.data(), L.best.data(), L.best_k.data());
-  } else if (!net.propagation().shadowed()) {
-    AddCoordinateGains(transmitters, m, L);
   } else {
-    for (std::size_t k = 0; k < transmitters.size(); ++k) {
-      const std::size_t v = transmitters[k];
-      for (std::size_t j = 0; j < m; ++j) {
-        const double g = net.Gain(v, L.node[j]);
-        L.total[j] += g;
-        if (g > L.best[j]) {
-          L.best[j] = g;
-          L.best_k[j] = k;
-        }
-      }
-    }
+    AddCoordinateGains(transmitters, m, L);
   }
 
   // Step 3: every lane's SINR; the lanes that clear beta, gathered without
@@ -569,27 +561,36 @@ void Engine::ResolveExact(std::span<const std::size_t> transmitters,
 void Engine::AddCoordinateGains(std::span<const std::size_t> transmitters,
                                 std::size_t m, ExactLanes& L) const {
   const Network& net = *net_;
+  const PathLossModel& model = net.propagation();
+  // The kernel reads ids only under shadowing, so only then are they
+  // gathered.
+  const bool shadowed = model.shadowed();
   // The lanes past m, up to the next multiple of kGainLanes (ResolveExact
-  // sizes L for it), repeat lane 0's position.
+  // sizes L for it), repeat lane 0's node.
   const std::size_t padded = (m + kernel::kGainLanes - 1) /
                              kernel::kGainLanes * kernel::kGainLanes;
   for (std::size_t j = 0; j < padded; ++j) {
-    const Vec2 p = net.position(L.node[j < m ? j : 0]);
+    const std::size_t u = L.node[j < m ? j : 0];
+    const Vec2 p = net.position(u);
     L.x[j] = p.x;
     L.y[j] = p.y;
+    if (shadowed) L.id[j] = net.id(u);
   }
   L.tx_x.resize(transmitters.size());
   L.tx_y.resize(transmitters.size());
+  L.tx_id.resize(transmitters.size());
   for (std::size_t k = 0; k < transmitters.size(); ++k) {
     const Vec2 p = net.position(transmitters[k]);
     L.tx_x[k] = p.x;
     L.tx_y[k] = p.y;
+    if (shadowed) L.tx_id[k] = net.id(transmitters[k]);
   }
   for (std::size_t j = 0; j < m; j += kernel::kGainLanes) {
     const std::size_t lanes = std::min(kernel::kGainLanes, m - j);
-    kernel::AddGains(net.propagation(), L.tx_x.data(), L.tx_y.data(), 0,
-                     transmitters.size(), &L.x[j], &L.y[j], (1u << lanes) - 1,
-                     &L.total[j], &L.best[j], &L.best_k[j]);
+    kernel::AddGains(model, L.tx_x.data(), L.tx_y.data(), L.tx_id.data(), 0,
+                     transmitters.size(), &L.x[j], &L.y[j], &L.id[j],
+                     (1u << lanes) - 1, &L.total[j], &L.best[j],
+                     &L.best_k[j]);
   }
 }
 
@@ -681,17 +682,19 @@ void Engine::ResolveFallbacksBlocked(
       alignas(64) double lx[kChunk], ly[kChunk], total[kChunk],
           far_best[kChunk];
       alignas(64) std::size_t far_best_v[kChunk] = {};
+      NodeId lid[kChunk];
       for (std::size_t j = 0; j < kChunk; ++j) {
         // Pad short chunks with lane 0; padded lanes are never emitted.
         const GridFallback& r = s.fallback[c0 + (j < m ? j : 0)];
         const Vec2 p = net.position(r.u);
         lx[j] = p.x;
         ly[j] = p.y;
+        lid[j] = net.id(r.u);
         total[j] = 0.0;
         far_best[j] = -1.0;
       }
 #ifdef DCC_X86_DISPATCH
-      if (plm.alpha_is_three() && kernel::HasAvx512()) {
+      if (plm.alpha_is_three() && !plm.shadowed() && kernel::HasAvx512()) {
         FarSweepAlpha3Avx512(P.tx_sx.data(), P.tx_sy.data(),
                              s.far_ranges.data(), s.far_ranges.size(),
                              plm.power(), lx, ly, total, far_best, far_best_v);
@@ -699,8 +702,9 @@ void Engine::ResolveFallbacksBlocked(
 #endif
       {
         for (const auto& [mb, me] : s.far_ranges) {
-          kernel::AddGains(plm, P.tx_sx.data(), P.tx_sy.data(), mb, me, lx,
-                           ly, (1u << m) - 1, total, far_best, far_best_v);
+          kernel::AddGains(plm, P.tx_sx.data(), P.tx_sy.data(),
+                           P.tx_id.data(), mb, me, lx, ly, lid,
+                           (1u << m) - 1, total, far_best, far_best_v);
         }
       }
       for (std::size_t j = 0; j < m; ++j) {
@@ -734,6 +738,7 @@ Engine::GridLanes::GridLanes()
       node(kernel::kGainLanes),
       x(kernel::kGainLanes),
       y(kernel::kGainLanes),
+      id(kernel::kGainLanes),
       close_sum(kernel::kGainLanes),
       best(kernel::kGainLanes),
       best_slot(kernel::kGainLanes),
@@ -772,7 +777,7 @@ void Engine::StepGridRange(const RoundPrologue& P,
       G.node[m] = u;
       ++m;
     }
-    if (m > 0) ResolveLaneGroup(P, transmitters, listeners, tile, m, s);
+    if (m > 0) ResolveLaneGroup(P, tile, m, s);
   }
 
   if (!s.fallback.empty()) {
@@ -782,11 +787,8 @@ void Engine::StepGridRange(const RoundPrologue& P,
             [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
-void Engine::ResolveLaneGroup(const RoundPrologue& P,
-                              std::span<const std::size_t> transmitters,
-                              std::span<const std::size_t> listeners,
-                              std::size_t tile, std::size_t m,
-                              RoundScratch& s) const {
+void Engine::ResolveLaneGroup(const RoundPrologue& P, std::size_t tile,
+                              std::size_t m, RoundScratch& s) const {
   const Network& net = *net_;
   const PathLossModel& model = net.propagation();
   const SpatialGrid& grid = *grid_;
@@ -797,11 +799,13 @@ void Engine::ResolveLaneGroup(const RoundPrologue& P,
 
   // Every lane adds in the per-listener order: close-list order, CSR order
   // within a tile, the strongest changing only on a strictly larger gain.
-  // The padding lanes repeat lane 0's position and are never read back.
+  // The padding lanes repeat lane 0's node and are never read back.
   for (std::size_t j = 0; j < kernel::kGainLanes; ++j) {
-    const Vec2 p = net.position(G.node[j < m ? j : 0]);
+    const std::size_t u = G.node[j < m ? j : 0];
+    const Vec2 p = net.position(u);
     G.x[j] = p.x;
     G.y[j] = p.y;
+    G.id[j] = net.id(u);
     G.close_sum[j] = 0.0;
     G.best[j] = -1.0;
     G.best_slot[j] = 0;
@@ -810,26 +814,9 @@ void Engine::ResolveLaneGroup(const RoundPrologue& P,
   }
   // The exact scan of CSR slots [mb, me) for the lanes in `lanes`.
   const auto scan = [&](std::size_t mb, std::size_t me, unsigned lanes) {
-    if (!model.shadowed()) {
-      kernel::AddGains(model, P.tx_sx.data(), P.tx_sy.data(), mb, me,
-                       G.x.data(), G.y.data(), lanes, G.close_sum.data(),
-                       G.best.data(), G.best_slot.data());
-      return;
-    }
-    for (std::size_t t = mb; t < me; ++t) {
-      const std::size_t v = P.tx_members[t];
-      for (unsigned rest = lanes; rest != 0; rest &= rest - 1) {
-        const auto j = static_cast<std::size_t>(std::countr_zero(rest));
-        const std::size_t u = G.node[j];
-        const double g =
-            gain_.empty() ? net.Gain(v, u) : gain_[v * net.size() + u];
-        G.close_sum[j] += g;
-        if (g > G.best[j]) {
-          G.best[j] = g;
-          G.best_slot[j] = t;
-        }
-      }
-    }
+    kernel::AddGains(model, P.tx_sx.data(), P.tx_sy.data(), P.tx_id.data(),
+                     mb, me, G.x.data(), G.y.data(), G.id.data(), lanes,
+                     G.close_sum.data(), G.best.data(), G.best_slot.data());
   };
 
   // Stage 1 — near tiles: exact member scan; mid tiles: envelope bounds.
@@ -888,7 +875,7 @@ void Engine::ResolveLaneGroup(const RoundPrologue& P,
   }
 
   // Stage 2's prune, then stage 3 — a reception is genuinely possible:
-  // defer to the exact fallback (batched without shadowing).
+  // defer to the batched exact fallback.
   for (unsigned rest = live; rest != 0; rest &= rest - 1) {
     const auto j = static_cast<std::size_t>(std::countr_zero(rest));
     if (cannot_receive(std::max(G.best[j], P.tile_far_ub[tile]),
@@ -897,17 +884,9 @@ void Engine::ResolveLaneGroup(const RoundPrologue& P,
       continue;
     }
     ++s.exact_fallbacks;
-    const std::uint32_t ordinal = G.ordinal[j];
-    if (!model.shadowed()) {
-      s.fallback.push_back(GridFallback{
-          static_cast<std::uint32_t>(tile), ordinal, G.node[j],
-          G.close_sum[j], G.best[j], P.tx_members[G.best_slot[j]]});
-    } else {
-      ResolveExact(transmitters, listeners.subspan(ordinal, 1), s.exact,
-                   [&](const Reception& r) {
-                     s.pending.emplace_back(ordinal, r);
-                   });
-    }
+    s.fallback.push_back(GridFallback{
+        static_cast<std::uint32_t>(tile), G.ordinal[j], G.node[j],
+        G.close_sum[j], G.best[j], P.tx_members[G.best_slot[j]]});
   }
 }
 

@@ -15,27 +15,27 @@
 //    transmitters, then computes every SINR in one pass. The gains are
 //    gathered from each transmitter's row of the engine's gain table; above
 //    kGainMatrixLimit they are computed from the lanes' and the
-//    transmitters' coordinates by the gain kernel (sinr/gain_kernel.h)
-//    without shadowing, and through Network::Gain under shadowing. Its
-//    order rules keep every bit of the per-listener definition: a
-//    listener's sum starts from 0.0 + g and adds its gains in transmitter
-//    order; its strongest transmitter changes only on a strictly larger
-//    gain, so the first maximal one wins; the table gather multiplies
-//    nothing, so no clone contracts an FMA, and the gain kernel computes
-//    GainD2's correctly rounded bits in every variant.
+//    transmitters' coordinates (and, under shadowing, ids) by the gain
+//    kernel (sinr/gain_kernel.h). Its order rules keep every bit of the
+//    per-listener definition: a listener's sum starts from 0.0 + g and
+//    adds its gains in transmitter order; its strongest transmitter
+//    changes only on a strictly larger gain, so the first maximal one
+//    wins; the table gather multiplies nothing, so no clone contracts an
+//    FMA, and the gain kernel computes PathLossModel::Gain's correctly
+//    rounded bits in every variant.
 //  * kGrid — rounds of at most kExactMaxTransmitters transmitters run the
 //    exact kernel above, SINR bits and all (see "One rule per round"
 //    below). A larger round is resolved by the grid path: a uniform
 //    spatial index (common/spatial_grid.h) buckets the round's
-//    transmitters into tiles. Near-field tiles are scanned exactly (by the
-//    gain kernel without shadowing, eight listeners of a tile at a time);
+//    transmitters into tiles. Near-field tiles are scanned exactly by the
+//    gain kernel, eight listeners of a tile at a time, shadowed or not;
 //    mid- and far-field tiles contribute conservative interference bounds
 //    through the propagation model's distance envelope. The bounds prune
 //    listeners whose best-case SINR cannot clear beta (the common case in
 //    dense rounds); every listener that might receive is resolved exactly
 //    by a batched far-field sweep (a hand-written AVX-512 one for alpha = 3
-//    on avx512f hosts, the gain kernel otherwise),
-//    so the reception set matches kExact and reported SINR values agree to
+//    without shadowing on avx512f hosts, the gain kernel otherwise), so
+//    the reception set matches kExact and reported SINR values agree to
 //    >= 9 significant digits (floating-point reassociation only; at extreme
 //    SINRs the agreement degrades by an additional eps * |T| * sinr factor
 //    from cancellation in the interference subtraction, which affects both
@@ -180,8 +180,8 @@ class Engine {
 
   // Gain table limit: an engine on a network of 0 < n <= kGainMatrixLimit
   // nodes keeps every pairwise gain, Network::Gain(i, j) at [i * n + j]
-  // (n^2 doubles, 32 MiB at the limit), in every mode, and the exact
-  // kernel gathers its rows; above it every gain is computed on the fly.
+  // (n^2 doubles, 32 MiB at the limit), in every mode, read only by the
+  // exact kernel; every other gain comes from the gain kernel.
   // kAuto resolves to kExact up to the limit and to kGrid beyond.
   static constexpr std::size_t kGainMatrixLimit = 2048;
 
@@ -310,6 +310,7 @@ class Engine {
     std::vector<std::size_t> tx_members;  // transmitters by tile
     std::vector<double> tx_sx;
     std::vector<double> tx_sy;
+    std::vector<NodeId> tx_id;     // ids in CSR order (the kernel's)
     std::vector<int> occupied_tx;  // tiles with >= 1 transmitter
 
     // Hoisted per-listener-tile far-field state: shared far-field bounds
@@ -341,9 +342,10 @@ class Engine {
     std::vector<double> sinr;
     std::vector<std::uint32_t> hit;   // the lanes whose SINR clears beta
     std::vector<const double*> rows;  // the transmitters' gain rows
-    // Without the table or shadowing: the lanes' and the transmitters' (in
-    // call order) coordinates.
+    // Without the table: the lanes' and the transmitters' (in call order)
+    // coordinates, and under shadowing their ids.
     std::vector<double> x, y, tx_x, tx_y;
+    std::vector<NodeId> id, tx_id;
   };
 
   // The grid path's lane group (StepGridRange): up to kernel::kGainLanes
@@ -354,6 +356,7 @@ class Engine {
     std::vector<std::uint32_t> ordinal;  // the listener's ordinal...
     std::vector<std::size_t> node;       // ...and node
     std::vector<double> x, y;            // its position
+    std::vector<NodeId> id;              // its id
     std::vector<double> close_sum;       // exact near, then mid, gains...
     std::vector<double> best;            // ...the strongest of them...
     std::vector<std::size_t> best_slot;  // ...and its transmitter's CSR slot
@@ -425,17 +428,17 @@ class Engine {
   void StepGrid(std::span<const std::size_t> transmitters,
                 std::span<const std::size_t> listeners, int shards,
                 std::vector<Reception>& out) const;
-  // The exact kernel (kExact, above), shared by kExact rounds and shards,
-  // kGrid's fallback under shadowing, and the near-threshold recheck:
-  // resolves `listeners` against every transmitter in the lanes L and calls
-  // emit(reception) for each reception, in listener order.
+  // The exact kernel (kExact, above), shared by kExact rounds and shards
+  // and kGrid's near-threshold recheck: resolves `listeners` against every
+  // transmitter in the lanes L and calls emit(reception) for each
+  // reception, in listener order.
   template <typename Emit>
   void ResolveExact(std::span<const std::size_t> transmitters,
                     std::span<const std::size_t> listeners, ExactLanes& L,
                     const Emit& emit) const;
-  // Step 2 of the exact kernel without the gain table or shadowing: adds
-  // every transmitter's gains at lanes [0, m) of L, computed by the gain
-  // kernel from their coordinates.
+  // Step 2 of the exact kernel without the gain table: adds every
+  // transmitter's gains at lanes [0, m) of L, computed by the gain kernel
+  // from their coordinates (and their ids, gathered only under shadowing).
   void AddCoordinateGains(std::span<const std::size_t> transmitters,
                           std::size_t m, ExactLanes& L) const;
   // Builds prologue_ from (tx, listeners): buckets the transmitters into
@@ -457,19 +460,15 @@ class Engine {
                      std::span<const std::uint32_t> ordinals,
                      RoundScratch& s) const;
   // Stages 1-3 of the grid path for the m listeners of s.lanes, all in
-  // `tile`: prunes them, queues them for the batched fallback, or resolves
-  // them with the exact kernel.
-  void ResolveLaneGroup(const RoundPrologue& P,
-                        std::span<const std::size_t> transmitters,
-                        std::span<const std::size_t> listeners,
-                        std::size_t tile, std::size_t m,
-                        RoundScratch& s) const;
-  // kGrid's batched exact fallback without shadowing: resolves
-  // s.fallback tile by tile, sweeping each tile group's far-field
-  // transmitter ranges once per kChunk-listener chunk (kChunk is defined in
-  // engine.cc; one AVX-512 register of lanes). Near-threshold SINRs are
-  // re-resolved over `transmitters` by the exact kernel so the reception
-  // set is host-invariant.
+  // `tile`: prunes them or queues them for the batched fallback.
+  void ResolveLaneGroup(const RoundPrologue& P, std::size_t tile,
+                        std::size_t m, RoundScratch& s) const;
+  // kGrid's batched exact fallback: resolves s.fallback tile by tile,
+  // sweeping each tile group's far-field transmitter ranges once per
+  // kChunk-listener chunk (kChunk is defined in engine.cc; one AVX-512
+  // register of lanes). Near-threshold SINRs are re-resolved over
+  // `transmitters` by the exact kernel so the reception set is
+  // host-invariant.
   void ResolveFallbacksBlocked(const RoundPrologue& P,
                                std::span<const std::size_t> transmitters,
                                RoundScratch& s) const;
@@ -500,7 +499,7 @@ class Engine {
   mutable std::vector<char> is_tx_;
 
   // The gain table (see kGainMatrixLimit; both modes), refilled for every
-  // new set of positions and read-only during a round.
+  // new set of positions and read only by ResolveExact.
   mutable std::vector<double> gain_;
 
   // --- Reception reach (both modes). ---

@@ -11,10 +11,12 @@
 namespace dcc::sinr::kernel {
 
 void AddGainsPortable(const PathLossModel& plm, const double* xs,
-                      const double* ys, std::size_t begin, std::size_t end,
-                      const double* lx, const double* ly, unsigned mask,
-                      double* total, double* best, std::size_t* best_at) {
-  // Lane by lane: each sweep keeps its lane's state in registers.
+                      const double* ys, const NodeId* ids, std::size_t begin,
+                      std::size_t end, const double* lx, const double* ly,
+                      const NodeId* lids, unsigned mask, double* total,
+                      double* best, std::size_t* best_at) {
+  // Lane by lane: each sweep keeps its lane's state in registers. The ids
+  // are read only when shadowed (Gain would read them on every call).
   mask &= (1u << kGainLanes) - 1;
   for (unsigned rest = mask; rest != 0; rest &= rest - 1) {
     const auto j = static_cast<std::size_t>(std::countr_zero(rest));
@@ -23,7 +25,8 @@ void AddGainsPortable(const PathLossModel& plm, const double* xs,
     double top = best[j];
     std::size_t at = best_at[j];
     for (std::size_t s = begin; s < end; ++s) {
-      const double g = plm.GainD2(Dist2(Vec2{xs[s], ys[s]}, u));
+      double g = plm.GainD2(Dist2(Vec2{xs[s], ys[s]}, u));
+      if (plm.shadowed()) g *= plm.Factor(ids[s], lids[j]);
       sum += g;
       if (g > top) {
         top = g;
@@ -49,8 +52,9 @@ void AddGainsPortable(const PathLossModel& plm, const double* xs,
 
 __attribute__((target("avx512f"))) DCC_NO_FMA_CONTRACTION void AddGainsAvx512(
     const PathLossModel& plm, const double* xs, const double* ys,
-    std::size_t begin, std::size_t end, const double* lx, const double* ly,
-    unsigned mask, double* total, double* best, std::size_t* best_at) {
+    const NodeId* /*ids*/, std::size_t begin, std::size_t end,
+    const double* lx, const double* ly, const NodeId* /*lids*/, unsigned mask,
+    double* total, double* best, std::size_t* best_at) {
   static_assert(kGainLanes == 8, "one zmm register holds the lanes");
   const auto on = static_cast<__mmask8>(mask);
   const __m512d vlx = _mm512_loadu_pd(lx);

@@ -72,6 +72,11 @@ class PathLossModel {
     return shadowed() ? g / (1.0 + spread_) : g;
   }
 
+  // (1 + spread)^(1/alpha), exactly 1 when not shadowed: how far shadowing
+  // can stretch or shrink a reception range, a gain being within a factor
+  // 1 + spread of GainD2's either way.
+  double RangeStretch() const { return std::pow(1.0 + spread_, 1.0 / alpha_); }
+
   bool shadowed() const { return spread_ > 0.0; }
   double power() const { return power_; }
   double alpha() const { return alpha_; }

@@ -227,21 +227,29 @@ INSTANTIATE_TEST_SUITE_P(
         Scenario{200, 14.0, 0.0, 4, 0.0, 3.3}));
 
 TEST(EngineEquivalenceTest, LargeNetworkBeyondGainMatrix) {
-  // Above Engine::kGainMatrixLimit gains are computed on the fly and
-  // kAuto resolves to kGrid; compare against the forced-exact oracle.
+  // Above Engine::kGainMatrixLimit every gain, shadowed or not, comes from
+  // the gain kernel and kAuto resolves to kGrid; compare against the
+  // brute force over Network::Gain.
   Params params = Params::Default();
   params.id_space = 1 << 16;
-  auto pts = workload::UniformSquare(2500, 50.0, 7);
-  const Network net = Network::WithSequentialIds(std::move(pts), params);
-  ASSERT_GT(net.size(), Engine::kGainMatrixLimit);
+  const auto pts = workload::UniformSquare(2500, 50.0, 7);
+  std::vector<NodeId> ids(pts.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<NodeId>(i + 1);
+  }
+  for (const double spread : {0.0, 0.4}) {
+    const Network net(pts, ids, params, Shadowing{spread, 11});
+    ASSERT_GT(net.size(), Engine::kGainMatrixLimit);
 
-  const Engine exact(net, {.mode = Engine::Mode::kExact});
-  const Engine automatic(net);  // defaults: kAuto
-  ASSERT_EQ(automatic.mode(), Engine::Mode::kGrid);
+    const Engine exact(net, {.mode = Engine::Mode::kExact});
+    const Engine automatic(net);  // defaults: kAuto
+    ASSERT_EQ(automatic.mode(), Engine::Mode::kGrid);
 
-  std::vector<std::size_t> tx, listeners;
-  SplitTxListeners(net.size(), 8, tx, listeners);
-  ExpectMatchesBruteForce(exact, automatic, tx, listeners, "large");
+    std::vector<std::size_t> tx, listeners;
+    SplitTxListeners(net.size(), 8, tx, listeners);
+    ExpectMatchesBruteForce(exact, automatic, tx, listeners,
+                            "large spread=" + std::to_string(spread));
+  }
 }
 
 TEST(EngineEquivalenceTest, ReachKeepsEveryReceivableListener) {

@@ -1,9 +1,10 @@
 // The gain kernel's bit contract (src/dcc/sinr/gain_kernel.h): every
 // variant the host can run gives, lane for lane, the bits of the scalar
-// loop of PathLossModel::GainD2(Dist2(v, u)) in transmitter order, leaves
-// the lanes outside its mask as they are, and keeps the first of equal
-// maxima. The engine's receptions rest on it: a variant is picked per call,
-// so any drift would make SINR bits depend on the host and on the mask.
+// loop of PathLossModel::Gain(Dist2(v, u), id_v, id_u) in transmitter
+// order, shadowed or not, leaves the lanes outside its mask as they are,
+// and keeps the first of equal maxima. The engine's receptions rest on it:
+// a variant is picked per call, so any drift would make SINR bits depend
+// on the host and on the mask.
 #include "dcc/sinr/gain_kernel.h"
 
 #include <gtest/gtest.h>
@@ -23,9 +24,10 @@ namespace dcc::sinr::kernel {
 namespace {
 
 using AddGainsFn = void (*)(const PathLossModel&, const double*,
-                            const double*, std::size_t, std::size_t,
-                            const double*, const double*, unsigned, double*,
-                            double*, std::size_t*);
+                            const double*, const NodeId*, std::size_t,
+                            std::size_t, const double*, const double*,
+                            const NodeId*, unsigned, double*, double*,
+                            std::size_t*);
 
 struct Variant {
   std::string name;
@@ -36,7 +38,7 @@ std::vector<Variant> VariantsFor(const PathLossModel& plm) {
   std::vector<Variant> out = {{"portable", &AddGainsPortable},
                               {"dispatch", &AddGains}};
 #ifdef DCC_X86_DISPATCH
-  if (plm.alpha_is_three() && HasAvx512()) {
+  if (plm.alpha_is_three() && !plm.shadowed() && HasAvx512()) {
     out.push_back({"avx512", &AddGainsAvx512});
   }
 #endif
@@ -46,18 +48,20 @@ std::vector<Variant> VariantsFor(const PathLossModel& plm) {
 // Lane state, as the kernel reads and writes it.
 struct Lanes {
   double x[kGainLanes], y[kGainLanes];
+  NodeId id[kGainLanes];
   double total[kGainLanes], best[kGainLanes];
   std::size_t best_at[kGainLanes];
 };
 
 // The contract, literally.
 void Reference(const PathLossModel& plm, const std::vector<double>& xs,
-               const std::vector<double>& ys, std::size_t begin,
-               std::size_t end, unsigned mask, Lanes& L) {
+               const std::vector<double>& ys, const std::vector<NodeId>& ids,
+               std::size_t begin, std::size_t end, unsigned mask, Lanes& L) {
   for (std::size_t s = begin; s < end; ++s) {
     for (std::size_t j = 0; j < kGainLanes; ++j) {
       if (((mask >> j) & 1u) == 0) continue;
-      const double g = plm.GainD2(Dist2({xs[s], ys[s]}, {L.x[j], L.y[j]}));
+      const double g = plm.Gain(Dist2({xs[s], ys[s]}, {L.x[j], L.y[j]}),
+                                ids[s], L.id[j]);
       L.total[j] += g;
       if (g > L.best[j]) {
         L.best[j] = g;
@@ -102,6 +106,7 @@ void CheckRandomCalls(const PathLossModel& plm, std::uint64_t seed) {
     for (std::size_t j = 0; j < kGainLanes; ++j) {
       init.x[j] = Coordinate(rng);
       init.y[j] = Coordinate(rng);
+      init.id[j] = 1 + static_cast<NodeId>(rng.NextBelow(1000));
       // Running state as a caller leaves it: fresh (0, -1) or mid-sum.
       const bool fresh = rng.NextBelow(2) == 0;
       init.total[j] = fresh ? 0.0 : 10.0 * rng.NextDouble();
@@ -120,7 +125,9 @@ void CheckRandomCalls(const PathLossModel& plm, std::uint64_t seed) {
     }
     const std::size_t n = 1 + rng.NextBelow(40);
     std::vector<double> xs(n), ys(n);
+    std::vector<NodeId> ids(n);
     for (std::size_t s = 0; s < n; ++s) {
+      ids[s] = 1 + static_cast<NodeId>(rng.NextBelow(1000));
       if (rng.NextBelow(8) == 0) {  // co-located with a lane: the clamp
         const std::size_t j = rng.NextBelow(kGainLanes);
         xs[s] = init.x[j];
@@ -137,11 +144,14 @@ void CheckRandomCalls(const PathLossModel& plm, std::uint64_t seed) {
     const std::size_t end = begin + rng.NextBelow(n - begin + 1);
 
     Lanes want = init;
-    Reference(plm, xs, ys, begin, end, mask, want);
+    Reference(plm, xs, ys, ids, begin, end, mask, want);
+    // Without shadowing the kernel must not read the ids: they are null.
+    const bool ids_read = plm.shadowed();
     for (const Variant& v : VariantsFor(plm)) {
       Lanes got = init;
-      v.fn(plm, xs.data(), ys.data(), begin, end, got.x, got.y, mask,
-           got.total, got.best, got.best_at);
+      v.fn(plm, xs.data(), ys.data(), ids_read ? ids.data() : nullptr, begin,
+           end, got.x, got.y, ids_read ? got.id : nullptr, mask, got.total,
+           got.best, got.best_at);
       ExpectSameBits(want, got,
                      v.name + " call " + std::to_string(call) + " mask " +
                          std::to_string(mask));
@@ -163,6 +173,18 @@ TEST(GainKernelTest, EveryVariantMatchesTheScalarLoopAlpha4) {
   CheckRandomCalls(PathLossModel(Params::Default(4.0)), 2);
 }
 
+TEST(GainKernelTest, EveryVariantMatchesTheShadowedLoop) {
+  // A shadowed gain carries its link's factor, which the AVX-512 variant
+  // does not compute: the dispatch must never pick it, so only the portable
+  // and dispatch variants run, and they must match the Gain loop.
+  for (const double alpha : {3.0, 4.0}) {
+    const PathLossModel plm(Params::Default(alpha), Shadowing{0.5, 42});
+    ASSERT_TRUE(plm.shadowed());
+    ASSERT_EQ(VariantsFor(plm).size(), 2u);
+    CheckRandomCalls(plm, alpha == 3.0 ? 3 : 4);
+  }
+}
+
 TEST(GainKernelTest, ATieKeepsTheFirstMaximum) {
   const PathLossModel plm(Params::Default(3.0));
   // Transmitters 1 and 3 sit at the same distance from every lane, closer
@@ -176,15 +198,15 @@ TEST(GainKernelTest, ATieKeepsTheFirstMaximum) {
       L.y[j] = j < 7 ? 0.5 + static_cast<double>(j) : 0.0;
       L.best[j] = -1.0;
     }
-    v.fn(plm, xs.data(), ys.data(), 0, 4, L.x, L.y, 0x7Fu, L.total, L.best,
-         L.best_at);
+    v.fn(plm, xs.data(), ys.data(), nullptr, 0, 4, L.x, L.y, nullptr, 0x7Fu,
+         L.total, L.best, L.best_at);
     for (std::size_t j = 0; j < 7; ++j) {
       EXPECT_EQ(L.best_at[j], 1u) << v.name << " lane " << j;
     }
     EXPECT_EQ(L.best_at[7], 0u) << v.name;  // masked off: untouched
     EXPECT_EQ(L.best[7], -1.0) << v.name;
-    v.fn(plm, xs.data(), ys.data(), 4, 6, L.x, L.y, 0x80u, L.total, L.best,
-         L.best_at);
+    v.fn(plm, xs.data(), ys.data(), nullptr, 4, 6, L.x, L.y, nullptr, 0x80u,
+         L.total, L.best, L.best_at);
     EXPECT_EQ(L.best_at[7], 4u) << v.name;
     EXPECT_EQ(L.best[7], plm.GainD2(0.0)) << v.name;
     EXPECT_EQ(L.total[7], 0.0 + plm.GainD2(0.0) + plm.GainD2(0.0)) << v.name;

@@ -233,13 +233,21 @@ TEST(ParallelEngineTest, BitIdenticalAboveTheGainTableLimit) {
                               {1, 2, 3, 7}, "grid above the table");
 }
 
-TEST(ParallelEngineTest, ShadowingModelTakesTheVirtualPathIdentically) {
-  // Under shadowing the grid path scans pair by pair and resolves each
-  // listener its bounds keep with the exact kernel, whose parallel form
-  // must also be bit-identical.
+TEST(ParallelEngineTest, ShadowedGridRoundsTakeTheBatchedFallbackIdentically) {
+  // Shadowed grid rounds scan their close tiles with the gain kernel, the
+  // links' ids beside their coordinates, and defer every listener their
+  // bounds keep to the batched fallback, as unshadowed rounds do; every
+  // thread count must give serial's receptions bit for bit.
   const Network net = MakeUniformNet(500, 11.0, 0.4, 7);
+  ASSERT_TRUE(net.propagation().shadowed());
   ExpectParallelMatchesSerial(net, {.mode = Engine::Mode::kGrid},
                               {2, 3, 8}, "grid+shadowing");
+  std::vector<std::size_t> tx, listeners;
+  SplitTxListeners(net.size(), 2, tx, listeners);
+  const Engine grid(net, {.mode = Engine::Mode::kGrid});
+  std::vector<Reception> out;
+  grid.StepInto(tx, listeners, out);
+  EXPECT_GT(grid.stats().grid_exact_fallbacks, 0);
 }
 
 TEST(ParallelEngineTest, OddShardCountsOnFewTiles) {
