@@ -183,6 +183,16 @@ double ReachRadius(const PathLossModel& model, const Params& params) {
   return hi;
 }
 
+// The grid path's prune test: whether a listener cannot receive even at
+// its best case, the strongest any transmitter could be against the least
+// interference it could see.
+bool CannotReceive(double best_ub, double interference_lo, double noise,
+                   double beta) {
+  if (best_ub <= 0.0) return true;
+  const double i_lo = std::max(0.0, interference_lo - best_ub);
+  return (best_ub / (noise + i_lo)) * (1.0 + kPruneSlack) < beta;
+}
+
 }  // namespace
 
 Engine::Engine(const Network& net, Options options)
@@ -491,6 +501,15 @@ void Engine::BuildTileState(std::span<const std::size_t> listeners) const {
       P.tile_far_ub[tile] = far_ub;
     }
   }
+
+  P.close_tiles.resize(P.close_pool.size());
+  for (std::size_t c = 0; c < P.close_pool.size(); ++c) {
+    const int b = P.close_pool[c];
+    const auto t = static_cast<std::size_t>(b);
+    P.close_tiles[c] = kernel::CloseTile{
+        grid.TileBox(b),
+        static_cast<double>(P.tx_start[t + 1] - P.tx_start[t])};
+  }
 }
 
 template <typename Emit>
@@ -644,10 +663,11 @@ void Engine::ResolveFallbacksBlocked(
   const double noise = net.params().noise;
 
   // s.fallback is already in (tile, ordinal) order: the lane groups walk
-  // the shard's slice of the prologue's stable tile-sorted order, and each
-  // group queues its lanes in that order. So each tile's deferred listeners
-  // form one run that shares one far-range scan; the caller sorts
-  // s.pending back into listener order.
+  // the shard's slice of the prologue's stable tile-sorted order, their
+  // survivors join one tile's survivor group at a time in that order, and
+  // each survivor group queues its lanes in it. So each tile's deferred
+  // listeners form one run that shares one far-range scan; the caller
+  // sorts s.pending back into listener order.
   for (std::size_t i = 0; i < s.fallback.size();) {
     const std::uint32_t tile = s.fallback[i].tile;
     std::size_t group_end = i;
@@ -741,9 +761,7 @@ Engine::GridLanes::GridLanes()
       id(kernel::kGainLanes),
       close_sum(kernel::kGainLanes),
       best(kernel::kGainLanes),
-      best_slot(kernel::kGainLanes),
-      bound_lo(kernel::kGainLanes),
-      gain_ub(kernel::kGainLanes) {}
+      best_slot(kernel::kGainLanes) {}
 
 void Engine::StepGridRange(const RoundPrologue& P,
                            std::span<const std::size_t> transmitters,
@@ -759,10 +777,10 @@ void Engine::StepGridRange(const RoundPrologue& P,
   // Lane groups: up to kGainLanes in-reach listeners of one tile, in a row
   // of the (tile-sorted) slice.
   GridLanes& G = s.lanes;
+  s.survivors.m = 0;
   for (std::size_t i = 0; i < ordinals.size();) {
-    std::size_t m = 0;
-    std::size_t tile = 0;
-    for (; i < ordinals.size() && m < kernel::kGainLanes; ++i) {
+    G.m = 0;
+    for (; i < ordinals.size() && G.m < kernel::kGainLanes; ++i) {
       const std::uint32_t ordinal = ordinals[i];
       const std::size_t u = listeners[ordinal];
       DCC_CHECK(!is_tx_[u]);  // a transmitter cannot listen
@@ -771,14 +789,15 @@ void Engine::StepGridRange(const RoundPrologue& P,
         continue;
       }
       const auto tile_u = static_cast<std::size_t>(grid_->TileOfPoint(u));
-      if (m > 0 && tile_u != tile) break;  // the next group's first lane
-      tile = tile_u;
-      G.ordinal[m] = ordinal;
-      G.node[m] = u;
-      ++m;
+      if (G.m > 0 && tile_u != G.tile) break;  // the next group's first lane
+      G.tile = tile_u;
+      G.ordinal[G.m] = ordinal;
+      G.node[G.m] = u;
+      ++G.m;
     }
-    if (m > 0) ResolveLaneGroup(P, tile, m, s);
+    if (G.m > 0) ResolveLaneGroup(P, s);
   }
+  if (s.survivors.m > 0) ResolveSurvivors(P, s);
 
   if (!s.fallback.empty()) {
     ResolveFallbacksBlocked(P, transmitters, s);
@@ -787,21 +806,29 @@ void Engine::StepGridRange(const RoundPrologue& P,
             [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
-void Engine::ResolveLaneGroup(const RoundPrologue& P, std::size_t tile,
-                              std::size_t m, RoundScratch& s) const {
+void Engine::ScanCloseTile(const RoundPrologue& P, int b, unsigned lanes,
+                           GridLanes& L) const {
+  const auto t = static_cast<std::size_t>(b);
+  kernel::AddGains(net_->propagation(), P.tx_sx.data(), P.tx_sy.data(),
+                   P.tx_id.data(), P.tx_start[t], P.tx_start[t + 1],
+                   L.x.data(), L.y.data(), L.id.data(), lanes,
+                   L.close_sum.data(), L.best.data(), L.best_slot.data());
+}
+
+void Engine::ResolveLaneGroup(const RoundPrologue& P, RoundScratch& s) const {
   const Network& net = *net_;
-  const PathLossModel& model = net.propagation();
-  const SpatialGrid& grid = *grid_;
   const double beta = net.params().beta;
   const double noise = net.params().noise;
   GridLanes& G = s.lanes;
-  const double near_sq = near_radius_ * near_radius_;
+  const std::size_t tile = G.tile;
 
   // Every lane adds in the per-listener order: close-list order, CSR order
-  // within a tile, the strongest changing only on a strictly larger gain.
-  // The padding lanes repeat lane 0's node and are never read back.
-  for (std::size_t j = 0; j < kernel::kGainLanes; ++j) {
-    const std::size_t u = G.node[j < m ? j : 0];
+  // within a tile, the strongest changing only on a strictly larger gain;
+  // near tiles here, mid tiles in stage 2. The lanes past m are never on.
+  alignas(64) double bound_lo[kernel::kGainLanes] = {};
+  alignas(64) double gain_ub[kernel::kGainLanes] = {};
+  for (std::size_t j = 0; j < G.m; ++j) {
+    const std::size_t u = G.node[j];
     const Vec2 p = net.position(u);
     G.x[j] = p.x;
     G.y[j] = p.y;
@@ -809,85 +836,84 @@ void Engine::ResolveLaneGroup(const RoundPrologue& P, std::size_t tile,
     G.close_sum[j] = 0.0;
     G.best[j] = -1.0;
     G.best_slot[j] = 0;
-    G.bound_lo[j] = P.tile_far_lo[tile];
-    G.gain_ub[j] = P.tile_far_ub[tile];
+    bound_lo[j] = P.tile_far_lo[tile];
+    gain_ub[j] = P.tile_far_ub[tile];
   }
-  // The exact scan of CSR slots [mb, me) for the lanes in `lanes`.
-  const auto scan = [&](std::size_t mb, std::size_t me, unsigned lanes) {
-    kernel::AddGains(model, P.tx_sx.data(), P.tx_sy.data(), P.tx_id.data(),
-                     mb, me, G.x.data(), G.y.data(), G.id.data(), lanes,
-                     G.close_sum.data(), G.best.data(), G.best_slot.data());
-  };
 
-  // Stage 1 — near tiles: exact member scan; mid tiles: envelope bounds.
+  // Stage 1 — mid tiles: envelope bounds; near tiles: exact member scan.
   const std::uint32_t close_begin = P.tile_close_begin[tile];
-  const std::uint32_t close_end = P.tile_close_end[tile];
-  if (G.near.size() < close_end - close_begin) {
-    G.near.resize(close_end - close_begin);
-  }
-  for (std::uint32_t c = close_begin; c < close_end; ++c) {
-    const int b = P.close_pool[c];
-    const Box box = grid.TileBox(b);
-    const std::size_t mb = P.tx_start[static_cast<std::size_t>(b)];
-    const std::size_t me = P.tx_start[static_cast<std::size_t>(b) + 1];
-    unsigned near = 0;
-    for (std::size_t j = 0; j < m; ++j) {
-      const Vec2 p{G.x[j], G.y[j]};
-      const double d2_lo = SpatialGrid::DistLoSq(p, box);
-      if (d2_lo <= near_sq) {
-        near |= 1u << j;
-        continue;
-      }
-      G.bound_lo[j] += static_cast<double>(me - mb) *
-                       model.MinGainD2(SpatialGrid::DistHiSq(p, box));
-      G.gain_ub[j] = std::max(G.gain_ub[j], model.MaxGainD2(d2_lo));
+  const std::size_t n_close = P.tile_close_end[tile] - close_begin;
+  if (G.scan.size() < n_close) G.scan.resize(n_close);
+  kernel::AddTileBounds(net.propagation(), P.close_tiles.data() + close_begin,
+                        n_close, near_radius_ * near_radius_, G.x.data(),
+                        G.y.data(), (1u << G.m) - 1, bound_lo, gain_ub,
+                        G.scan.data());
+  for (std::size_t c = 0; c < n_close; ++c) {
+    if (G.scan[c] != 0) {
+      ScanCloseTile(P, P.close_pool[close_begin + c], G.scan[c], G);
     }
-    G.near[c - close_begin] = static_cast<std::uint8_t>(near);
-    if (near != 0) scan(mb, me, near);
   }
 
-  // Best-case SINR: the strongest any transmitter could be, against the
-  // least interference this listener could see. If even that misses
-  // beta, no reception is possible.
-  const auto cannot_receive = [&](double best_ub, double interference_lo) {
-    if (best_ub <= 0.0) return true;
-    const double i_lo = std::max(0.0, interference_lo - best_ub);
-    return (best_ub / (noise + i_lo)) * (1.0 + kPruneSlack) < beta;
-  };
-  unsigned live = 0;
-  for (std::size_t j = 0; j < m; ++j) {
-    if (cannot_receive(std::max(G.best[j], G.gain_ub[j]),
-                       G.close_sum[j] + G.bound_lo[j])) {
+  // Stage 1's prune; the lanes it keeps join the survivor group, in order,
+  // so the fallback queue stays in (tile, ordinal) order.
+  GridLanes& S = s.survivors;
+  for (std::size_t j = 0; j < G.m; ++j) {
+    if (CannotReceive(std::max(G.best[j], gain_ub[j]),
+                      G.close_sum[j] + bound_lo[j], noise, beta)) {
       ++s.pruned;
-    } else {
-      live |= 1u << j;
+      continue;
     }
+    if (S.m > 0 && S.tile != tile) ResolveSurvivors(P, s);
+    const std::size_t k = S.m++;
+    if (k == 0) {
+      S.tile = tile;
+      S.scan.assign(n_close, 0);
+    }
+    S.ordinal[k] = G.ordinal[j];
+    S.node[k] = G.node[j];
+    S.x[k] = G.x[j];
+    S.y[k] = G.y[j];
+    S.id[k] = G.id[j];
+    S.close_sum[k] = G.close_sum[j];
+    S.best[k] = G.best[j];
+    S.best_slot[k] = G.best_slot[j];
+    for (std::size_t c = 0; c < n_close; ++c) {
+      if (((G.scan[c] >> j) & 1u) == 0) S.scan[c] |= 1u << k;  // a mid tile
+    }
+    if (S.m == kernel::kGainLanes) ResolveSurvivors(P, s);
   }
-  if (live == 0) return;
+}
 
-  // Stage 2 — scan the mid tiles exactly for the lanes stage 1 kept; only
-  // the shared far-field bound remains an estimate.
-  for (std::uint32_t c = close_begin; c < close_end; ++c) {
-    const unsigned mid = live & ~unsigned{G.near[c - close_begin]};
-    if (mid == 0) continue;
-    const auto b = static_cast<std::size_t>(P.close_pool[c]);
-    scan(P.tx_start[b], P.tx_start[b + 1], mid);
+void Engine::ResolveSurvivors(const RoundPrologue& P, RoundScratch& s) const {
+  const double beta = net_->params().beta;
+  const double noise = net_->params().noise;
+  GridLanes& S = s.survivors;
+  const std::size_t tile = S.tile;
+
+  // Stage 2 — scan the mid tiles exactly; only the shared far-field bound
+  // remains an estimate.
+  const std::uint32_t close_begin = P.tile_close_begin[tile];
+  const std::size_t n_close = P.tile_close_end[tile] - close_begin;
+  for (std::size_t c = 0; c < n_close; ++c) {
+    if (S.scan[c] != 0) {
+      ScanCloseTile(P, P.close_pool[close_begin + c], S.scan[c], S);
+    }
   }
 
   // Stage 2's prune, then stage 3 — a reception is genuinely possible:
   // defer to the batched exact fallback.
-  for (unsigned rest = live; rest != 0; rest &= rest - 1) {
-    const auto j = static_cast<std::size_t>(std::countr_zero(rest));
-    if (cannot_receive(std::max(G.best[j], P.tile_far_ub[tile]),
-                       G.close_sum[j] + P.tile_far_lo[tile])) {
+  for (std::size_t j = 0; j < S.m; ++j) {
+    if (CannotReceive(std::max(S.best[j], P.tile_far_ub[tile]),
+                      S.close_sum[j] + P.tile_far_lo[tile], noise, beta)) {
       ++s.pruned;
       continue;
     }
     ++s.exact_fallbacks;
     s.fallback.push_back(GridFallback{
-        static_cast<std::uint32_t>(tile), G.ordinal[j], G.node[j],
-        G.close_sum[j], G.best[j], P.tx_members[G.best_slot[j]]});
+        static_cast<std::uint32_t>(tile), S.ordinal[j], S.node[j],
+        S.close_sum[j], S.best[j], P.tx_members[S.best_slot[j]]});
   }
+  S.m = 0;
 }
 
 void Engine::MergeShards(int shards, std::vector<Reception>& out) const {

@@ -30,7 +30,8 @@
 //    transmitters into tiles. Near-field tiles are scanned exactly by the
 //    gain kernel, eight listeners of a tile at a time, shadowed or not;
 //    mid- and far-field tiles contribute conservative interference bounds
-//    through the propagation model's distance envelope. The bounds prune
+//    through the propagation model's distance envelope (the mid tiles'
+//    from the bounds kernel, sinr/gain_kernel.h). The bounds prune
 //    listeners whose best-case SINR cannot clear beta (the common case in
 //    dense rounds); every listener that might receive is resolved exactly
 //    by a batched far-field sweep (a hand-written AVX-512 one for alpha = 3
@@ -107,15 +108,22 @@
 // hoisted per-listener-tile far-field state, all collected in the single
 // RoundPrologue member), then the shard fan-out (StepGridRange per shard,
 // reading the prologue; a serial round is one shard, run inline), then
-// the merge into listener order. A shard resolves its slice in lane
-// groups: up to kernel::kGainLanes in-reach listeners of one tile, taken
-// in a row from the tile-sorted slice, run stage 1 (exact near-tile scans
-// and mid-tile bounds), its prune, stage 2 (exact mid-tile scans for the
-// lanes stage 1 kept) and its prune together (ResolveLaneGroup). Each lane
-// adds in the per-listener order (close-list order, CSR order within a
-// tile, the strongest changing only on a strictly larger gain), so its
-// sums, bounds and prune decisions keep every bit wherever a group or a
-// shard cut falls.
+// the merge into listener order. A shard resolves its slice in two kinds
+// of group of up to kernel::kGainLanes listeners of one tile
+// (ResolveLaneGroup). A lane group, in-reach listeners taken in a row from
+// the tile-sorted slice, runs stage 1: the bounds kernel
+// (kernel::AddTileBounds) splits the tile's close list into near and mid
+// tiles for all its lanes at once and bounds the mid ones, the gain kernel
+// scans the near ones exactly, and stage 1's prune follows. The lanes it
+// keeps join the tile's survivor group, which carries across the shard's
+// lane groups; when the tile changes, when it is full and at the end of
+// the slice, the survivor group runs stage 2 (exact mid-tile scans), its
+// prune and the fallback's queue (ResolveSurvivors). Each lane adds in the
+// per-listener order (near tiles, then mid tiles, each in close-list
+// order, CSR order within a tile, the strongest changing only on a
+// strictly larger gain), and the fallback queue stays in (tile, ordinal)
+// order, so a lane's sums, bounds and prune decisions keep every bit
+// wherever a group or a shard cut falls.
 #pragma once
 
 #include <cstddef>
@@ -127,6 +135,7 @@
 
 #include "dcc/common/spatial_grid.h"
 #include "dcc/sinr/farfield.h"
+#include "dcc/sinr/gain_kernel.h"
 #include "dcc/sinr/network.h"
 
 namespace dcc::parallel {
@@ -325,6 +334,9 @@ class Engine {
     std::vector<std::uint32_t> tile_close_begin;
     std::vector<std::uint32_t> tile_close_end;
     std::vector<int> close_pool;
+    // Parallel to close_pool: each close tile's box and transmitter count,
+    // as stage 1's bounds kernel reads them.
+    std::vector<kernel::CloseTile> close_tiles;
 
     // Listener ordinals stably sorted by tile: the order every grid round
     // walks, and shards cut into equal slices.
@@ -348,11 +360,15 @@ class Engine {
     std::vector<NodeId> id, tx_id;
   };
 
-  // The grid path's lane group (StepGridRange): up to kernel::kGainLanes
-  // in-reach listeners of one tile, taken in a row from the shard's slice
-  // of the tile-sorted order and resolved together; entry j is lane j.
+  // Lanes of the grid path (StepGridRange): up to kernel::kGainLanes
+  // in-reach listeners of one tile, resolved together; entry j is lane j.
+  // A shard keeps two groups: the lane group stage 1 resolves, taken in a
+  // row from its slice of the tile-sorted order, and the survivor group
+  // stage 2 resolves, which collects the lanes stage 1 keeps.
   struct GridLanes {
     GridLanes();  // sizes every per-lane vector to kernel::kGainLanes
+    std::size_t m = 0;                   // lanes in use, [0, m)
+    std::size_t tile = 0;                // their tile
     std::vector<std::uint32_t> ordinal;  // the listener's ordinal...
     std::vector<std::size_t> node;       // ...and node
     std::vector<double> x, y;            // its position
@@ -360,11 +376,11 @@ class Engine {
     std::vector<double> close_sum;       // exact near, then mid, gains...
     std::vector<double> best;            // ...the strongest of them...
     std::vector<std::size_t> best_slot;  // ...and its transmitter's CSR slot
-    std::vector<double> bound_lo;        // stage-1 interference lower bound
-    std::vector<double> gain_ub;         // stage-1 strongest-gain upper bound
-    // Per close tile of the group's tile, in close-list order: the lanes
-    // it is near (bit j: within the near radius of lane j's listener).
-    std::vector<std::uint8_t> near;
+    // Per close tile of `tile`, in close-list order: the lanes whose exact
+    // scan of it is this group's to run (bit j for lane j). In the lane
+    // group, the lanes it is near (stage 1); in the survivor group, the
+    // lanes it is mid for (stage 2).
+    std::vector<std::uint8_t> scan;
   };
 
   // One worker's whole mutable state for one round: the grid path's lane
@@ -375,7 +391,8 @@ class Engine {
   // scratch_[0..K) with no sharing, which is what makes the fan-out
   // race-free by construction.
   struct RoundScratch {
-    GridLanes lanes;
+    GridLanes lanes;      // stage 1's lane group
+    GridLanes survivors;  // stage 2's survivor group
     ExactLanes exact;
     std::vector<GridFallback> fallback;
     // Receptions tagged with their listener ordinal; sorted by ordinal at
@@ -453,16 +470,27 @@ class Engine {
   void BuildTileState(std::span<const std::size_t> listeners) const;
   // Resolves the listeners named by `ordinals` (one shard's slice of
   // prologue_.order) into s.pending, tagged with their ordinal and
-  // ordinal-sorted, one lane group at a time. The body of one grid shard.
+  // ordinal-sorted, one lane group at a time, then the last survivor group
+  // and the batched fallback. The body of one grid shard.
   void StepGridRange(const RoundPrologue& P,
                      std::span<const std::size_t> transmitters,
                      std::span<const std::size_t> listeners,
                      std::span<const std::uint32_t> ordinals,
                      RoundScratch& s) const;
-  // Stages 1-3 of the grid path for the m listeners of s.lanes, all in
-  // `tile`: prunes them or queues them for the batched fallback.
-  void ResolveLaneGroup(const RoundPrologue& P, std::size_t tile,
-                        std::size_t m, RoundScratch& s) const;
+  // Stage 1 of the grid path for the lane group s.lanes: the bounds
+  // kernel's mid-tile bounds and near/mid split, the exact near-tile scans
+  // and stage 1's prune. The lanes it keeps join s.survivors, which is
+  // resolved first when it holds another tile's lanes and whenever it
+  // fills up.
+  void ResolveLaneGroup(const RoundPrologue& P, RoundScratch& s) const;
+  // Stages 2 and 3 for the survivor group s.survivors, which it empties:
+  // the exact mid-tile scans, stage 2's prune, and the batched fallback's
+  // queue for the lanes that might receive.
+  void ResolveSurvivors(const RoundPrologue& P, RoundScratch& s) const;
+  // The exact scan of close tile b's transmitters for the lanes of L in
+  // `lanes`.
+  void ScanCloseTile(const RoundPrologue& P, int b, unsigned lanes,
+                     GridLanes& L) const;
   // kGrid's batched exact fallback: resolves s.fallback tile by tile,
   // sweeping each tile group's far-field transmitter ranges once per
   // kChunk-listener chunk (kChunk is defined in engine.cc; one AVX-512

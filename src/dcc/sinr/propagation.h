@@ -89,6 +89,7 @@ class PathLossModel {
   double alpha_;
   bool alpha_is_3_;
   double spread_;
+  double log_span_;  // log(1 + spread): Factor's exponent spans +-log_span_
   std::uint64_t seed_;
 };
 

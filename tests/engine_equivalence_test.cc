@@ -34,6 +34,7 @@ struct Scenario {
   std::int64_t tx_period;  // every tx_period-th node transmits
   double cell;             // grid tile size; 0 = auto
   double power = 0.0;      // transmission power; 0 = noise * beta (range 1)
+  double alpha = 3.0;      // path-loss exponent
 };
 
 // Names each instance by its fields, e.g.
@@ -52,6 +53,7 @@ void PrintTo(const Scenario& sc, std::ostream* os) {
       << num(sc.shadowing_spread) << "_period" << sc.tx_period << "_cell"
       << num(sc.cell);
   if (sc.power != 0.0) *os << "_power" << num(sc.power);
+  if (sc.alpha != 3.0) *os << "_alpha" << num(sc.alpha);
 }
 
 void SplitTxListeners(std::size_t n, std::int64_t period,
@@ -176,7 +178,7 @@ class EngineEquivalence : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(EngineEquivalence, GridReproducesExactReceptions) {
   const Scenario sc = GetParam();
-  Params params = Params::Default();
+  Params params = Params::Default(sc.alpha);
   params.id_space = 1 << 16;
   if (sc.power != 0.0) params.power = sc.power;
   auto pts = workload::UniformSquare(static_cast<int>(sc.n), sc.side,
@@ -224,7 +226,14 @@ INSTANTIATE_TEST_SUITE_P(
         Scenario{300, 8.0, 0.0, 4, 0.0}, Scenario{100, 40.0, 0.0, 4, 2.0},
         // Power above noise * beta: transmission range (3.3 / 1.5)^(1/3)
         // ~ 1.3, so the reach is not the unit disk.
-        Scenario{200, 14.0, 0.0, 4, 0.0, 3.3}));
+        Scenario{200, 14.0, 0.0, 4, 0.0, 3.3},
+        // Off alpha = 3 the gains and the grid path's bounds take pow and
+        // the portable kernels: a steeper and a flatter path loss, forced
+        // tiny tiles, and shadowing.
+        Scenario{200, 14.0, 0.0, 4, 0.0, 0.0, 4.0},
+        Scenario{150, 12.0, 0.0, 4, 1.0, 0.0, 4.0},
+        Scenario{200, 14.0, 0.0, 2, 0.0, 0.0, 2.5},
+        Scenario{200, 14.0, 0.4, 4, 0.0, 0.0, 2.5}));
 
 TEST(EngineEquivalenceTest, LargeNetworkBeyondGainMatrix) {
   // Above Engine::kGainMatrixLimit every gain, shadowed or not, comes from

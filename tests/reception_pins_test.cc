@@ -3,18 +3,23 @@
 // digest of every (round, listener, sender) reception pinned to the values
 // the code produced when they were recorded. A change that reorders a
 // transmit set, drops a round or moves a single reception fails here, not
-// just in a comparison of two runs of the same build.
+// just in a comparison of two runs of the same build. The last case pins
+// the grid path's own counters over fixed engine rounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "dcc/cluster/clustering.h"
 #include "dcc/cluster/sparsify.h"
 #include "dcc/cluster/validate.h"
+#include "dcc/common/rng.h"
 #include "dcc/obs/metrics.h"
 #include "dcc/scenario/scenario.h"
 #include "dcc/workload/generators.h"
@@ -329,6 +334,78 @@ TEST(ReceptionPinsTest, ClusteringFullRoundCaps) {
         cluster::BuildClustering(ex, prof, all, gamma, 1);
       },
       {4223260, 568177, 5311112, 0xc5cd0ee5eaac025cull});
+}
+
+// The grid path's own counters, which receptions alone do not pin: a bound
+// that moves a prune decision but keeps every reception would pass every
+// other test. Fixed seeded rounds of |T| in {65, 128, 300, 512} on the
+// 64 x 64 lattice at pitch 0.442 and on a uniform n = 4096 network of side
+// 28 (both above the gain table, so kAuto takes the grid path), each pinned
+// to its grid_pruned, grid_exact_fallbacks and tile_states_computed totals
+// and a digest of its (round, listener, sender) receptions, serial and on
+// three shards alike. SINR bits are left out: the fallback's far sweep
+// still differs in its last bits between avx512f hosts and others.
+struct GridPins {
+  std::int64_t pruned;
+  std::int64_t fallbacks;
+  std::int64_t tile_states;
+  std::int64_t receptions;
+  std::uint64_t digest;
+};
+
+void ExpectGridRoundsPinned(const std::string& label,
+                            const sinr::Network& net, int threads,
+                            const GridPins& want) {
+  const sinr::Engine eng(net, {.threads = threads});
+  ASSERT_EQ(eng.mode(), sinr::Engine::Mode::kGrid) << label;
+  Xoshiro256ss rng(7);
+  std::uint64_t digest = 1469598103934665603ull;
+  std::vector<std::size_t> order(net.size());
+  std::vector<char> is_tx(net.size());
+  std::int64_t round = 0;
+  for (const std::size_t n_tx : {65, 128, 300, 512}) {
+    for (int rep = 0; rep < 2; ++rep, ++round) {
+      // A seeded partial Fisher-Yates draw of n_tx transmitters, listed in
+      // draw order; every other node listens, in index order.
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      for (std::size_t k = 0; k < n_tx; ++k) {
+        std::swap(order[k], order[k + rng.NextBelow(net.size() - k)]);
+      }
+      const std::vector<std::size_t> tx(order.begin(),
+                                        order.begin() + n_tx);
+      std::fill(is_tx.begin(), is_tx.end(), 0);
+      for (const std::size_t v : tx) is_tx[v] = 1;
+      std::vector<std::size_t> listeners;
+      for (std::size_t u = 0; u < net.size(); ++u) {
+        if (!is_tx[u]) listeners.push_back(u);
+      }
+      for (const sinr::Reception& rec : eng.Step(tx, listeners)) {
+        Fold(digest, static_cast<std::uint64_t>(round));
+        Fold(digest, rec.listener);
+        Fold(digest, rec.sender);
+      }
+    }
+  }
+  const sinr::Engine::Stats& st = eng.stats();
+  EXPECT_EQ(st.grid_pruned, want.pruned) << label;
+  EXPECT_EQ(st.grid_exact_fallbacks, want.fallbacks) << label;
+  EXPECT_EQ(st.tile_states_computed, want.tile_states) << label;
+  EXPECT_EQ(st.receptions, want.receptions) << label;
+  EXPECT_EQ(digest, want.digest) << label << std::hex << " digest 0x" << digest;
+}
+
+TEST(ReceptionPinsTest, GridPathRoundCounters) {
+  const sinr::Network lattice = sinr::Network::WithSequentialIds(
+      workload::Grid(64, 64, 0.442), sinr::Params::Default());
+  const sinr::Network uniform = sinr::Network::WithSequentialIds(
+      workload::UniformSquare(4096, 28.0, 1), sinr::Params::Default());
+  for (const int threads : {1, 3}) {
+    const std::string at = " threads=" + std::to_string(threads);
+    ExpectGridRoundsPinned("lattice" + at, lattice, threads,
+                           {24394, 6364, 512, 6332, 0xd6b3fb4bb850335full});
+    ExpectGridRoundsPinned("uniform" + at, uniform, threads,
+                           {23084, 7674, 528, 7647, 0xc3ca3e56e3cac1dfull});
+  }
 }
 
 }  // namespace
