@@ -57,21 +57,25 @@ int Exec::RunRound(const std::vector<std::size_t>& candidates,
 
   const std::size_t n = net_->size();
   if (slot_of_.size() != n) slot_of_.assign(n, 0);
-  for (std::size_t s = 0; s < tx_.size(); ++s) {
-    is_tx_[tx_[s]] = 1;
-    slot_of_[tx_[s]] = s;
-  }
-  listeners_.clear();
-  for (std::size_t u = 0; u < n; ++u) {
-    if (!is_tx_[u] && (active_.empty() || active_[u])) listeners_.push_back(u);
+  for (std::size_t s = 0; s < tx_.size(); ++s) slot_of_[tx_[s]] = s;
+  if (active_.empty()) {
+    // Every other node listens: the engine's all-listening round, which
+    // copies a repeated transmitter sequence from its round memo.
+    engine_.StepInto(tx_, receptions_);
+  } else {
+    for (const std::size_t i : tx_) is_tx_[i] = 1;
+    listeners_.clear();
+    for (std::size_t u = 0; u < n; ++u) {
+      if (!is_tx_[u] && active_[u]) listeners_.push_back(u);
+    }
+    for (const std::size_t i : tx_) is_tx_[i] = 0;
+    engine_.StepInto(tx_, listeners_, receptions_);
   }
 
-  engine_.StepInto(tx_, listeners_, receptions_);
   if (observer_) observer_(round_ - 1, tx_, receptions_);
   for (const auto& rec : receptions_) {
     hear(rec.listener, msgs_[slot_of_[rec.sender]]);
   }
-  for (const std::size_t i : tx_) is_tx_[i] = 0;
   return static_cast<int>(tx_.size());
 }
 

@@ -39,6 +39,13 @@ class Exec {
   //  * every non-transmitting node is a listener; `hear` fires on each
   //    successful reception (including nodes outside `candidates` — that is
   //    how sleeping nodes get woken in the broadcast problems).
+  //  * with no activity mask set, the round is the engine's all-listening
+  //    StepInto: the Exec builds no listener list, and a transmitter
+  //    sequence the engine has already resolved on these positions is
+  //    copied from its round memo (sinr/engine.h, "Round memo"). Under a
+  //    mask the Exec lists the nodes that are on and runs the
+  //    explicit-listener StepInto, which never memoises. Either way the
+  //    receptions are the same bits.
   // Returns the number of transmitters.
   int RunRound(const std::vector<std::size_t>& candidates,
                const Decide& decide, const Hear& hear);
@@ -84,8 +91,8 @@ class Exec {
   // first few rounds warm these up)
   std::vector<std::size_t> tx_;
   std::vector<Message> msgs_;
-  std::vector<std::size_t> listeners_;
-  std::vector<char> is_tx_;
+  std::vector<std::size_t> listeners_;  // masked rounds only
+  std::vector<char> is_tx_;             // masked rounds only
   std::vector<std::size_t> slot_of_;
   std::vector<sinr::Reception> receptions_;
   Observer observer_;

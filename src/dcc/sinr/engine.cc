@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "dcc/common/rng.h"
 #include "dcc/obs/metrics.h"
 #include "dcc/obs/trace.h"
 #include "dcc/parallel/worker_pool.h"
@@ -254,6 +255,7 @@ void Engine::FollowPositions() const {
   if (grid_) grid_->Retile(net_->positions());
   FillGains();
   BuildReach();
+  memo_.Clear();
   positions_version_ = net_->positions_version();
 }
 
@@ -335,6 +337,39 @@ void Engine::StepInto(std::span<const std::size_t> transmitters,
   out.clear();
   if (transmitters.empty() || listeners.empty()) return;
   if (net_->positions_version() != positions_version_) FollowPositions();
+  ResolveRound(transmitters, listeners, out);
+}
+
+void Engine::StepInto(std::span<const std::size_t> transmitters,
+                      std::vector<Reception>& out) const {
+  DCC_TRACE_SPAN("engine.round");
+  ++stats_.rounds;
+  stats_.transmissions += static_cast<std::int64_t>(transmitters.size());
+  out.clear();
+  if (transmitters.empty()) return;
+  if (net_->positions_version() != positions_version_) FollowPositions();
+  const bool exact_kernel =
+      mode_ == Mode::kExact || transmitters.size() <= kExactMaxTransmitters;
+  const std::uint64_t hash = exact_kernel ? RoundMemo::Hash(transmitters) : 0;
+  if (exact_kernel && memo_.Find(hash, transmitters, out)) {
+    stats_.receptions += static_cast<std::int64_t>(out.size());
+    return;
+  }
+  for (const std::size_t v : transmitters) is_tx_[v] = 1;
+  all_listeners_.clear();
+  for (std::size_t u = 0; u < is_tx_.size(); ++u) {
+    if (!is_tx_[u]) all_listeners_.push_back(u);
+  }
+  for (const std::size_t v : transmitters) is_tx_[v] = 0;
+  if (!all_listeners_.empty()) {
+    ResolveRound(transmitters, all_listeners_, out);
+  }
+  if (exact_kernel) memo_.Insert(hash, transmitters, out);
+}
+
+void Engine::ResolveRound(std::span<const std::size_t> transmitters,
+                          std::span<const std::size_t> listeners,
+                          std::vector<Reception>& out) const {
   StampReach(transmitters);
   for (const std::size_t v : transmitters) is_tx_[v] = 1;
   const int shards = ShardsFor(listeners.size());
@@ -346,6 +381,109 @@ void Engine::StepInto(std::span<const std::size_t> transmitters,
   }
   for (const std::size_t v : transmitters) is_tx_[v] = 0;
   stats_.receptions += static_cast<std::int64_t>(out.size());
+}
+
+std::uint64_t Engine::RoundMemo::Hash(
+    std::span<const std::size_t> transmitters) {
+  // Multiply-xor over the sequence, so order matters, then a finalizer so
+  // that the index's low bits depend on every transmitter.
+  std::uint64_t h = transmitters.size();
+  for (const std::size_t v : transmitters) {
+    h = (h ^ static_cast<std::uint64_t>(v)) * 0x9E3779B97F4A7C15ULL;
+  }
+  return Mix64(h);
+}
+
+bool Engine::RoundMemo::Holds(std::size_t at, std::uint64_t hash,
+                              std::span<const std::size_t> transmitters) const {
+  const Record& head = records_[at];
+  if (head[0] != transmitters.size() ||
+      head[2] != static_cast<std::uint32_t>(hash) ||
+      head[3] != static_cast<std::uint32_t>(hash >> 32)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < transmitters.size(); ++i) {
+    if (records_[at + 1 + i / 4][i % 4] != transmitters[i]) return false;
+  }
+  return true;
+}
+
+bool Engine::RoundMemo::Find(std::uint64_t hash,
+                             std::span<const std::size_t> transmitters,
+                             std::vector<Reception>& out) const {
+  if (slots_.empty()) return false;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = hash & mask; slots_[i] != 0; i = (i + 1) & mask) {
+    const std::size_t at = slots_[i] - 1;
+    if (!Holds(at, hash, transmitters)) continue;
+    const std::size_t first = at + 1 + (transmitters.size() + 3) / 4;
+    out.clear();
+    for (std::size_t r = first; r < first + records_[at][1]; ++r) {
+      const Record& rec = records_[r];
+      out.push_back(Reception{
+          rec[0], rec[1],
+          std::bit_cast<double>(std::uint64_t{rec[3]} << 32 | rec[2])});
+    }
+    return true;
+  }
+  return false;
+}
+
+void Engine::RoundMemo::Insert(std::uint64_t hash,
+                               std::span<const std::size_t> transmitters,
+                               std::span<const Reception> receptions) {
+  const std::size_t need =
+      1 + (transmitters.size() + 3) / 4 + receptions.size();
+  if (need > kRoundMemoRecords) return;
+  if (records_.capacity() < kRoundMemoRecords) {
+    records_.reserve(kRoundMemoRecords);
+  }
+  if (records_.size() + need > kRoundMemoRecords) Clear();
+  if (2 * (entries_ + 1) > slots_.size()) {
+    // Double the index (1024 slots at first) and re-place every entry.
+    std::vector<std::uint32_t> old(
+        std::max<std::size_t>(1024, 2 * slots_.size()), 0);
+    old.swap(slots_);
+    for (const std::uint32_t slot : old) {
+      if (slot == 0) continue;
+      const Record& head = records_[slot - 1];
+      Index(slot - 1, std::uint64_t{head[3]} << 32 | head[2]);
+    }
+  }
+  const std::size_t at = records_.size();
+  records_.push_back(Record{static_cast<std::uint32_t>(transmitters.size()),
+                            static_cast<std::uint32_t>(receptions.size()),
+                            static_cast<std::uint32_t>(hash),
+                            static_cast<std::uint32_t>(hash >> 32)});
+  for (std::size_t i = 0; i < transmitters.size(); i += 4) {
+    Record key{};
+    for (std::size_t j = i; j < std::min(i + 4, transmitters.size()); ++j) {
+      key[j - i] = static_cast<std::uint32_t>(transmitters[j]);
+    }
+    records_.push_back(key);
+  }
+  for (const Reception& r : receptions) {
+    const auto bits = std::bit_cast<std::uint64_t>(r.sinr);
+    records_.push_back(Record{static_cast<std::uint32_t>(r.listener),
+                              static_cast<std::uint32_t>(r.sender),
+                              static_cast<std::uint32_t>(bits),
+                              static_cast<std::uint32_t>(bits >> 32)});
+  }
+  Index(at, hash);
+  ++entries_;
+}
+
+void Engine::RoundMemo::Index(std::size_t at, std::uint64_t hash) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = hash & mask;
+  while (slots_[i] != 0) i = (i + 1) & mask;
+  slots_[i] = static_cast<std::uint32_t>(at + 1);
+}
+
+void Engine::RoundMemo::Clear() {
+  records_.clear();
+  std::fill(slots_.begin(), slots_.end(), 0);
+  entries_ = 0;
 }
 
 void Engine::AddStatsToMetrics() const {

@@ -78,12 +78,12 @@
 // --- Moving nodes ---
 // Engines follow Network::SetPositions by themselves: the first StepInto
 // after a move (Network::positions_version() changed) re-tiles the grid,
-// refills the gain table and rebuilds the reach (FollowPositions, the one
-// function that refreshes every position-derived structure a round
-// reads), so no engine, exact or grid, resolves a round against stale
-// positions. The tiling is fixed at construction, so every
-// position must stay inside Options::coverage (StepInto throws
-// InvalidArgument otherwise).
+// refills the gain table, rebuilds the reach and clears the round memo
+// (FollowPositions, the one function that refreshes every
+// position-derived structure a round reads), so no engine, exact or grid,
+// resolves a round against stale positions. The tiling is fixed at
+// construction, so every position must stay inside Options::coverage
+// (StepInto throws InvalidArgument otherwise).
 //
 // --- Parallel sharded rounds (Options::threads) ---
 // Either strategy can run one round across K shards on the process-wide
@@ -124,8 +124,41 @@
 // strictly larger gain), and the fallback queue stays in (tile, ordinal)
 // order, so a lane's sums, bounds and prune decisions keep every bit
 // wherever a group or a shard cut falls.
+//
+// --- Round memo ---
+// The paper's protocols replay every selector stage many times, and on a
+// fixed network a round in which every other node listens is a pure
+// function of its transmitter sequence. So the all-listening StepInto
+// keeps the receptions of the rounds the exact kernel resolves (kExact,
+// and kGrid rounds of at most kExactMaxTransmitters) and copies them out
+// when the same sequence comes back.
+//  * Key: the transmitter sequence, order included, since a listener's
+//    sum adds its gains in transmitter order (a set in two orders is two
+//    entries).
+//  * A hit clears `out` and appends the stored (listener, sender, SINR
+//    bits) receptions. It counts rounds, transmissions and receptions and
+//    opens one engine.round span, as a resolved round does, and allocates
+//    nothing. It dispatches nothing either, so parallel_rounds and
+//    parallel_small_rounds count only the rounds the engine resolves.
+//  * Never kept: rounds of the explicit-listener StepInto and rounds the
+//    grid path resolves.
+//  * FollowPositions clears the memo, so a hit never outlives the
+//    positions it was resolved on.
+//  * Budget: kRoundMemoRecords 16-byte records, reserved on first use and
+//    cleared whole when an entry does not fit. An entry is a header
+//    record, its key four transmitters to a record, and one record per
+//    reception; an open-addressed index of entry offsets, kept at most
+//    half full, grows with the entries.
+// The budget, swept on the share of non-empty rounds that hit, with
+// dcc_run --algo=clustering: on clustering_dense's networks
+// (uniform:n=64,side=1.768, seeds 1..16) 91.5% at 2^17 records against
+// 93.9% with no bound; on uniform:n=256,side=8 71.7% against 81.4%; on
+// uniform:n=1024 54.5%; on uniform:n=2500,side=25, where kAuto picks kGrid
+// and the grid path's rounds are never kept, 18.7%, and its run time did
+// not move.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -194,6 +227,10 @@ class Engine {
   // kAuto resolves to kExact up to the limit and to kGrid beyond.
   static constexpr std::size_t kGainMatrixLimit = 2048;
 
+  // Round memo budget (see "Round memo" above): 2^17 records of 16 bytes,
+  // 2 MiB, plus an index of at most 2^17 4-byte slots.
+  static constexpr std::size_t kRoundMemoRecords = std::size_t{1} << 17;
+
   struct Options {
     Mode mode = Mode::kAuto;
     // Grid tile side; 0 picks a density-based default (~64 nodes/tile).
@@ -249,6 +286,14 @@ class Engine {
                 std::span<const std::size_t> listeners,
                 std::vector<Reception>& out) const;
 
+  // The all-listening round: every node that does not transmit listens, in
+  // node order, so the receptions equal the explicit form's on that
+  // listener list, bit for bit. The rounds the exact kernel resolves are
+  // kept in the round memo and a repeated transmitter sequence is copied
+  // from it (see "Round memo" above).
+  void StepInto(std::span<const std::size_t> transmitters,
+                std::vector<Reception>& out) const;
+
   const Network& net() const { return *net_; }
 
   // The resolved strategy (never kAuto).
@@ -272,8 +317,9 @@ class Engine {
     std::int64_t grid_exact_fallbacks = 0;
     // Parallel engines only (threads() > 1): rounds dispatched across
     // shards vs rounds run serially because they fell under the listener
-    // grain. Both depend on the thread count, so they are telemetry
-    // (AddStatsToMetrics), never part of a report.
+    // grain (a round memo hit counts in neither). Both depend on the thread
+    // count, so they are telemetry (AddStatsToMetrics), never part of a
+    // report.
     std::int64_t parallel_rounds = 0;
     std::int64_t parallel_small_rounds = 0;
     // Per-listener-tile far-field states computed by prologue builds (one
@@ -416,9 +462,40 @@ class Engine {
     std::uint32_t stamp = 0;
   };
 
-  // Re-tiles the grid, refills gain_ and rebuilds the reach for the
-  // network's current positions (the first StepInto after a SetPositions
-  // calls it).
+  // The round memo (see "Round memo" above). Its callers hash a sequence
+  // once (Hash) and pass the hash to Find and, on a miss, to Insert.
+  class RoundMemo {
+   public:
+    static std::uint64_t Hash(std::span<const std::size_t> transmitters);
+    // Clears `out` and appends the receptions kept for `transmitters`;
+    // false, with `out` untouched, when it has no entry.
+    bool Find(std::uint64_t hash, std::span<const std::size_t> transmitters,
+              std::vector<Reception>& out) const;
+    // Keeps `receptions` for `transmitters`, which Find did not know,
+    // clearing the whole memo first if the entry does not fit in what is
+    // left of the budget. An entry larger than the budget is not kept.
+    void Insert(std::uint64_t hash, std::span<const std::size_t> transmitters,
+                std::span<const Reception> receptions);
+    void Clear();
+
+   private:
+    // A header {|T|, reception count, hash low, hash high}, four
+    // transmitters of a key, or a reception {listener, sender, SINR bits
+    // low, high}.
+    using Record = std::array<std::uint32_t, 4>;
+    // The entry at records_[at] holds `transmitters`.
+    bool Holds(std::size_t at, std::uint64_t hash,
+               std::span<const std::size_t> transmitters) const;
+    // Places the entry at records_[at] in the index.
+    void Index(std::size_t at, std::uint64_t hash);
+    std::vector<Record> records_;       // entries, back to back
+    std::vector<std::uint32_t> slots_;  // entry offset + 1; 0 is empty
+    std::size_t entries_ = 0;
+  };
+
+  // Re-tiles the grid, refills gain_, rebuilds the reach and clears the
+  // round memo for the network's current positions (the first StepInto
+  // after a SetPositions calls it).
   void FollowPositions() const;
   // Fills gain_ row-major from Network::Gain when 0 < n <=
   // kGainMatrixLimit; leaves it empty otherwise.
@@ -435,6 +512,12 @@ class Engine {
     return !reach_.on || reach_.mark[u] == reach_.stamp;
   }
 
+  // The body both StepIntos share, for a round with transmitters and
+  // listeners on current positions: stamps the reach, marks the
+  // transmitters, runs StepGrid or StepExact and counts the receptions.
+  void ResolveRound(std::span<const std::size_t> transmitters,
+                    std::span<const std::size_t> listeners,
+                    std::vector<Reception>& out) const;
   // The dispatch decision both modes share: the number of shards a round
   // of `n_listen` listeners runs on (1 = serial). A parallel engine's round
   // under the listener grain is counted in Stats::parallel_small_rounds.
@@ -525,6 +608,11 @@ class Engine {
   // Per-node marks of the current round's transmitters (set by StepInto,
   // cleared at the end of the round; both modes).
   mutable std::vector<char> is_tx_;
+
+  // The all-listening StepInto's listeners (every other node) and its
+  // memo, cleared by FollowPositions.
+  mutable std::vector<std::size_t> all_listeners_;
+  mutable RoundMemo memo_;
 
   // The gain table (see kGainMatrixLimit; both modes), refilled for every
   // new set of positions and read only by ResolveExact.
